@@ -180,12 +180,21 @@ class Validator:
 # Atomic writers
 # ---------------------------------------------------------------------------
 
+def _umask() -> int:
+    """The process umask; reading it means setting it, so it is put back."""
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def _write_atomic(path: str, text: str) -> None:
     target = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=str(target.parent), prefix=f".{target.name}.")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would have
+        os.chmod(tmp_name, 0o666 & ~_umask())
         os.replace(tmp_name, target)
     except Exception:
         if os.path.exists(tmp_name):
@@ -291,7 +300,11 @@ def cmd_simulate_signalling(args) -> int:
     out = values.get("out")
     dump = values.get("dump_batches")
     if dump:
-        payload["batches_csv"] = str(dump)
+        # export resolves a relative path against the directory of the JSON
+        dump_ref = Path(dump)
+        if out and not dump_ref.is_absolute():
+            dump_ref = Path(os.path.relpath(dump_ref, Path(out).parent))
+        payload["batches_csv"] = str(dump_ref)
         n_batches = (reps // group_size) * group_size
         buffer = io.StringIO()
         for strategy, coupling in ((Strategy.ALWAYS_A, k_a), (Strategy.ALWAYS_APRIME, k_ap)):

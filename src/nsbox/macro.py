@@ -23,6 +23,8 @@ from scipy.special import ndtri
 from .coupling import I_VALUES, J_VALUES, JP_VALUES, TripleCoupling
 
 CHUNK = 4096
+#: Row r marks the cells where i, j, j' (r = 0, 1, 2) take the outcome +1.
+_PLUS_ONE = (np.stack([I_VALUES, J_VALUES, JP_VALUES]) > 0).astype(np.int64)
 _MAX_SEED = 2**64
 
 
@@ -151,7 +153,11 @@ def sample_batches(
         raise ValueError(f"n_pairs must be a positive integer, got {n_pairs!r}")
     if not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    cdf = np.cumsum(coupling.flat)
+    pmf = coupling.flat
+    if not (np.all(np.isfinite(pmf)) and np.all(pmf >= 0)):
+        raise ValueError(f"coupling pmf must be finite and nonnegative, got {pmf.tolist()}")
+    # cdf[k] bounds cell k; pairs past cdf[6] (mass-deficit rounding) land in cell 7
+    cdf = np.cumsum(pmf)[:7]
     n_cols = n_pairs + 2
     out = {name: np.empty(n_batches) for name in ("a", "b", "bp", "nb", "nbp")}
     filled = 0
@@ -160,10 +166,15 @@ def sample_batches(
         chunk_index, offset = divmod(index, CHUNK)
         take = min(CHUNK - offset, n_batches - filled)
         u = _chunk_uniforms(seed, stream, chunk_index, n_cols)[offset : offset + take]
-        cells = np.minimum(np.searchsorted(cdf, u[:, :n_pairs], side="right"), 7)
-        out["a"][filled : filled + take] = I_VALUES[cells].mean(axis=1)
-        out["b"][filled : filled + take] = J_VALUES[cells].mean(axis=1)
-        out["bp"][filled : filled + take] = JP_VALUES[cells].mean(axis=1)
+        pairs = u[:, :n_pairs]
+        # pairs per batch in cells 0..k (the cdf is nondecreasing), then per cell
+        at_most = [np.count_nonzero(pairs < bound, axis=1) for bound in cdf]
+        counts = np.diff(np.stack(at_most + [np.full(take, n_pairs)]), axis=0, prepend=0)
+        # a +/-1 mean is (2n - N) / N exactly, as the summed mean was
+        a, b, bp = (2 * (_PLUS_ONE @ counts) - n_pairs) / n_pairs
+        out["a"][filled : filled + take] = a
+        out["b"][filled : filled + take] = b
+        out["bp"][filled : filled + take] = bp
         if noise.sigma > 0:
             z = ndtri(np.clip(u[:, n_pairs:], 1e-300, None))
             out["nb"][filled : filled + take] = (

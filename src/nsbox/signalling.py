@@ -337,6 +337,9 @@ def _group_guesses(
     return guesses, survivors_total
 
 
+_ARMS = (Strategy.ALWAYS_A, Strategy.ALWAYS_APRIME)
+
+
 def run_protocol(
     k_a: TripleCoupling,
     k_ap: TripleCoupling,
@@ -348,6 +351,38 @@ def run_protocol(
     The couplings must realize the same correlation table (one per Alice
     setting).  Fully deterministic in (cfg, seed).
     """
+    arms = _draw_arms(k_a, k_ap, cfg.n_pairs, _protocol_batches(cfg), cfg.noise, seed)
+    return _score_arms(k_a, k_ap, arms, cfg)
+
+
+def _protocol_batches(cfg: ProtocolConfig) -> int:
+    """Batches per arm that the protocol scores: whole groups only."""
+    return (cfg.repetitions // cfg.group_size) * cfg.group_size
+
+
+def _draw_arms(
+    k_a: TripleCoupling,
+    k_ap: TripleCoupling,
+    n_pairs: int,
+    n_batches: int,
+    noise: NoiseModel,
+    seed: int,
+) -> tuple[BatchArrays, BatchArrays]:
+    """Batches 0..n_batches-1 of both strategy arms, in `_ARMS` order."""
+    return tuple(
+        sample_batches(coupling, n_pairs, n_batches, noise, seed, stream=STRATEGY_STREAM[strategy])
+        for strategy, coupling in zip(_ARMS, (k_a, k_ap))
+    )
+
+
+def _score_arms(
+    k_a: TripleCoupling,
+    k_ap: TripleCoupling,
+    arms: tuple[BatchArrays, BatchArrays],
+    cfg: ProtocolConfig,
+) -> SignallingReport:
+    """Score the first `_protocol_batches(cfg)` rows of each arm; longer arms
+    are fine, since batch b of a draw does not depend on the draw's length."""
     if cfg.detector is Detector.COVARIANCE_SIGN:
         guess_fn = detector_covariance_sign
         collect = False
@@ -358,20 +393,11 @@ def run_protocol(
         guess_fn = make_likelihood_detector(k_a, k_ap, cfg.n_pairs, cfg.noise)
         collect = False
 
-    n_groups = cfg.repetitions // cfg.group_size
-    n_batches = n_groups * cfg.group_size
+    n_batches = _protocol_batches(cfg)
     trials = 0
     correct = 0
     n_used = 0
-    for strategy, coupling in ((Strategy.ALWAYS_A, k_a), (Strategy.ALWAYS_APRIME, k_ap)):
-        arrays = sample_batches(
-            coupling,
-            cfg.n_pairs,
-            n_batches,
-            cfg.noise,
-            seed,
-            stream=STRATEGY_STREAM[strategy],
-        )
+    for strategy, arrays in zip(_ARMS, arms):
         guesses, survivors = _group_guesses(arrays, cfg, guess_fn, collect)
         n_used += survivors if collect else n_batches
         for guess in guesses:
@@ -454,7 +480,11 @@ def resource_sweep(
     """Run the protocol across a (N, R, sigma, detector) grid for one table.
 
     Couplings are the variance-extremal pair for the table; the C column of
-    the emitted CSV reports C(a,b).
+    the emitted CSV reports C(a,b).  Each (N, sigma) is drawn once, at the
+    largest R, and every (R, detector) row scores a prefix of that draw;
+    batch b does not depend on the draw's length, so each row equals a
+    direct `run_protocol` call.  Sampling cost thus grows with the number
+    of distinct (N, sigma), not with |R| x |detectors|.
     """
     if not (n_list and r_list and sigma_list and detectors):
         raise ValueError("sweep lists must be nonempty")
@@ -464,27 +494,35 @@ def resource_sweep(
     )
     rows = []
     for n_pairs in n_list:
-        for repetitions in r_list:
-            for sigma in sigma_list:
-                for detector in detectors:
-                    cfg = replace(
-                        template,
-                        n_pairs=n_pairs,
-                        repetitions=repetitions,
-                        noise=NoiseModel(sigma),
-                        detector=detector,
-                    )
-                    report = run_protocol(k_a, k_ap, cfg, seed)
-                    rows.append(
-                        SweepRow(
-                            c=table.c_ab,
-                            n_pairs=n_pairs,
-                            repetitions=repetitions,
-                            sigma=sigma,
-                            detector=detector,
-                            report=report,
-                        )
-                    )
+        # every config of this N is checked before anything is drawn
+        configs = [
+            replace(
+                template,
+                n_pairs=n_pairs,
+                repetitions=repetitions,
+                noise=NoiseModel(sigma),
+                detector=detector,
+            )
+            for repetitions in r_list
+            for sigma in sigma_list
+            for detector in detectors
+        ]
+        n_batches = max(_protocol_batches(cfg) for cfg in configs)
+        arms = {
+            sigma: _draw_arms(k_a, k_ap, n_pairs, n_batches, NoiseModel(sigma), seed)
+            for sigma in sigma_list
+        }
+        for cfg in configs:
+            rows.append(
+                SweepRow(
+                    c=table.c_ab,
+                    n_pairs=n_pairs,
+                    repetitions=cfg.repetitions,
+                    sigma=cfg.noise.sigma,
+                    detector=cfg.detector,
+                    report=_score_arms(k_a, k_ap, arms[cfg.noise.sigma], cfg),
+                )
+            )
     return rows
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 
 import pytest
 
@@ -77,6 +78,24 @@ class TestSimulateSignalling:
         assert len(lines) == 1 + 2 * 64
         strategies = {line.split(",")[1] for line in lines[1:]}
         assert strategies == {"always_a", "always_aprime"}
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_artifacts_follow_umask(self, tmp_path, umask):
+        out = tmp_path / "report.json"
+        dump = tmp_path / "batches.csv"
+        previous = os.umask(umask)
+        try:
+            code = run(
+                [
+                    "simulate-signalling", "--N", "4", "--reps", "64", "--seed", "5",
+                    "--out", str(out), "--dump-batches", str(dump),
+                ]
+            )
+        finally:
+            os.umask(previous)
+        assert code == 0
+        for path in (out, dump):
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_invalid_fields_all_reported(self, capsys):
         code = run(
@@ -356,6 +375,21 @@ class TestExport:
         # support on the even lattice of 2A only
         for value in a_values:
             assert (value * 8 / 2) == round(value * 8 / 2)
+
+    def test_relative_dump_path_reaches_export(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "runs").mkdir()
+        run(
+            [
+                "simulate-signalling", "--N", "4", "--reps", "64", "--group-size", "8",
+                "--seed", "5", "--out", "runs/r.json", "--dump-batches", "runs/b.csv",
+            ]
+        )
+        assert json.loads((tmp_path / "runs/r.json").read_text())["batches_csv"] == "b.csv"
+        code = run(["export", "--run-dir", "runs", "--out-dir", "csv"])
+        assert code == 0
+        with open(tmp_path / "csv/hist_b.csv") as handle:
+            assert sum(int(r["count"]) for r in csv.DictReader(handle)) == 2 * 64
 
     def test_empty_run_dir(self, tmp_path, capsys):
         empty = tmp_path / "empty"

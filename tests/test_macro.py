@@ -3,11 +3,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
-from nsbox.coupling import extremal_coupling, CouplingObjective, pr_limit_couplings
+from nsbox.boxes import A
+from nsbox.coupling import (
+    I_VALUES,
+    J_VALUES,
+    JP_VALUES,
+    CouplingObjective,
+    TripleCoupling,
+    extremal_coupling,
+    pr_limit_couplings,
+)
 from nsbox.macro import (
+    CHUNK,
+    BatchArrays,
     BatchConfig,
     MacroObservation,
     NoiseModel,
@@ -21,6 +33,7 @@ from nsbox.macro import (
     sample_batch,
     sample_batches,
     write_batches_csv,
+    _chunk_uniforms,
 )
 
 PR_A, PR_AP = pr_limit_couplings()
@@ -98,6 +111,133 @@ class TestSampling:
             NoiseModel(-0.1)
         with pytest.raises(ValueError):
             sample_batches(UNIFORM, 4, 10, NOISELESS, seed=2**64)
+
+
+# ---------------------------------------------------------------------------
+# Determinism contract: golden values and the reference kernel
+# ---------------------------------------------------------------------------
+
+#: All eight cells carry distinct, non-dyadic mass.
+GOLDEN_COUPLING = TripleCoupling(
+    A, np.array([0.05, 0.2, 0.1, 0.15, 0.125, 0.075, 0.17, 0.13]).reshape(2, 2, 2)
+)
+
+#: Batches on both sides of the first chunk boundary, recorded with the
+#: searchsorted kernel that `reference_sample_batches` keeps.
+GOLDEN = {
+    # (seed, stream, batch index, N, sigma): (A, B, B', noisy B, noisy B')
+    (2024, 0, 4095, 1, 0.0): (1, -1, 1, -1, 1),
+    (2024, 0, 4096, 1, 0.0): (1, 1, -1, 1, -1),
+    (2024, 0, 4095, 1, 0.1): (1, -1, 1, -0.95056834930310519, 1.1342260153997326),
+    (2024, 0, 4096, 1, 0.1): (1, 1, -1, 0.95366458347348138, -0.94982518409339045),
+    (2024, 0, 4095, 16, 0.0): (0.125, -0.25, 0.125, -0.25, 0.125),
+    (2024, 0, 4096, 16, 0.0): (-0.25, -0.375, 0.125, -0.375, 0.125),
+    (2024, 0, 4095, 16, 0.1): (0.125, -0.25, 0.125, -0.42333370760681555, 0.086492555484141073),
+    (2024, 0, 4096, 16, 0.1): (-0.25, -0.375, 0.125, -0.3606623101789711, 0.048618613535420935),
+    (2024, 0, 4095, 1024, 0.0): (-0.0078125, -0.06640625, -0.119140625, -0.06640625, -0.119140625),
+    (2024, 0, 4096, 1024, 0.0): (0.017578125, -0.03515625, -0.130859375, -0.03515625, -0.130859375),
+    (2024, 0, 4095, 1024, 0.1): (-0.0078125, -0.06640625, -0.119140625, -0.062716417712509062, -0.18006284136200493),
+    (2024, 0, 4096, 1024, 0.1): (0.017578125, -0.03515625, -0.130859375, -0.12600945950521564, -0.24182059867110564),
+    (7, 1, 4095, 1, 0.0): (1, 1, -1, 1, -1),
+    (7, 1, 4096, 1, 0.0): (-1, -1, 1, -1, 1),
+    (7, 1, 4095, 1, 0.1): (1, 1, -1, 1.0663345376167908, -1.1311381027101644),
+    (7, 1, 4096, 1, 0.1): (-1, -1, 1, -0.84043086570006853, 0.81018721004262917),
+    (7, 1, 4095, 16, 0.0): (0, -0.375, -0.375, -0.375, -0.375),
+    (7, 1, 4096, 16, 0.0): (0.125, -0.25, -0.25, -0.25, -0.25),
+    (7, 1, 4095, 16, 0.1): (0, -0.375, -0.375, -0.2850132505048229, -0.22529537292641541),
+    (7, 1, 4096, 16, 0.1): (0.125, -0.25, -0.25, -0.26614122977054555, -0.13629783164939557),
+    (7, 1, 4095, 1024, 0.0): (-0.001953125, -0.1171875, -0.08984375, -0.1171875, -0.08984375),
+    (7, 1, 4096, 1024, 0.0): (0.02734375, -0.15234375, -0.146484375, -0.15234375, -0.146484375),
+    (7, 1, 4095, 1024, 0.1): (-0.001953125, -0.1171875, -0.08984375, -0.14996672846268605, -0.20785922959204844),
+    (7, 1, 4096, 1024, 0.1): (0.02734375, -0.15234375, -0.146484375, -0.20204127852559489, -0.12957813099343427),
+}
+
+
+def reference_sample_batches(
+    coupling, n_pairs, n_batches, noise, seed, stream=0, start=0
+) -> BatchArrays:
+    """The original kernel: searchsorted cells, then the mean of the +/-1
+    values per cell.  `sample_batches` must match it bit for bit."""
+    cdf = np.cumsum(coupling.flat)
+    n_cols = n_pairs + 2
+    out = {name: np.empty(n_batches) for name in ("a", "b", "bp", "nb", "nbp")}
+    filled = 0
+    index = start
+    while filled < n_batches:
+        chunk_index, offset = divmod(index, CHUNK)
+        take = min(CHUNK - offset, n_batches - filled)
+        u = _chunk_uniforms(seed, stream, chunk_index, n_cols)[offset : offset + take]
+        cells = np.minimum(np.searchsorted(cdf, u[:, :n_pairs], side="right"), 7)
+        rows = slice(filled, filled + take)
+        out["a"][rows] = I_VALUES[cells].mean(axis=1)
+        out["b"][rows] = J_VALUES[cells].mean(axis=1)
+        out["bp"][rows] = JP_VALUES[cells].mean(axis=1)
+        if noise.sigma > 0:
+            z = ndtri(np.clip(u[:, n_pairs:], 1e-300, None))
+            out["nb"][rows] = out["b"][rows] + noise.sigma * z[:, 0]
+            out["nbp"][rows] = out["bp"][rows] + noise.sigma * z[:, 1]
+        else:
+            out["nb"][rows] = out["b"][rows]
+            out["nbp"][rows] = out["bp"][rows]
+        filled += take
+        index += take
+    return BatchArrays(out["a"], out["b"], out["bp"], out["nb"], out["nbp"])
+
+
+def assert_bit_identical(got: BatchArrays, want: BatchArrays) -> None:
+    for name in ("a_mean", "b_mean", "bp_mean", "noisy_b", "noisy_bp"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+class TestDeterminismContract:
+    @pytest.mark.parametrize("point", sorted(GOLDEN), ids=str)
+    def test_golden_values(self, point):
+        seed, stream, index, n_pairs, sigma = point
+        arrays = sample_batches(
+            GOLDEN_COUPLING, n_pairs, 1, NoiseModel(sigma), seed, stream=stream, start=index
+        )
+        assert arrays.observation(0) == MacroObservation(*GOLDEN[point])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0), st.integers(1, 1000)), min_size=8, max_size=8
+        ).filter(any),
+        n_pairs=st.integers(1, 40),
+        start=st.integers(0, 2 * CHUNK),
+        n_batches=st.integers(0, 40),
+        sigma=st.sampled_from([0.0, 0.1]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_reference_kernel(self, weights, n_pairs, start, n_batches, sigma, seed):
+        pmf = np.array(weights, dtype=float).reshape(2, 2, 2) / sum(weights)
+        coupling = TripleCoupling(A, pmf)
+        args = (coupling, n_pairs, n_batches, NoiseModel(sigma), seed)
+        assert_bit_identical(
+            sample_batches(*args, stream=1, start=start),
+            reference_sample_batches(*args, stream=1, start=start),
+        )
+
+    def test_mass_deficit_goes_to_last_cell(self):
+        # half the mass is missing; the remainder falls to (-1, -1, -1)
+        short = TripleCoupling(A, np.array([0.5, 0, 0, 0, 0, 0, 0, 0]).reshape(2, 2, 2))
+        arrays = sample_batches(short, 16, 300, NOISELESS, seed=4)
+        assert_bit_identical(arrays, reference_sample_batches(short, 16, 300, NOISELESS, seed=4))
+        np.testing.assert_array_equal(arrays.a_mean, arrays.b_mean)
+        np.testing.assert_array_equal(arrays.a_mean, arrays.bp_mean)
+        assert arrays.a_mean.min() < 0 < arrays.a_mean.max()
+
+    def test_rejects_negative_mass(self):
+        pmf = np.array([0.3, -0.05, 0.25, 0.0, 0.0, 0.25, 0.0, 0.25]).reshape(2, 2, 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_batches(TripleCoupling(A, pmf), 4, 10, NOISELESS, seed=1)
+
+    def test_rejects_non_finite_mass(self):
+        # TripleCoupling refuses NaN, so plant one behind its back
+        coupling = TripleCoupling(A, np.full((2, 2, 2), 0.125))
+        object.__setattr__(coupling, "pmf", np.full((2, 2, 2), np.nan))
+        with pytest.raises(ValueError, match="finite"):
+            sample_batches(coupling, 4, 10, NOISELESS, seed=1)
 
 
 class TestADistribution:

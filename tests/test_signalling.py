@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -372,6 +374,34 @@ class TestResourceSweep:
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
             resource_sweep(CorrelationTable(1, 1, 1, -1), [], [10], [0.1], seed=1)
+
+    def test_rows_equal_direct_protocol_runs(self):
+        # the sweep draws each (N, sigma) once and scores prefixes of it;
+        # R = 40 is no multiple of the group size, 4100 fills the first chunk
+        # exactly and 4120 crosses into the second
+        table = CorrelationTable(0.6, 0.6, 0.6, -0.6)
+        base = ProtocolConfig(
+            n_pairs=12,
+            repetitions=4120,
+            noise=NOISELESS,
+            postselect_threshold=0.5,
+            group_size=16,
+        )
+        grid = ([4, 12], [40, 4100, 4120], [0.0, 0.1], list(Detector))
+        rows = resource_sweep(table, *grid[:3], seed=23, detectors=grid[3], base_config=base)
+        assert [(r.n_pairs, r.repetitions, r.sigma, r.detector) for r in rows] == list(
+            itertools.product(*grid)
+        )
+        k_a, k_ap = couplings_for_table(table)
+        for row in rows:
+            cfg = replace(
+                base,
+                n_pairs=row.n_pairs,
+                repetitions=row.repetitions,
+                noise=NoiseModel(row.sigma),
+                detector=row.detector,
+            )
+            assert row.report == run_protocol(k_a, k_ap, cfg, seed=23), row
 
 
 class TestCouplingsForTable:
