@@ -261,6 +261,35 @@ def _golden_max(f, lo: float, hi: float, iterations: int = 200):
     return x, f(x)
 
 
+def _best_y(x, rhs: float):
+    """Largest feasible y = C(a',b)-C(a',b') beside x (scalar or array)."""
+    return np.minimum(2.0, np.sqrt(np.maximum(rhs - x * x, 0.0)))
+
+
+def frontier_grid(
+    resolution: int, symmetric: bool = False, rhs: float = 4.0
+) -> dict[str, np.ndarray]:
+    """The grid `frontier_scan` searches, as named columns.
+
+    General mode: x = C(a,b)+C(a,b') over [-x_max, x_max], the best feasible
+    y, their CHSH x + y and the margin rhs - x^2 - y^2.  Symmetric mode:
+    C over [0, 1] for tables (C, C, C, -C), their CHSH 4C, the causality
+    left side 8C^2 and whether it is at most rhs.
+    """
+    if resolution < 10:
+        raise ValueError(f"resolution must be at least 10, got {resolution}")
+    if rhs <= 0:
+        raise ValueError("rhs must be positive")
+    if symmetric:
+        c = np.linspace(0.0, 1.0, resolution)
+        lhs = 8.0 * c * c
+        return {"C": c, "chsh": 4 * c, "causality_lhs": lhs, "feasible": lhs <= rhs}
+    x_max = min(2.0, math.sqrt(rhs))
+    x = np.linspace(-x_max, x_max, resolution)
+    y = _best_y(x, rhs)
+    return {"x": x, "y": y, "chsh": x + y, "causality_margin": rhs - x * x - y * y}
+
+
 def frontier_scan(
     resolution: int, symmetric: bool = False, rhs: float = 4.0
 ) -> FrontierReport:
@@ -270,16 +299,11 @@ def frontier_scan(
     y = C(a',b)-C(a',b'), then refines by golden section; symmetric mode
     restricts to tables (C, C, C, -C) and reports the largest feasible C.
     """
-    if resolution < 10:
-        raise ValueError(f"resolution must be at least 10, got {resolution}")
-    if rhs <= 0:
-        raise ValueError("rhs must be positive")
-
+    grid = frontier_grid(resolution, symmetric, rhs)
     if symmetric:
         # feasibility: 8 C^2 <= rhs, C in [0, 1]; refine the boundary by bisection
         limit = min(1.0, math.sqrt(rhs / 8.0))
-        grid = np.linspace(0.0, 1.0, resolution)
-        feasible = grid[8.0 * grid**2 <= rhs]
+        feasible = grid["C"][grid["feasible"]]
         lo = float(feasible.max()) if feasible.size else 0.0
         hi = min(1.0, lo + (1.0 / (resolution - 1)))
         for _ in range(100):
@@ -299,22 +323,14 @@ def frontier_scan(
             critical_c=critical,
         )
 
-    x_max = min(2.0, math.sqrt(rhs))
-
-    def best_chsh(x: float) -> float:
-        y = min(2.0, math.sqrt(max(rhs - x * x, 0.0)))
-        return x + y
-
-    grid = np.linspace(-x_max, x_max, resolution)
-    values = [best_chsh(float(x)) for x in grid]
-    k = int(np.argmax(values))
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(resolution - 1, k + 1)]
-    x_star, value = _golden_max(best_chsh, float(lo), float(hi))
-    y_star = min(2.0, math.sqrt(max(rhs - x_star * x_star, 0.0)))
+    k = int(np.argmax(grid["chsh"]))
+    lo = grid["x"][max(0, k - 1)]
+    hi = grid["x"][min(resolution - 1, k + 1)]
+    x_star, value = _golden_max(lambda x: x + _best_y(x, rhs), float(lo), float(hi))
+    y_star = float(_best_y(x_star, rhs))
     table = CorrelationTable(x_star / 2.0, x_star / 2.0, y_star / 2.0, -y_star / 2.0)
     return FrontierReport(
-        max_chsh=value,
+        max_chsh=float(value),
         argmax_table=table,
         mode="general",
         rhs=rhs,

@@ -2,9 +2,10 @@
 
 Five commands: simulate-signalling, verify-bounds, scan-frontier, couplings,
 export.  Parameters come from an optional JSON config file (one section per
-command) with flags overriding file values.  All randomized commands print
-the resolved seed.  Output files are written atomically (temp file +
-rename), so failures never leave partial artifacts.
+command) with flags overriding file values; a field's name is its flag's
+argparse dest.  All randomized commands print the resolved seed.  Output
+directories are checked before any compute, and output files are written
+atomically (temp file + rename), so failures never leave partial artifacts.
 
 Exit codes: 0 success; 1 verify-bounds invariant failure; 2 invalid
 configuration (every bad field is listed); 3 I/O failure.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -22,13 +24,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from .boxes import CorrelationTable, chsh
 from .causality import (
     FrontierReport,
     budget_from_table,
     causality_condition,
+    frontier_grid,
     frontier_scan,
     orient_for_bounds,
     tsirelson_check,
@@ -37,6 +38,9 @@ from .causality import (
     vector_addition_model,
 )
 from .coupling import (
+    I_VALUES,
+    J_VALUES,
+    JP_VALUES,
     CouplingObjective,
     coupling_bounds,
     coupling_to_json,
@@ -44,15 +48,18 @@ from .coupling import (
     make_scalar_extremal_couplings,
     validate_coupling,
 )
-from .macro import STRATEGY_STREAM, NoiseModel, Strategy, sample_batches, write_batches_csv
+from .macro import NoiseModel, write_batches_csv
 from .signalling import (
-    SWEEP_CSV_HEADER,
+    ARMS,
     Detector,
     ProtocolConfig,
     SweepRow,
+    draw_arms,
+    protocol_batches,
     report_from_json,
     report_to_json,
-    run_protocol,
+    score_arms,
+    write_sweep_csv,
 )
 
 SCHEMA_VERSION = "1"
@@ -91,26 +98,18 @@ def _load_config_section(path: str | None, section: str) -> dict:
     return dict(section_data)
 
 
-def _merge(file_values: dict, flag_values: dict) -> dict:
-    merged = dict(file_values)
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
 class Validator:
     """Collects every violated field so one run reports them all."""
 
-    def __init__(self, values: dict, allowed: set[str] | None = None):
+    def __init__(self, values: dict, allowed: set[str]):
         self.values = values
-        self.errors: list[str] = []
-        if allowed is not None:
-            for key in sorted(set(values) - allowed):
-                self.errors.append(f"unknown field {key!r} (allowed: {sorted(allowed)})")
+        self.errors = [
+            f"unknown field {key!r} (allowed: {sorted(allowed)})"
+            for key in sorted(set(values) - allowed)
+        ]
 
     def number(self, name, default=None, minimum=None, maximum=None, integer=False,
-               exclusive_min=None, one_of=None):
+               exclusive_min=None):
         raw = self.values.get(name, default)
         if raw is None:
             self.errors.append(f"missing required field {name!r}")
@@ -135,9 +134,6 @@ class Validator:
         if maximum is not None and value > maximum:
             self.errors.append(f"field {name!r} must be <= {maximum}, got {value}")
             return None
-        if one_of is not None and value not in one_of:
-            self.errors.append(f"field {name!r} must be one of {sorted(one_of)}, got {value}")
-            return None
         return value
 
     def choice(self, name, options, default=None):
@@ -147,33 +143,52 @@ class Validator:
             return None
         return raw
 
-    def table(self, name):
+    def correlations(self, name, count):
+        """A list of `count` correlations, each in [-1, 1]."""
         raw = self.values.get(name)
         if raw is None:
             self.errors.append(f"missing required field {name!r}")
             return None
-        if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-            self.errors.append(f"field {name!r} must hold 4 correlations, got {raw!r}")
+        if not isinstance(raw, (list, tuple)) or len(raw) != count:
+            self.errors.append(f"field {name!r} must hold {count} correlations, got {raw!r}")
             return None
         entries = []
-        ok = True
         for k, v in enumerate(raw):
             try:
                 value = float(v)
             except (TypeError, ValueError):
                 self.errors.append(f"field {name!r}[{k}] must be a number, got {v!r}")
-                ok = False
                 continue
             if not math.isfinite(value) or abs(value) > 1.0:
                 self.errors.append(f"field {name!r}[{k}] must lie in [-1, 1], got {value}")
-                ok = False
                 continue
             entries.append(value)
-        return CorrelationTable(*entries) if ok else None
+        return entries if len(entries) == count else None
 
     def raise_if_any(self):
         if self.errors:
             raise ConfigErrors(self.errors)
+
+
+#: Fields naming files a command writes; their directories must exist.
+_OUTPUT_FIELDS = ("out", "dump_batches", "summary")
+
+
+def _resolve(args) -> Validator:
+    """The command's config section with every given flag on top.
+
+    The subparser's dests are the command's fields, so they name both the
+    section keys it allows and the flags that override them.  Output
+    directories are checked here, before any compute.
+    """
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
+    values = _load_config_section(args.config, args.command.replace("-", "_"))
+    values.update((k, v) for k, v in flags.items() if v is not None)
+    for key in _OUTPUT_FIELDS:
+        path = values.get(key) if key in flags else None
+        if isinstance(path, str) and not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "output directory does not exist", path)
+    return Validator(values, allowed=set(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +219,20 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _write_json(path: str, payload: dict) -> None:
     _write_atomic(path, json.dumps(payload, indent=2) + "\n")
+
+
+def _write_csv(path: str, header, rows) -> None:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_atomic(path, buffer.getvalue())
+
+
+def _write_sweep_csv(path: str, rows) -> None:
+    buffer = io.StringIO()
+    write_sweep_csv(buffer, rows)
+    _write_atomic(path, buffer.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -240,23 +269,7 @@ _DETECTORS = {d.value: d for d in Detector}
 
 
 def cmd_simulate_signalling(args) -> int:
-    values = _merge(_load_config_section(args.config, "simulate_signalling"), {
-        "C": args.C,
-        "N": args.N,
-        "reps": args.reps,
-        "sigma": args.sigma,
-        "detector": args.detector,
-        "threshold": args.threshold,
-        "group_size": args.group_size,
-        "seed": args.seed,
-        "out": args.out,
-        "format": args.format,
-        "dump_batches": args.dump_batches,
-    })
-    v = Validator(values, allowed={
-        "C", "N", "reps", "sigma", "detector", "threshold", "group_size",
-        "seed", "out", "format", "dump_batches",
-    })
+    v = _resolve(args)
     fmt = v.choice("format", {"json", "csv"}, default="json")
     c = v.number("C", default=1.0, minimum=0.0, maximum=1.0)
     n_pairs = v.number("N", default=16, minimum=1, integer=True)
@@ -281,7 +294,9 @@ def cmd_simulate_signalling(args) -> int:
 
     print(f"seed: {seed}")
     k_a, k_ap = make_scalar_extremal_couplings(c)
-    report = run_protocol(k_a, k_ap, cfg, seed)
+    # one draw serves both the report and the batch dump
+    arms = draw_arms(k_a, k_ap, n_pairs, protocol_batches(cfg), cfg.noise, seed)
+    report = score_arms(k_a, k_ap, arms, cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "simulate-signalling",
@@ -297,45 +312,27 @@ def cmd_simulate_signalling(args) -> int:
         },
         "report": report_to_json(report),
     }
-    out = values.get("out")
-    dump = values.get("dump_batches")
+    out = v.values.get("out")
+    dump = v.values.get("dump_batches")
     if dump:
         # export resolves a relative path against the directory of the JSON
         dump_ref = Path(dump)
         if out and not dump_ref.is_absolute():
             dump_ref = Path(os.path.relpath(dump_ref, Path(out).parent))
         payload["batches_csv"] = str(dump_ref)
-        n_batches = (reps // group_size) * group_size
-        buffer = io.StringIO()
-        for strategy, coupling in ((Strategy.ALWAYS_A, k_a), (Strategy.ALWAYS_APRIME, k_ap)):
-            arrays = sample_batches(
-                coupling, n_pairs, n_batches, NoiseModel(sigma), seed,
-                stream=STRATEGY_STREAM[strategy],
-            )
+        parts = []
+        for strategy, arrays in zip(ARMS, arms):
             part = io.StringIO()
             write_batches_csv(part, arrays, strategy, n_pairs, seed)
-            body = part.getvalue()
-            if buffer.tell():
-                body = body.split("\n", 1)[1]  # keep a single header
-            buffer.write(body)
-        _write_atomic(dump, buffer.getvalue())
+            parts.append(part.getvalue())
+        head, tail = parts  # both arms under one header
+        _write_atomic(dump, head + tail.split("\n", 1)[1])
     if out:
         if fmt == "json":
             _write_json(out, payload)
         else:
-            row = SweepRow(
-                c=c,
-                n_pairs=n_pairs,
-                repetitions=reps,
-                sigma=sigma,
-                detector=_DETECTORS[detector_name],
-                report=report,
-            )
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(SWEEP_CSV_HEADER.split(","))
-            writer.writerow(row.csv_fields())
-            _write_atomic(out, buffer.getvalue())
+            row = SweepRow(c, n_pairs, reps, sigma, cfg.detector, report)
+            _write_sweep_csv(out, [row])
     print(f"advantage: {report.advantage:.6f}  ci: [{report.ci_low:.6f}, {report.ci_high:.6f}]")
     print(f"verdict: {report.verdict.value}  trials: {report.n_trials}  n_used: {report.n_used}")
     if report.suggested_repetitions is not None:
@@ -344,18 +341,12 @@ def cmd_simulate_signalling(args) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
-    flag_table = list(args.table) if args.table is not None else None
-    values = _merge(_load_config_section(args.config, "verify_bounds"), {
-        "table": flag_table,
-        "N": args.N,
-        "out": args.out,
-        "format": args.format,
-    })
-    v = Validator(values, allowed={"table", "N", "out", "format"})
+    v = _resolve(args)
     fmt = v.choice("format", {"json", "csv"}, default="json")
-    table = v.table("table")
+    entries = v.correlations("table", 4)
     n_pairs = v.number("N", default=1, minimum=1, integer=True)
     v.raise_if_any()
+    table = CorrelationTable(*entries)
 
     check = causality_condition(table)
     tsirelson_ok = tsirelson_check(table)
@@ -392,7 +383,7 @@ def cmd_verify_bounds(args) -> int:
     if failures:
         payload["failures"] = failures
 
-    out = values.get("out")
+    out = v.values.get("out")
     if out:
         if fmt == "json":
             _write_json(out, payload)
@@ -403,52 +394,29 @@ def cmd_verify_bounds(args) -> int:
                 "budget_total",
             ]
             flat = {**table.as_dict(), **payload}
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(fields)
-            writer.writerow([flat[k] for k in fields])
-            _write_atomic(out, buffer.getvalue())
+            _write_csv(out, fields, [[flat[k] for k in fields]])
     print(json.dumps(payload, indent=2))
     return EXIT_OK if not failures else EXIT_INVARIANT
 
 
 def cmd_scan_frontier(args) -> int:
-    values = _merge(_load_config_section(args.config, "scan_frontier"), {
-        "resolution": args.resolution,
-        "symmetric": args.symmetric or None,
-        "rhs": args.rhs,
-        "out": args.out,
-        "format": args.format,
-        "summary": args.summary,
-    })
-    v = Validator(values, allowed={"resolution", "symmetric", "rhs", "out", "format", "summary"})
+    v = _resolve(args)
     fmt = v.choice("format", {"json", "csv"}, default="csv")
     resolution = v.number("resolution", default=10_001, minimum=10, integer=True)
     rhs = v.number("rhs", default=4.0, exclusive_min=0.0)
     v.raise_if_any()
-    symmetric = bool(values.get("symmetric", False))
+    symmetric = bool(v.values.get("symmetric", False))
 
     report = frontier_scan(resolution, symmetric=symmetric, rhs=rhs)
-    out = values.get("out")
+    out = v.values.get("out")
     if out and fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        if symmetric:
-            writer.writerow(["C", "chsh", "causality_lhs", "feasible"])
-            for c in np.linspace(0.0, 1.0, resolution):
-                lhs = 8.0 * c * c
-                writer.writerow(
-                    [f"{c:.17g}", f"{4 * c:.17g}", f"{lhs:.17g}", str(lhs <= rhs).lower()]
-                )
-        else:
-            writer.writerow(["x", "y", "chsh", "causality_margin"])
-            x_max = min(2.0, math.sqrt(rhs))
-            for x in np.linspace(-x_max, x_max, resolution):
-                y = min(2.0, math.sqrt(max(rhs - x * x, 0.0)))
-                writer.writerow(
-                    [f"{x:.17g}", f"{y:.17g}", f"{x + y:.17g}", f"{rhs - x * x - y * y:.17g}"]
-                )
-        _write_atomic(out, buffer.getvalue())
+        grid = frontier_grid(resolution, symmetric, rhs)
+        # floats at 17 significant digits, booleans spelled as in JSON
+        rows = [
+            [f"{x:.17g}" if isinstance(x, float) else str(x).lower() for x in row]
+            for row in zip(*(column.tolist() for column in grid.values()))
+        ]
+        _write_csv(out, list(grid), rows)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "command": "scan-frontier",
@@ -456,102 +424,76 @@ def cmd_scan_frontier(args) -> int:
     }
     if out and fmt == "json":
         _write_json(out, summary)
-    if values.get("summary"):
-        _write_json(values["summary"], summary)
+    if v.values.get("summary"):
+        _write_json(v.values["summary"], summary)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 
 def cmd_couplings(args) -> int:
-    flag_targets = list(args.targets) if args.targets is not None else None
-    values = _merge(_load_config_section(args.config, "couplings"), {
-        "C": args.C,
-        "targets": flag_targets,
-        "out": args.out,
-        "format": args.format,
-    })
-    v = Validator(values, allowed={"C", "targets", "out", "format"})
+    v = _resolve(args)
     fmt = v.choice("format", {"json", "csv"}, default="json")
-    targets_raw = values.get("targets")
     payload: dict = {"schema_version": SCHEMA_VERSION, "command": "couplings"}
-    if targets_raw is not None:
-        if not isinstance(targets_raw, (list, tuple)) or len(targets_raw) != 2:
-            v.errors.append(f"field 'targets' must hold 2 correlations, got {targets_raw!r}")
-            v.raise_if_any()
-        pair = []
-        for k, raw in enumerate(targets_raw):
-            try:
-                value = float(raw)
-            except (TypeError, ValueError):
-                v.errors.append(f"field 'targets'[{k}] must be a number, got {raw!r}")
-                continue
-            if not math.isfinite(value) or abs(value) > 1.0:
-                v.errors.append(f"field 'targets'[{k}] must lie in [-1, 1], got {value}")
-                continue
-            pair.append(value)
+    if v.values.get("targets") is not None:
+        pair = v.correlations("targets", 2)
         v.raise_if_any()
-        c1, c2 = pair
-        low = extremal_coupling(c1, c2, CouplingObjective.MIN_DISAGREE)
-        high = extremal_coupling(c1, c2, CouplingObjective.MAX_DISAGREE)
-        bounds = coupling_bounds(c1, c2)
-        payload.update(
-            mode="targets",
-            targets=[c1, c2],
-            couplings={
-                "min_disagree": coupling_to_json(low),
-                "max_disagree": coupling_to_json(high),
-            },
-            bounds=vars(bounds).copy(),
-            validation={
-                "min_disagree": validate_coupling(low, (c1, c2)).ok,
-                "max_disagree": validate_coupling(high, (c1, c2)).ok,
-            },
-        )
+        payload.update(mode="targets", targets=pair)
+        arms = {
+            "min_disagree": (extremal_coupling(*pair, CouplingObjective.MIN_DISAGREE), pair),
+            "max_disagree": (extremal_coupling(*pair, CouplingObjective.MAX_DISAGREE), pair),
+        }
+        bounds = vars(coupling_bounds(*pair)).copy()
     else:
         c = v.number("C", default=1.0, minimum=0.0, maximum=1.0)
         v.raise_if_any()
+        payload.update(mode="scalar_pair", C=c)
         k_a, k_ap = make_scalar_extremal_couplings(c)
-        payload.update(
-            mode="scalar_pair",
-            C=c,
-            couplings={"under_a": coupling_to_json(k_a), "under_aprime": coupling_to_json(k_ap)},
-            bounds={
-                "under_a": vars(coupling_bounds(c, c)).copy(),
-                "under_aprime": vars(coupling_bounds(c, -c)).copy(),
-            },
-            validation={
-                "under_a": validate_coupling(k_a, (c, c)).ok,
-                "under_aprime": validate_coupling(k_ap, (c, -c)).ok,
-            },
-        )
-    out = values.get("out")
+        arms = {"under_a": (k_a, (c, c)), "under_aprime": (k_ap, (c, -c))}
+        bounds = {arm: vars(coupling_bounds(*t)).copy() for arm, (_, t) in arms.items()}
+    payload.update(
+        couplings={arm: coupling_to_json(k) for arm, (k, _) in arms.items()},
+        bounds=bounds,
+        validation={arm: validate_coupling(k, t).ok for arm, (k, t) in arms.items()},
+    )
+    out = v.values.get("out")
     if out:
         if fmt == "json":
             _write_json(out, payload)
         else:
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(["arm", "i", "j", "jp", "probability"])
-            for arm, data in payload["couplings"].items():
-                pmf = data["pmf"]
-                for idx, probability in enumerate(pmf):
-                    i = 1 if idx < 4 else -1
-                    j = 1 if (idx >> 1) % 2 == 0 else -1
-                    jp = 1 if idx % 2 == 0 else -1
-                    writer.writerow([arm, i, j, jp, f"{probability:.17g}"])
-            _write_atomic(out, buffer.getvalue())
+            cells = [[int(x) for x in cell] for cell in zip(I_VALUES, J_VALUES, JP_VALUES)]
+            rows = [
+                [arm, *cell, f"{probability:.17g}"]
+                for arm, data in payload["couplings"].items()
+                for cell, probability in zip(cells, data["pmf"])
+            ]
+            _write_csv(out, ["arm", "i", "j", "jp", "probability"], rows)
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
+def _warn_skipped(path, reason) -> None:
+    print(f"warning: skipped {path}: {reason}", file=sys.stderr)
+
+
+def _sweep_row(data) -> SweepRow:
+    """The advantage-curve row of one stored simulate-signalling report."""
+    if not isinstance(data, dict) or data.get("command") != "simulate-signalling":
+        raise ValueError("not a simulate-signalling report")
+    cfg = data["config"]
+    return SweepRow(
+        c=float(cfg["C"]),
+        n_pairs=int(cfg["N"]),
+        repetitions=int(cfg["reps"]),
+        sigma=float(cfg["sigma"]),
+        detector=Detector(cfg["detector"]),
+        report=report_from_json(data["report"]),
+    )
+
+
 def cmd_export(args) -> int:
-    values = _merge(_load_config_section(args.config, "export"), {
-        "run_dir": args.run_dir,
-        "out_dir": args.out_dir,
-    })
-    v = Validator(values, allowed={"run_dir", "out_dir"})
-    run_dir = values.get("run_dir")
-    out_dir = values.get("out_dir")
+    v = _resolve(args)
+    run_dir = v.values.get("run_dir")
+    out_dir = v.values.get("out_dir")
     if not run_dir:
         v.errors.append("missing required field 'run_dir'")
     elif not Path(run_dir).is_dir():
@@ -560,79 +502,46 @@ def cmd_export(args) -> int:
         v.errors.append("missing required field 'out_dir'")
     v.raise_if_any()
 
-    reports = []
+    rows = []
     batch_files = []
     for path in sorted(Path(run_dir).glob("*.json")):
         try:
             data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            rows.append(_sweep_row(data))
+            # a relative path is relative to the report; an absolute one stays
+            batches = data.get("batches_csv") and path.parent / data["batches_csv"]
+        except KeyError as exc:
+            _warn_skipped(path, f"missing field {exc}")
             continue
-        if data.get("command") == "simulate-signalling":
-            reports.append((path, data))
-            if data.get("batches_csv"):
-                candidate = Path(data["batches_csv"])
-                if not candidate.is_absolute():
-                    candidate = path.parent / candidate
-                if candidate.exists() and candidate not in batch_files:
-                    batch_files.append(candidate)
-    if not reports and not batch_files:
+        except (OSError, ValueError, TypeError) as exc:
+            _warn_skipped(path, exc)
+            continue
+        if batches and batches not in batch_files:
+            batch_files.append(batches)
+    if not rows:
         raise ConfigErrors([f"no signalling artifacts found in {run_dir}"])
 
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    written = []
-
-    if reports:
-        rows = []
-        for _, data in reports:
-            cfg = data.get("config", {})
-            rep = report_from_json(data["report"])
-            rows.append(
-                (
-                    cfg.get("C", math.nan),
-                    cfg.get("N", 0),
-                    cfg.get("reps", 0),
-                    cfg.get("sigma", math.nan),
-                    cfg.get("detector", "?"),
-                    rep,
-                )
-            )
-        rows.sort(key=lambda r: (r[0], r[1], r[3]))
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow("C,N,R,sigma,detector,advantage,ci_low,ci_high,n_used,verdict".split(","))
-        for c, n, reps, sigma, det, rep in rows:
-            writer.writerow(
-                [
-                    f"{c:.17g}",
-                    n,
-                    reps,
-                    f"{sigma:.17g}",
-                    det,
-                    f"{rep.advantage:.17g}",
-                    f"{rep.ci_low:.17g}",
-                    f"{rep.ci_high:.17g}",
-                    rep.n_used,
-                    rep.verdict.value,
-                ]
-            )
-        target = str(Path(out_dir) / "advantage_curve.csv")
-        _write_atomic(target, buffer.getvalue())
-        written.append(target)
+    rows.sort(key=lambda r: (r.c, r.n_pairs, r.sigma))
+    written = [str(Path(out_dir) / "advantage_curve.csv")]
+    _write_sweep_csv(written[0], rows)
 
     for batch_file in batch_files:
         counts: dict[tuple[str, float], int] = {}
-        with open(batch_file) as handle:
-            reader = csv.DictReader(handle)
-            for row in reader:
-                key = (row["strategy"], round(float(row["B"]) + float(row["Bprime"]), 12))
-                counts[key] = counts.get(key, 0) + 1
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["strategy", "value", "count"])
-        for (strategy, value), count in sorted(counts.items()):
-            writer.writerow([strategy, f"{value:.17g}", count])
+        try:
+            with open(batch_file) as handle:
+                for row in csv.DictReader(handle):
+                    key = (row["strategy"], round(float(row["B"]) + float(row["Bprime"]), 12))
+                    counts[key] = counts.get(key, 0) + 1
+        except KeyError as exc:
+            _warn_skipped(batch_file, f"missing column {exc}")
+            continue
+        except (OSError, ValueError, TypeError) as exc:
+            _warn_skipped(batch_file, exc)
+            continue
         target = str(Path(out_dir) / f"hist_{batch_file.stem}.csv")
-        _write_atomic(target, buffer.getvalue())
+        rows = [[strategy, f"{value:.17g}", n] for (strategy, value), n in sorted(counts.items())]
+        _write_csv(target, ["strategy", "value", "count"], rows)
         written.append(target)
 
     for path in written:
@@ -679,7 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan-frontier", help="maximal CHSH under the quadratic constraint")
     _add_common(p)
     p.add_argument("--resolution", type=int, help="grid points (>= 10)")
-    p.add_argument("--symmetric", action="store_true", help="restrict to tables (C, C, C, -C)")
+    p.add_argument(
+        "--symmetric", action="store_true", default=None, help="restrict to tables (C, C, C, -C)"
+    )
     p.add_argument("--rhs", type=float, help="right side of the quadratic constraint (default 4)")
     p.add_argument("--summary", help="also write the JSON summary here")
     p.set_defaults(func=cmd_scan_frontier)

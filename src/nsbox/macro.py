@@ -303,18 +303,6 @@ def write_batches_csv(
     """Batch dump with floating-point fields at 17 significant digits."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(BATCH_CSV_HEADER.split(","))
-    for row in range(len(arrays)):
-        obs = arrays.observation(row)
-        writer.writerow(
-            [
-                start_index + row,
-                strategy.value,
-                n_pairs,
-                f"{obs.a_mean:.17g}",
-                f"{obs.b_mean:.17g}",
-                f"{obs.bp_mean:.17g}",
-                f"{obs.noisy_b:.17g}",
-                f"{obs.noisy_bp:.17g}",
-                seed,
-            ]
-        )
+    columns = (arrays.a_mean, arrays.b_mean, arrays.bp_mean, arrays.noisy_b, arrays.noisy_bp)
+    for index, means in enumerate(zip(*(column.tolist() for column in columns)), start_index):
+        writer.writerow([index, strategy.value, n_pairs, *(f"{m:.17g}" for m in means), seed])

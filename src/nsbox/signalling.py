@@ -337,7 +337,8 @@ def _group_guesses(
     return guesses, survivors_total
 
 
-_ARMS = (Strategy.ALWAYS_A, Strategy.ALWAYS_APRIME)
+#: Alice's strategy in each arm, in the order `draw_arms` returns the arms.
+ARMS = (Strategy.ALWAYS_A, Strategy.ALWAYS_APRIME)
 
 
 def run_protocol(
@@ -351,16 +352,16 @@ def run_protocol(
     The couplings must realize the same correlation table (one per Alice
     setting).  Fully deterministic in (cfg, seed).
     """
-    arms = _draw_arms(k_a, k_ap, cfg.n_pairs, _protocol_batches(cfg), cfg.noise, seed)
-    return _score_arms(k_a, k_ap, arms, cfg)
+    arms = draw_arms(k_a, k_ap, cfg.n_pairs, protocol_batches(cfg), cfg.noise, seed)
+    return score_arms(k_a, k_ap, arms, cfg)
 
 
-def _protocol_batches(cfg: ProtocolConfig) -> int:
+def protocol_batches(cfg: ProtocolConfig) -> int:
     """Batches per arm that the protocol scores: whole groups only."""
     return (cfg.repetitions // cfg.group_size) * cfg.group_size
 
 
-def _draw_arms(
+def draw_arms(
     k_a: TripleCoupling,
     k_ap: TripleCoupling,
     n_pairs: int,
@@ -368,20 +369,20 @@ def _draw_arms(
     noise: NoiseModel,
     seed: int,
 ) -> tuple[BatchArrays, BatchArrays]:
-    """Batches 0..n_batches-1 of both strategy arms, in `_ARMS` order."""
+    """Batches 0..n_batches-1 of both strategy arms, in `ARMS` order."""
     return tuple(
         sample_batches(coupling, n_pairs, n_batches, noise, seed, stream=STRATEGY_STREAM[strategy])
-        for strategy, coupling in zip(_ARMS, (k_a, k_ap))
+        for strategy, coupling in zip(ARMS, (k_a, k_ap))
     )
 
 
-def _score_arms(
+def score_arms(
     k_a: TripleCoupling,
     k_ap: TripleCoupling,
     arms: tuple[BatchArrays, BatchArrays],
     cfg: ProtocolConfig,
 ) -> SignallingReport:
-    """Score the first `_protocol_batches(cfg)` rows of each arm; longer arms
+    """Score the first `protocol_batches(cfg)` rows of each arm; longer arms
     are fine, since batch b of a draw does not depend on the draw's length."""
     if cfg.detector is Detector.COVARIANCE_SIGN:
         guess_fn = detector_covariance_sign
@@ -393,11 +394,11 @@ def _score_arms(
         guess_fn = make_likelihood_detector(k_a, k_ap, cfg.n_pairs, cfg.noise)
         collect = False
 
-    n_batches = _protocol_batches(cfg)
+    n_batches = protocol_batches(cfg)
     trials = 0
     correct = 0
     n_used = 0
-    for strategy, arrays in zip(_ARMS, arms):
+    for strategy, arrays in zip(ARMS, arms):
         guesses, survivors = _group_guesses(arrays, cfg, guess_fn, collect)
         n_used += survivors if collect else n_batches
         for guess in guesses:
@@ -507,9 +508,9 @@ def resource_sweep(
             for sigma in sigma_list
             for detector in detectors
         ]
-        n_batches = max(_protocol_batches(cfg) for cfg in configs)
+        n_batches = max(protocol_batches(cfg) for cfg in configs)
         arms = {
-            sigma: _draw_arms(k_a, k_ap, n_pairs, n_batches, NoiseModel(sigma), seed)
+            sigma: draw_arms(k_a, k_ap, n_pairs, n_batches, NoiseModel(sigma), seed)
             for sigma in sigma_list
         }
         for cfg in configs:
@@ -520,7 +521,7 @@ def resource_sweep(
                     repetitions=cfg.repetitions,
                     sigma=cfg.noise.sigma,
                     detector=cfg.detector,
-                    report=_score_arms(k_a, k_ap, arms[cfg.noise.sigma], cfg),
+                    report=score_arms(k_a, k_ap, arms[cfg.noise.sigma], cfg),
                 )
             )
     return rows

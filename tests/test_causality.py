@@ -14,6 +14,7 @@ from nsbox.causality import (
     causality_condition,
     critical_c_scalar,
     flip_bob_labels,
+    frontier_grid,
     frontier_scan,
     orient_for_bounds,
     tsirelson_check,
@@ -268,3 +269,49 @@ class TestFrontier:
     def test_resolution_precondition(self):
         with pytest.raises(ValueError):
             frontier_scan(5)
+        with pytest.raises(ValueError):
+            frontier_grid(5)
+
+
+def reference_best_y(x, rhs):
+    """The scalar y of the row-by-row scan that `frontier_grid` vectorises."""
+    return min(2.0, math.sqrt(max(rhs - x * x, 0.0)))
+
+
+class TestFrontierGrid:
+    @pytest.mark.parametrize("resolution", [10, 101, 10_001])
+    @pytest.mark.parametrize("rhs", [4.0, 2.5, 9.0, 0.3])
+    def test_general_columns_match_scalar_rows(self, rhs, resolution):
+        grid = frontier_grid(resolution, rhs=rhs)
+        x_max = min(2.0, math.sqrt(rhs))
+        rows = []
+        for x in np.linspace(-x_max, x_max, resolution).tolist():
+            y = reference_best_y(x, rhs)
+            rows.append((x, y, x + y, rhs - x * x - y * y))
+        assert list(grid) == ["x", "y", "chsh", "causality_margin"]
+        assert list(zip(*(column.tolist() for column in grid.values()))) == rows
+
+    @pytest.mark.parametrize("resolution", [10, 101, 10_001])
+    @pytest.mark.parametrize("rhs", [4.0, 2.5, 9.0, 0.3])
+    def test_symmetric_columns_match_scalar_rows(self, rhs, resolution):
+        grid = frontier_grid(resolution, symmetric=True, rhs=rhs)
+        rows = []
+        for c in np.linspace(0.0, 1.0, resolution).tolist():
+            lhs = 8.0 * c * c
+            rows.append((c, 4 * c, lhs, lhs <= rhs))
+        assert list(grid) == ["C", "chsh", "causality_lhs", "feasible"]
+        assert list(zip(*(column.tolist() for column in grid.values()))) == rows
+
+    @pytest.mark.parametrize("resolution", [10, 101, 10_001])
+    @pytest.mark.parametrize("rhs", [4.0, 2.5, 9.0, 0.3])
+    def test_scan_refines_the_grid_maximum(self, rhs, resolution):
+        # the golden section starts from the grid's argmax and its two
+        # neighbours, as the scalar scan did
+        report = frontier_scan(resolution, rhs=rhs)
+        x = np.linspace(-min(2.0, math.sqrt(rhs)), min(2.0, math.sqrt(rhs)), resolution)
+        values = [xi + reference_best_y(xi, rhs) for xi in x.tolist()]
+        k = values.index(max(values))
+        lo, hi = x[max(0, k - 1)], x[min(resolution - 1, k + 1)]
+        x_star = 2.0 * report.argmax_table.c_ab
+        assert lo <= x_star <= hi
+        assert report.max_chsh == x_star + reference_best_y(x_star, rhs)

@@ -1,10 +1,14 @@
 import csv
+import hashlib
 import json
 import math
 import os
 
 import pytest
 
+import nsbox.cli
+import nsbox.macro
+import nsbox.signalling
 from nsbox.cli import frontier_report_from_json, frontier_report_to_json, main
 from nsbox.causality import frontier_scan
 from nsbox.signalling import report_from_json
@@ -14,6 +18,13 @@ Q = math.sqrt(2.0) / 2.0
 
 def run(argv):
     return main(argv)
+
+
+def patch_sample_batches(monkeypatch, replacement):
+    """Replace sample_batches in every nsbox module that binds it."""
+    for module in (nsbox.macro, nsbox.signalling, nsbox.cli):
+        if hasattr(module, "sample_batches"):
+            monkeypatch.setattr(module, "sample_batches", replacement)
 
 
 class TestSimulateSignalling:
@@ -181,6 +192,43 @@ class TestSimulateSignalling:
         )
         assert code == 3
 
+    def test_each_arm_drawn_once(self, tmp_path, monkeypatch):
+        streams = []
+        sample_batches = nsbox.macro.sample_batches
+
+        def counting(*args, **kwargs):
+            streams.append(kwargs["stream"])
+            return sample_batches(*args, **kwargs)
+
+        patch_sample_batches(monkeypatch, counting)
+        code = run(
+            [
+                "simulate-signalling", "--N", "4", "--reps", "64", "--group-size", "8",
+                "--seed", "5", "--out", str(tmp_path / "r.json"),
+                "--dump-batches", str(tmp_path / "b.csv"),
+            ]
+        )
+        assert code == 0
+        assert sorted(streams) == [0, 1]
+        assert len((tmp_path / "b.csv").read_text().splitlines()) == 1 + 2 * 64
+
+    @pytest.mark.parametrize("field", ["out", "dump_batches"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_missing_output_dir_fails_before_drawing(self, tmp_path, monkeypatch, field, source):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sample_batches was called")
+
+        patch_sample_batches(monkeypatch, no_draw)
+        target = str(tmp_path / "nodir" / "r.json")
+        argv = ["simulate-signalling", "--N", "64", "--reps", "100000"]
+        if source == "flag":
+            argv += ["--" + field.replace("_", "-"), target]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"simulate_signalling": {field: target}}))
+            argv += ["--config", str(cfg)]
+        assert run(argv) == 3
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"
         code = run(
@@ -273,6 +321,19 @@ class TestScanFrontier:
         data = json.loads(capsys.readouterr().out)
         assert abs(data["critical_c"] - Q) < 1e-6
 
+    def test_missing_summary_dir_fails_before_scanning(self, tmp_path, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("frontier_scan was called")
+
+        monkeypatch.setattr(nsbox.cli, "frontier_scan", no_scan)
+        assert run(["scan-frontier", "--summary", str(tmp_path / "nodir" / "s.json")]) == 3
+
+    def test_absent_flag_keeps_config_symmetric(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scan_frontier": {"resolution": 101, "symmetric": True}}))
+        assert run(["scan-frontier", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == "symmetric"
+
     def test_low_resolution_rejected(self, capsys):
         assert run(["scan-frontier", "--resolution", "5"]) == 2
 
@@ -316,6 +377,20 @@ class TestCouplings:
 
     def test_out_of_range(self, capsys):
         assert run(["couplings", "--C", "1.2"]) == 2
+
+    def test_malformed_targets_all_reported(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"couplings": {"targets": ["x", 1.5]}}))
+        assert run(["couplings", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "field 'targets'[0] must be a number, got 'x'" in err
+        assert "field 'targets'[1] must lie in [-1, 1], got 1.5" in err
+
+    def test_wrong_target_count(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"couplings": {"targets": [0.1, 0.2, 0.3]}}))
+        assert run(["couplings", "--config", str(cfg)]) == 2
+        assert "field 'targets' must hold 2 correlations" in capsys.readouterr().err
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "couplings.csv"
@@ -391,6 +466,55 @@ class TestExport:
         with open(tmp_path / "csv/hist_b.csv") as handle:
             assert sum(int(r["count"]) for r in csv.DictReader(handle)) == 2 * 64
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("{not json", "Expecting property name"),
+            ("[1, 2]", "not a simulate-signalling report"),
+            ("no report", "missing field 'report'"),
+        ],
+        ids=["not-json", "json-list", "no-report-key"],
+    )
+    def test_unusable_report_skipped_with_warning(self, tmp_path, capsys, content, reason):
+        run_dir = self._make_run(tmp_path)
+        if content == "no report":
+            data = json.loads((run_dir / "pr.json").read_text())
+            del data["report"]
+            content = json.dumps(data)
+        bad = run_dir / "bad.json"
+        bad.write_text(content)
+        capsys.readouterr()
+        out_dir = tmp_path / "export"
+        assert run(["export", "--run-dir", str(run_dir), "--out-dir", str(out_dir)]) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"warning: skipped {bad}: ")
+        assert reason in warnings[0]
+        with open(out_dir / "advantage_curve.csv") as handle:
+            assert len(list(csv.DictReader(handle))) == 2
+
+    def test_only_unusable_reports_is_config_error(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "bad.json").write_text("[]")
+        code = run(["export", "--run-dir", str(run_dir), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "warning: skipped" in err
+        assert "no signalling artifacts" in err
+
+    def test_missing_batch_csv_skipped_with_warning(self, tmp_path, capsys):
+        run_dir = self._make_run(tmp_path)
+        (run_dir / "batches_pr.csv").unlink()
+        capsys.readouterr()
+        out_dir = tmp_path / "export"
+        assert run(["export", "--run-dir", str(run_dir), "--out-dir", str(out_dir)]) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"warning: skipped {run_dir / 'batches_pr.csv'}: ")
+        assert not (out_dir / "hist_batches_pr.csv").exists()
+        assert (out_dir / "hist_batches_half.csv").exists()
+
     def test_empty_run_dir(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -402,3 +526,78 @@ class TestExport:
             ["export", "--run-dir", str(tmp_path / "nope"), "--out-dir", str(tmp_path / "o")]
         )
         assert code == 2
+
+
+# sha256 of every artifact the commands in `artifacts` write, pinned so that
+# a change to the CLI cannot alter an artifact's bytes unnoticed
+GOLDEN_SHA256 = {
+    "bounds.csv": "712e7e8b4541f99b8b214bca9ef9c3f84d900cdf17195ccbeaea7770325a3ed4",
+    "bounds.json": "7f8c4280717ef5d4ed6f5afc37c59b39911ca847d8001a9897e7a86437254ad6",
+    "couplings.csv": "f2d9e7ac467c966e84e6f93aa497911d08df8345aab8fb52608cdfc398fd2de5",
+    "couplings.json": "4963fa889b38066834fb1d143c99cd0a26f08383e2d597cb5a251565ebe64d84",
+    "csv/advantage_curve.csv": "4dc9526e70fa27a118ef12cb58cdf072be7174c513f73afe977b8f38d6aea680",
+    "csv/hist_batches.csv": "ea5da036729dbc11d37095c7c55731445939086a481bd6e49e94dcffd9db4b8a",
+    "grid.csv": "c5dfdc0ed9effd9627210805ec68aba29a85bdd2d7e7a9e2440a91386594eb25",
+    "grid_rhs.csv": "baac4712ec5b1adad1468d18d174239885bcc83538482ce12d1a8ded54b9a73c",
+    "grid_sym.csv": "a66f4216318743e0ca62ff73b2fec930d68617e1c6e65dbb8674e96f31c1ca80",
+    "runs/batches.csv": "c9782d3df4e55c5ab0009b14b331ad884fe804ec6f69fd28590be5f689ae4045",
+    "runs/low.json": "6d397f418a52bdeef8403946dea7c7774f6a47b98540366fdaa0630a4838dee6",
+    "runs/sim.json": "82e310eb66f1bc14c4c361dd647eeae5dc0f3173ace553758e139f341b938d5f",
+    "sim.csv": "498adca2a0022babc786e8faaed2486e99ab8d8751991463696b8894eaaeb985",
+    "summary.json": "a62a18197159115c4de241ff13656814b65fb39b8f50cc7a7cd3bffca6cabba1",
+    "summary_sym.json": "5a55428a566e8b8fdf63cde8539cdc57188eb82ba1621ba09b7b56bd98a563e0",
+    "targets.csv": "304dc3275eb7878edd9e2a03e376f4114b2ba5b7d471a89edf0258688142848c",
+    "targets.json": "1fd4315954208306153a2b6603b3071cff84f631e4cae82565178906a9f6eaf4",
+}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    (root / "runs").mkdir()
+    cfg = root / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "simulate_signalling": {
+                    "C": 0.8, "N": 8, "reps": 300, "sigma": 0.1, "group_size": 16,
+                    "detector": "postselect", "threshold": 0.5,
+                },
+                "verify_bounds": {"table": [0.6, 0.7, 0.5, -0.4], "N": 3},
+                "scan_frontier": {"resolution": 101, "symmetric": False},
+            }
+        )
+    )
+    commands = [
+        ["simulate-signalling", "--config", cfg, "--seed", "11",
+         "--out", "runs/sim.json", "--dump-batches", "runs/batches.csv"],
+        ["simulate-signalling", "--C", "0.3", "--N", "6", "--reps", "64", "--group-size", "8",
+         "--sigma", "0", "--seed", "3", "--out", "runs/low.json"],
+        ["simulate-signalling", "--C", "0.9", "--N", "6", "--reps", "100", "--group-size", "10",
+         "--detector", "lr", "--seed", "4", "--format", "csv", "--out", "sim.csv"],
+        ["verify-bounds", "--config", cfg, "--out", "bounds.json"],
+        ["verify-bounds", "--config", cfg, "--format", "csv", "--out", "bounds.csv"],
+        ["scan-frontier", "--config", cfg, "--out", "grid.csv", "--summary", "summary.json"],
+        ["scan-frontier", "--resolution", "57", "--rhs", "2.5", "--out", "grid_rhs.csv"],
+        ["scan-frontier", "--config", cfg, "--symmetric", "--rhs", "0.3",
+         "--out", "grid_sym.csv", "--summary", "summary_sym.json"],
+        ["couplings", "--C", "0.8", "--out", "couplings.json"],
+        ["couplings", "--C", "0.8", "--format", "csv", "--out", "couplings.csv"],
+        ["couplings", "--targets", "-0.2", "0.6", "--out", "targets.json"],
+        ["couplings", "--targets", "-0.2", "0.6", "--format", "csv", "--out", "targets.csv"],
+        ["export", "--run-dir", "runs", "--out-dir", "csv"],
+    ]
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        for argv in commands:
+            assert run([str(a) for a in argv]) == 0, argv
+    finally:
+        os.chdir(cwd)
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_golden_artifacts(artifacts, name):
+    digest = hashlib.sha256((artifacts / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_SHA256[name]
