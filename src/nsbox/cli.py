@@ -143,6 +143,12 @@ class Validator:
             return None
         return raw
 
+    def flag(self, name, default):
+        raw = self.values.get(name, default)
+        if not isinstance(raw, bool):
+            self.errors.append(f"field {name!r} must be true or false, got {raw!r}")
+        return raw is True
+
     def correlations(self, name, count):
         """A list of `count` correlations, each in [-1, 1]."""
         raw = self.values.get(name)
@@ -404,8 +410,8 @@ def cmd_scan_frontier(args) -> int:
     fmt = v.choice("format", {"json", "csv"}, default="csv")
     resolution = v.number("resolution", default=10_001, minimum=10, integer=True)
     rhs = v.number("rhs", default=4.0, exclusive_min=0.0)
+    symmetric = v.flag("symmetric", default=False)
     v.raise_if_any()
-    symmetric = bool(v.values.get("symmetric", False))
 
     report = frontier_scan(resolution, symmetric=symmetric, rhs=rhs)
     out = v.values.get("out")

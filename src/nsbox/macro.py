@@ -145,7 +145,9 @@ def sample_batches(
     """Draw many batches from one coupling; batch index fixes its randomness.
 
     Batches start..start+n_batches-1 of the given stream are returned, each a
-    pure function of (seed, stream, index, coupling, n_pairs, sigma).
+    pure function of (seed, stream, index, coupling, n_pairs, sigma).  Cells
+    are counted per batch, one comparison pass per distinct cdf bound, and
+    the outputs are bit for bit those of assigning each pair its cell.
     """
     if n_batches < 0:
         raise ValueError("n_batches must be nonnegative")
@@ -156,41 +158,31 @@ def sample_batches(
     pmf = coupling.flat
     if not (np.all(np.isfinite(pmf)) and np.all(pmf >= 0)):
         raise ValueError(f"coupling pmf must be finite and nonnegative, got {pmf.tolist()}")
-    # cdf[k] bounds cell k; pairs past cdf[6] (mass-deficit rounding) land in cell 7
-    cdf = np.cumsum(pmf)[:7]
+    # cdf[k] bounds cell k; pairs past cdf[6] (mass-deficit rounding) land in
+    # cell 7.  Zero-mass cells repeat a bound, which is compared only once.
+    bounds, slot = np.unique(np.cumsum(pmf)[:7], return_inverse=True)
     n_cols = n_pairs + 2
-    out = {name: np.empty(n_batches) for name in ("a", "b", "bp", "nb", "nbp")}
+    out = BatchArrays(*(np.empty(n_batches) for _ in range(5)))
     filled = 0
-    index = start
     while filled < n_batches:
-        chunk_index, offset = divmod(index, CHUNK)
+        chunk_index, offset = divmod(start + filled, CHUNK)
         take = min(CHUNK - offset, n_batches - filled)
+        rows = slice(filled, filled + take)
         u = _chunk_uniforms(seed, stream, chunk_index, n_cols)[offset : offset + take]
         pairs = u[:, :n_pairs]
+        below = [np.count_nonzero(pairs < bound, axis=1) for bound in bounds]
         # pairs per batch in cells 0..k (the cdf is nondecreasing), then per cell
-        at_most = [np.count_nonzero(pairs < bound, axis=1) for bound in cdf]
-        counts = np.diff(np.stack(at_most + [np.full(take, n_pairs)]), axis=0, prepend=0)
+        at_most = np.stack(below)[slot]
+        counts = np.diff(at_most, axis=0, prepend=0, append=n_pairs)
         # a +/-1 mean is (2n - N) / N exactly, as the summed mean was
         a, b, bp = (2 * (_PLUS_ONE @ counts) - n_pairs) / n_pairs
-        out["a"][filled : filled + take] = a
-        out["b"][filled : filled + take] = b
-        out["bp"][filled : filled + take] = bp
+        out.a_mean[rows], out.b_mean[rows], out.bp_mean[rows] = a, b, bp
         if noise.sigma > 0:
             z = ndtri(np.clip(u[:, n_pairs:], 1e-300, None))
-            out["nb"][filled : filled + take] = (
-                out["b"][filled : filled + take] + noise.sigma * z[:, 0]
-            )
-            out["nbp"][filled : filled + take] = (
-                out["bp"][filled : filled + take] + noise.sigma * z[:, 1]
-            )
-        else:
-            out["nb"][filled : filled + take] = out["b"][filled : filled + take]
-            out["nbp"][filled : filled + take] = out["bp"][filled : filled + take]
+            b, bp = b + noise.sigma * z[:, 0], bp + noise.sigma * z[:, 1]
+        out.noisy_b[rows], out.noisy_bp[rows] = b, bp
         filled += take
-        index += take
-    return BatchArrays(
-        a_mean=out["a"], b_mean=out["b"], bp_mean=out["bp"], noisy_b=out["nb"], noisy_bp=out["nbp"]
-    )
+    return out
 
 
 def sample_batch(

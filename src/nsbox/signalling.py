@@ -20,20 +20,10 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .boxes import CorrelationTable
-from .coupling import (
-    CouplingObjective,
-    TripleCoupling,
-    extremal_coupling,
-)
-from .boxes import A, A_PRIME
+from .boxes import A, A_PRIME, CorrelationTable
+from .coupling import CouplingObjective, TripleCoupling, extremal_coupling
 from .macro import (
-    BatchArrays,
-    MacroObservation,
-    NoiseModel,
-    STRATEGY_STREAM,
-    Strategy,
-    sample_batches,
+    BatchArrays, MacroObservation, NoiseModel, STRATEGY_STREAM, Strategy, sample_batches
 )
 
 MAX_EXACT_PAIRS = 12
@@ -140,13 +130,16 @@ def advantage_ceiling(tv_single: float, group_size: int) -> float:
 # Exact observation laws and total variation
 # ---------------------------------------------------------------------------
 
-def _require_small_n(n_pairs: int) -> None:
-    if n_pairs > MAX_EXACT_PAIRS:
+def exact_laws(
+    k_a: TripleCoupling, k_ap: TripleCoupling, n_pairs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lattice, law under a, law under a') from `batch_law`."""
+    if not 1 <= n_pairs <= MAX_EXACT_PAIRS:
         raise ValueError(
-            f"exact enumeration supports n_pairs <= {MAX_EXACT_PAIRS}, got {n_pairs}"
+            f"exact enumeration supports 1 <= n_pairs <= {MAX_EXACT_PAIRS}, got {n_pairs}"
         )
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be positive")
+    lattice, law_a = batch_law(k_a, n_pairs)
+    return lattice, law_a, batch_law(k_ap, n_pairs)[1]
 
 
 def batch_law(coupling: TripleCoupling, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,9 +184,7 @@ def exact_tv_distance(
     (steps sigma/20 and sigma/40, capped), accurate to about 1e-6 for
     sigma >= 0.01.
     """
-    _require_small_n(n_pairs)
-    lattice, law_a = batch_law(k_a, n_pairs)
-    _, law_ap = batch_law(k_ap, n_pairs)
+    lattice, law_a, law_ap = exact_laws(k_a, k_ap, n_pairs)
     diff = law_a - law_ap
     if noise.sigma == 0.0:
         return 0.5 * float(np.abs(diff).sum())
@@ -229,8 +220,71 @@ def _tv_simpson(diff: np.ndarray, lattice: np.ndarray, sigma: float, step_diviso
 
 
 # ---------------------------------------------------------------------------
-# Detectors (one guess per group of observations)
+# Detectors: each kernel takes (groups, g) arrays u, v of noisy B and B', one
+# row per group, and returns per group whether it guesses ALWAYS_A
 # ---------------------------------------------------------------------------
+
+def covariance_guess_a(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sign of each row's sample covariance; an exact zero guesses a.
+
+    The steps are those of `np.cov`: centre by the row mean, then one
+    matrix-times-transpose product (the BLAS syrk that `np.cov` reaches),
+    so every sign, ties included, is the one `np.cov` gives.
+    """
+    x = np.stack([u, v], axis=1)  # (G, 2, g)
+    x -= x.mean(axis=2, keepdims=True)
+    return (x @ x.transpose(0, 2, 1))[:, 0, 1] * (1.0 / (u.shape[1] - 1)) >= 0.0
+
+
+def postselect_guess_a(
+    u: np.ndarray, v: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: keep batches with |noisy B| and |noisy B'| at or above
+    threshold; a sign-agreement majority among survivors (ties included)
+    guesses a.  Returns (guess a, survivors); a row without survivors
+    makes no guess."""
+    keep = (np.abs(u) >= threshold) & (np.abs(v) >= threshold)
+    survivors = keep.sum(axis=1)
+    agree = (keep & ((u >= 0) == (v >= 0))).sum(axis=1)
+    return 2 * agree >= survivors, survivors
+
+
+def likelihood_guess_a(
+    u: np.ndarray, v: np.ndarray, laws: tuple[np.ndarray, ...], sigma: float
+) -> np.ndarray:
+    """Per row: guess a when the log-likelihood under a is at least that
+    under a', from the exact batch laws (`exact_laws`)."""
+    lattice, *by_strategy = laws
+    ll = []
+    if sigma == 0.0:
+        # noiseless means sit on the lattice; each row's log terms are
+        # summed in order from 0.0, with math.log, as a scalar loop would
+        n = len(lattice) - 1
+        k = np.rint((u + 1.0) * n / 2.0).astype(np.intp)
+        kp = np.rint((v + 1.0) * n / 2.0).astype(np.intp)
+        for law in by_strategy:
+            logs = [math.log(p) if p > 0 else -math.inf for p in law.ravel().tolist()]
+            terms = np.array(logs).reshape(law.shape)[k, kp]
+            ll.append(np.cumsum(np.pad(terms, ((0, 0), (1, 0))), axis=1)[:, -1])
+    else:
+        ku = np.exp(-0.5 * ((u.reshape(-1, 1) - lattice[None, :]) / sigma) ** 2)
+        kv = np.exp(-0.5 * ((v.reshape(-1, 1) - lattice[None, :]) / sigma) ** 2)
+        for law in by_strategy:
+            dens = np.einsum("gi,ij,gj->g", ku, law, kv)
+            with np.errstate(divide="ignore"):
+                ll.append(np.log(dens).reshape(u.shape).sum(axis=1))
+    return ll[0] >= ll[1]
+
+
+def _one_group(observations: Sequence[MacroObservation]) -> tuple[np.ndarray, np.ndarray]:
+    """A group of observations as (1, g) float rows of noisy B and B'."""
+    u = np.array([[o.noisy_b for o in observations]], dtype=float)
+    return u, np.array([[o.noisy_bp for o in observations]], dtype=float)
+
+
+def _strategy(guess_a) -> Strategy:
+    return Strategy.ALWAYS_A if guess_a else Strategy.ALWAYS_APRIME
+
 
 def detector_covariance_sign(observations: Sequence[MacroObservation]) -> Strategy:
     """Guess from the sign of the sample covariance of the noisy pair.
@@ -240,10 +294,7 @@ def detector_covariance_sign(observations: Sequence[MacroObservation]) -> Strate
     """
     if len(observations) < 2:
         raise ValueError("covariance needs at least 2 observations")
-    u = np.array([o.noisy_b for o in observations])
-    v = np.array([o.noisy_bp for o in observations])
-    cov = float(np.cov(u, v, ddof=1)[0, 1])
-    return Strategy.ALWAYS_A if cov >= 0.0 else Strategy.ALWAYS_APRIME
+    return _strategy(covariance_guess_a(*_one_group(observations))[0])
 
 
 def detector_postselect(
@@ -254,51 +305,18 @@ def detector_postselect(
     Returns (guess, surviving count); guess is None with no survivors."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    survivors = [
-        o
-        for o in observations
-        if abs(o.noisy_b) >= threshold and abs(o.noisy_bp) >= threshold
-    ]
-    if not survivors:
-        return None, 0
-    agree = sum(1 for o in survivors if (o.noisy_b >= 0) == (o.noisy_bp >= 0))
-    guess = Strategy.ALWAYS_A if 2 * agree >= len(survivors) else Strategy.ALWAYS_APRIME
-    return guess, len(survivors)
+    guess_a, survivors = postselect_guess_a(*_one_group(observations), threshold)
+    return (_strategy(guess_a[0]) if survivors[0] else None), int(survivors[0])
 
 
 def make_likelihood_detector(
     k_a: TripleCoupling, k_ap: TripleCoupling, n_pairs: int, noise: NoiseModel
 ) -> Callable[[Sequence[MacroObservation]], Strategy]:
     """Exact likelihood-ratio detector against the enumerated batch laws."""
-    _require_small_n(n_pairs)
-    lattice, law_a = batch_law(k_a, n_pairs)
-    _, law_ap = batch_law(k_ap, n_pairs)
-    sigma = noise.sigma
-
-    def lattice_index(value: float) -> int:
-        return int(round((value + 1.0) * n_pairs / 2.0))
-
-    def log_likelihoods(observations: Sequence[MacroObservation]) -> tuple[float, float]:
-        if sigma == 0.0:
-            ll_a = ll_ap = 0.0
-            for o in observations:
-                k, kp = lattice_index(o.noisy_b), lattice_index(o.noisy_bp)
-                p_a, p_ap = law_a[k, kp], law_ap[k, kp]
-                ll_a += math.log(p_a) if p_a > 0 else -math.inf
-                ll_ap += math.log(p_ap) if p_ap > 0 else -math.inf
-            return ll_a, ll_ap
-        u = np.array([o.noisy_b for o in observations])
-        v = np.array([o.noisy_bp for o in observations])
-        ku = np.exp(-0.5 * ((u[:, None] - lattice[None, :]) / sigma) ** 2)
-        kv = np.exp(-0.5 * ((v[:, None] - lattice[None, :]) / sigma) ** 2)
-        dens_a = np.einsum("gi,ij,gj->g", ku, law_a, kv)
-        dens_ap = np.einsum("gi,ij,gj->g", ku, law_ap, kv)
-        with np.errstate(divide="ignore"):
-            return float(np.log(dens_a).sum()), float(np.log(dens_ap).sum())
+    laws = exact_laws(k_a, k_ap, n_pairs)
 
     def guess(observations: Sequence[MacroObservation]) -> Strategy:
-        ll_a, ll_ap = log_likelihoods(observations)
-        return Strategy.ALWAYS_A if ll_a >= ll_ap else Strategy.ALWAYS_APRIME
+        return _strategy(likelihood_guess_a(*_one_group(observations), laws, noise.sigma)[0])
 
     return guess
 
@@ -317,24 +335,6 @@ def couplings_for_table(table: CorrelationTable) -> tuple[TripleCoupling, Triple
         table.c_apb, table.c_apbp, CouplingObjective.MIN_DISAGREE, alice_setting=A_PRIME
     )
     return k_a, k_ap
-
-
-def _group_guesses(
-    arrays: BatchArrays, cfg: ProtocolConfig, guess_fn, collect_survivors: bool
-) -> tuple[list[Strategy | None], int]:
-    guesses: list[Strategy | None] = []
-    survivors_total = 0
-    n_groups = cfg.repetitions // cfg.group_size
-    for g in range(n_groups):
-        lo, hi = g * cfg.group_size, (g + 1) * cfg.group_size
-        observations = [arrays.observation(r) for r in range(lo, hi)]
-        if collect_survivors:
-            guess, n_surv = guess_fn(observations)
-            survivors_total += n_surv
-        else:
-            guess = guess_fn(observations)
-        guesses.append(guess)
-    return guesses, survivors_total
 
 
 #: Alice's strategy in each arm, in the order `draw_arms` returns the arms.
@@ -383,29 +383,31 @@ def score_arms(
     cfg: ProtocolConfig,
 ) -> SignallingReport:
     """Score the first `protocol_batches(cfg)` rows of each arm; longer arms
-    are fine, since batch b of a draw does not depend on the draw's length."""
-    if cfg.detector is Detector.COVARIANCE_SIGN:
-        guess_fn = detector_covariance_sign
-        collect = False
-    elif cfg.detector is Detector.POSTSELECT_EXTREMES:
-        guess_fn = lambda obs: detector_postselect(obs, cfg.postselect_threshold)  # noqa: E731
-        collect = True
-    else:
-        guess_fn = make_likelihood_detector(k_a, k_ap, cfg.n_pairs, cfg.noise)
-        collect = False
+    are fine, since batch b of a draw does not depend on the draw's length.
 
+    Each arm is scored whole, as (groups, g) arrays, by one detector kernel;
+    the per-group rules and the report are those of the per-group detector
+    functions.
+    """
+    if cfg.detector is Detector.LIKELIHOOD:
+        laws = exact_laws(k_a, k_ap, cfg.n_pairs)
     n_batches = protocol_batches(cfg)
-    trials = 0
-    correct = 0
-    n_used = 0
-    for strategy, arrays in zip(ARMS, arms):
-        guesses, survivors = _group_guesses(arrays, cfg, guess_fn, collect)
-        n_used += survivors if collect else n_batches
-        for guess in guesses:
-            if guess is None:
-                continue
-            trials += 1
-            correct += guess is strategy
+    shape = (n_batches // cfg.group_size, cfg.group_size)
+    trials = correct = n_used = 0
+    for expected_a, arrays in zip((True, False), arms):  # the ARMS order
+        u = arrays.noisy_b[:n_batches].reshape(shape)
+        v = arrays.noisy_bp[:n_batches].reshape(shape)
+        survivors = np.full(shape[0], cfg.group_size)
+        if cfg.detector is Detector.COVARIANCE_SIGN:
+            guess_a = covariance_guess_a(u, v)
+        elif cfg.detector is Detector.POSTSELECT_EXTREMES:
+            guess_a, survivors = postselect_guess_a(u, v, cfg.postselect_threshold)
+        else:
+            guess_a = likelihood_guess_a(u, v, laws, cfg.noise.sigma)
+        guessed = survivors > 0
+        n_used += int(survivors.sum())
+        trials += int(np.count_nonzero(guessed))
+        correct += int(np.count_nonzero(guessed & (guess_a == expected_a)))
 
     if trials == 0:
         return SignallingReport(

@@ -334,6 +334,26 @@ class TestScanFrontier:
         assert run(["scan-frontier", "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["mode"] == "symmetric"
 
+    @pytest.mark.parametrize("section", [{"symmetric": True}, {}], ids=["true", "absent"])
+    def test_boolean_symmetric_accepted(self, tmp_path, capsys, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scan_frontier": {"resolution": 101, **section}}))
+        assert run(["scan-frontier", "--config", str(cfg)]) == 0
+        mode = json.loads(capsys.readouterr().out)["mode"]
+        assert (mode == "symmetric") is bool(section)
+
+    @pytest.mark.parametrize("value", ["false", 1], ids=["string", "number"])
+    def test_non_boolean_symmetric_rejected(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"scan_frontier": {"resolution": 5, "symmetric": value}})
+        )
+        assert run(["scan-frontier", "--config", str(cfg)]) == 2
+        errors = capsys.readouterr().err
+        # reported together with the other config errors
+        assert f"field 'symmetric' must be true or false, got {value!r}" in errors
+        assert "field 'resolution'" in errors
+
     def test_low_resolution_rejected(self, capsys):
         assert run(["scan-frontier", "--resolution", "5"]) == 2
 

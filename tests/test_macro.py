@@ -184,6 +184,10 @@ def reference_sample_batches(
     return BatchArrays(out["a"], out["b"], out["bp"], out["nb"], out["nbp"])
 
 
+def normalised(weights) -> list[float]:
+    return (np.array(weights, dtype=float) / sum(weights)).tolist()
+
+
 def assert_bit_identical(got: BatchArrays, want: BatchArrays) -> None:
     for name in ("a_mean", "b_mean", "bp_mean", "noisy_b", "noisy_bp"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -217,6 +221,35 @@ class TestDeterminismContract:
             sample_batches(*args, stream=1, start=start),
             reference_sample_batches(*args, stream=1, start=start),
         )
+
+    @pytest.mark.parametrize(
+        "pmf, cdf_property",
+        [
+            # cells 0 and 1 are empty: bounds at exactly 0, repeated
+            (normalised([0, 0, 3, 1, 0, 2, 0, 2]), lambda cdf: cdf[0] == cdf[1] == 0.0),
+            # a run of empty cells repeats one interior bound four times
+            (normalised([5, 0, 0, 0, 0, 3, 1, 1]), lambda cdf: cdf[0] == cdf[4] < 1.0),
+            # the last cell is empty: cdf[6] is exactly 1
+            (normalised([1, 1, 1, 1, 0, 0, 0, 0]), lambda cdf: cdf[3] == cdf[6] == 1.0),
+            # rounding overshoots: cdf[6] > 1 with the last cell empty
+            (normalised([58, 39, 97, 97, 1, 62, 80, 0]), lambda cdf: cdf[6] > 1.0),
+            # rounding falls short: cdf[6] < 1, the rest goes to cell 7
+            ([0.7, 0.1, 0.1, 0.1, 0, 0, 0, 0], lambda cdf: cdf[6] < 1.0),
+            # a real mass deficit of 0.3 with cell 7 itself empty
+            ([0.2, 0.2, 0, 0.2, 0, 0, 0.1, 0], lambda cdf: cdf[6] < 0.71),
+        ],
+        ids=["zero-bounds", "repeated", "cdf6-is-one", "overshoot", "rounding-deficit", "deficit"],
+    )
+    @pytest.mark.parametrize("n_pairs", [1, 16, 300])
+    def test_edge_bounds_match_reference_kernel(self, pmf, cdf_property, n_pairs):
+        assert cdf_property(np.cumsum(pmf)[:7])
+        coupling = TripleCoupling(A, np.array(pmf).reshape(2, 2, 2))
+        for sigma in (0.0, 0.1):
+            args = (coupling, n_pairs, 300, NoiseModel(sigma), 2**63 + 3)
+            assert_bit_identical(
+                sample_batches(*args, stream=1, start=4000),
+                reference_sample_batches(*args, stream=1, start=4000),
+            )
 
     def test_mass_deficit_goes_to_last_cell(self):
         # half the mass is missing; the remainder falls to (-1, -1, -1)

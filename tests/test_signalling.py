@@ -6,6 +6,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nsbox.boxes import CorrelationTable
 from nsbox.coupling import make_scalar_extremal_couplings, pr_limit_couplings
@@ -14,17 +16,20 @@ from nsbox.signalling import (
     Detector,
     ProtocolConfig,
     SWEEP_CSV_HEADER,
+    SignallingReport,
     Verdict,
     advantage_ceiling,
     batch_law,
     couplings_for_table,
     detector_covariance_sign,
     detector_postselect,
+    draw_arms,
     exact_tv_distance,
     make_likelihood_detector,
     optimal_advantage,
     resource_sweep,
     run_protocol,
+    score_arms,
     suggested_repetitions,
     wilson_interval,
     write_sweep_csv,
@@ -135,6 +140,20 @@ class TestDetectors:
         group = [obs(0.5, 0.5), obs(0.5, 0.5), obs(0.5, 0.5)]
         assert detector_covariance_sign(group) is Strategy.ALWAYS_A
 
+    def test_covariance_near_tie_follows_np_cov(self):
+        # the exact covariance is 0; np.cov rounds it to a tiny negative,
+        # while a plain dot product of the centred rows gives 0 (ALWAYS_A)
+        u = np.array([-3, -1, -2, -1, 0, -2, 0, 1, 2, -2, -2, -1, -3, 1, -2, -1]) / 3
+        v = np.array([0] * 15 + [-1]) / 3
+        assert np.cov(u, v)[0, 1] < 0
+        group = [obs(b, bp) for b, bp in zip(u, v)]
+        assert detector_covariance_sign(group) is Strategy.ALWAYS_APRIME
+
+    def test_covariance_of_int_observations(self):
+        # int fields are read as floats, as np.cov reads them
+        assert detector_covariance_sign([obs(1, 1), obs(-1, -1)]) is Strategy.ALWAYS_A
+        assert detector_covariance_sign([obs(1, -1), obs(-1, 1)]) is Strategy.ALWAYS_APRIME
+
     def test_covariance_needs_two(self):
         with pytest.raises(ValueError):
             detector_covariance_sign([obs(1, 1)])
@@ -195,6 +214,12 @@ class TestDetectors:
         guess = make_likelihood_detector(PR_A, PR_AP, 8, noise)
         arrays = sample_batches(PR_A, 8, 64, noise, seed=2, stream=0)
         assert guess(arrays.observations()) is Strategy.ALWAYS_A
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_likelihood_detector_empty_group_ties(self, sigma):
+        # both log-likelihoods are the empty sum 0.0; the tie reads as ALWAYS_A
+        guess = make_likelihood_detector(PR_A, PR_AP, 8, NoiseModel(sigma))
+        assert guess([]) is Strategy.ALWAYS_A
 
 
 class TestRunProtocol:
@@ -402,6 +427,168 @@ class TestResourceSweep:
                 detector=row.detector,
             )
             assert row.report == run_protocol(k_a, k_ap, cfg, seed=23), row
+
+
+# ---------------------------------------------------------------------------
+# Scoring equivalence: whole-arm kernels against the per-group reference
+# ---------------------------------------------------------------------------
+
+
+def reference_covariance_sign(observations):
+    u = np.array([o.noisy_b for o in observations])
+    v = np.array([o.noisy_bp for o in observations])
+    cov = float(np.cov(u, v, ddof=1)[0, 1])
+    return Strategy.ALWAYS_A if cov >= 0.0 else Strategy.ALWAYS_APRIME
+
+
+def reference_postselect(observations, threshold):
+    survivors = [
+        o for o in observations if abs(o.noisy_b) >= threshold and abs(o.noisy_bp) >= threshold
+    ]
+    if not survivors:
+        return None, 0
+    agree = sum(1 for o in survivors if (o.noisy_b >= 0) == (o.noisy_bp >= 0))
+    guess = Strategy.ALWAYS_A if 2 * agree >= len(survivors) else Strategy.ALWAYS_APRIME
+    return guess, len(survivors)
+
+
+def reference_likelihood_detector(k_a, k_ap, n_pairs, noise):
+    lattice, law_a = batch_law(k_a, n_pairs)
+    _, law_ap = batch_law(k_ap, n_pairs)
+    sigma = noise.sigma
+
+    def log_likelihoods(observations):
+        if sigma == 0.0:
+            ll_a = ll_ap = 0.0
+            for o in observations:
+                k = int(round((o.noisy_b + 1.0) * n_pairs / 2.0))
+                kp = int(round((o.noisy_bp + 1.0) * n_pairs / 2.0))
+                p_a, p_ap = law_a[k, kp], law_ap[k, kp]
+                ll_a += math.log(p_a) if p_a > 0 else -math.inf
+                ll_ap += math.log(p_ap) if p_ap > 0 else -math.inf
+            return ll_a, ll_ap
+        u = np.array([o.noisy_b for o in observations])
+        v = np.array([o.noisy_bp for o in observations])
+        ku = np.exp(-0.5 * ((u[:, None] - lattice[None, :]) / sigma) ** 2)
+        kv = np.exp(-0.5 * ((v[:, None] - lattice[None, :]) / sigma) ** 2)
+        dens_a = np.einsum("gi,ij,gj->g", ku, law_a, kv)
+        dens_ap = np.einsum("gi,ij,gj->g", ku, law_ap, kv)
+        with np.errstate(divide="ignore"):
+            return float(np.log(dens_a).sum()), float(np.log(dens_ap).sum())
+
+    def guess(observations):
+        ll_a, ll_ap = log_likelihoods(observations)
+        return Strategy.ALWAYS_A if ll_a >= ll_ap else Strategy.ALWAYS_APRIME
+
+    return guess
+
+
+def reference_group_guesses(arrays, cfg, guess_fn, collect_survivors):
+    guesses = []
+    survivors_total = 0
+    for g in range(cfg.repetitions // cfg.group_size):
+        lo, hi = g * cfg.group_size, (g + 1) * cfg.group_size
+        observations = [arrays.observation(r) for r in range(lo, hi)]
+        if collect_survivors:
+            guess, n_surv = guess_fn(observations)
+            survivors_total += n_surv
+        else:
+            guess = guess_fn(observations)
+        guesses.append(guess)
+    return guesses, survivors_total
+
+
+def reference_score_arms(k_a, k_ap, arms, cfg):
+    """The original scorer: one MacroObservation per batch, one detector
+    call (and one `np.cov`) per group.  `score_arms` must match it exactly."""
+    if cfg.detector is Detector.COVARIANCE_SIGN:
+        guess_fn, collect = reference_covariance_sign, False
+    elif cfg.detector is Detector.POSTSELECT_EXTREMES:
+        guess_fn = lambda o: reference_postselect(o, cfg.postselect_threshold)  # noqa: E731
+        collect = True
+    else:
+        guess_fn = reference_likelihood_detector(k_a, k_ap, cfg.n_pairs, cfg.noise)
+        collect = False
+    n_batches = (cfg.repetitions // cfg.group_size) * cfg.group_size
+    trials = correct = n_used = 0
+    for strategy, arrays in zip((Strategy.ALWAYS_A, Strategy.ALWAYS_APRIME), arms):
+        guesses, survivors = reference_group_guesses(arrays, cfg, guess_fn, collect)
+        n_used += survivors if collect else n_batches
+        for guess in guesses:
+            if guess is None:
+                continue
+            trials += 1
+            correct += guess is strategy
+    if trials == 0:
+        return SignallingReport(0.5, 0.0, 1.0, 0, Verdict.INCONCLUSIVE, 0, None)
+    advantage = correct / trials
+    ci_low, ci_high = wilson_interval(correct, trials)
+    if ci_low > 0.5:
+        verdict = Verdict.SIGNALLING
+    elif ci_low <= 0.5 <= ci_high and (ci_high - ci_low) < cfg.no_signalling_width:
+        verdict = Verdict.NO_SIGNALLING
+    else:
+        verdict = Verdict.INCONCLUSIVE
+    return SignallingReport(
+        advantage, ci_low, ci_high, n_used, verdict, trials, suggested_repetitions(advantage)
+    )
+
+
+def scoring_configs(n_pairs, sigma, repetitions, group_sizes, thresholds):
+    """Every detector at each group size: lr only where the exact laws
+    exist, cov only for groups of at least 2 batches."""
+    for group_size in group_sizes:
+        detectors = [Detector.COVARIANCE_SIGN] if group_size >= 2 else []
+        if n_pairs <= 12:
+            detectors.append(Detector.LIKELIHOOD)
+        base = dict(
+            n_pairs=n_pairs, repetitions=repetitions, noise=NoiseModel(sigma), group_size=group_size
+        )
+        for detector in detectors:
+            yield ProtocolConfig(detector=detector, **base)
+        for threshold in thresholds:
+            yield ProtocolConfig(
+                detector=Detector.POSTSELECT_EXTREMES, postselect_threshold=threshold, **base
+            )
+
+
+class TestScoringEquivalence:
+    # R = 1001 is no multiple of either group size; the large seed sits
+    # where the benchmark's op seeds are
+    @pytest.mark.parametrize("seed", [19, 2**63 + 19])
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("n_pairs", [1, 4, 12, 256])
+    @pytest.mark.parametrize("c", [1.0, 0.8, 0.5])
+    def test_grid_matches_reference(self, c, n_pairs, sigma, seed):
+        k_a, k_ap = couplings_for_table(CorrelationTable(c, c, c, -c))
+        arms = draw_arms(k_a, k_ap, n_pairs, 1001, NoiseModel(sigma), seed)
+        for cfg in scoring_configs(n_pairs, sigma, 1001, (2, 32), (0.5, 1.0)):
+            assert score_arms(k_a, k_ap, arms, cfg) == reference_score_arms(
+                k_a, k_ap, arms, cfg
+            ), cfg
+
+    @settings(max_examples=40, deadline=None)
+    # groups of one batch: lr's noisy einsum then runs over every row at once
+    @example(c=0.8, n_pairs=8, sigma=0.05, group_size=1, extra=37, threshold=0.5, seed=2**63 + 1)
+    @given(
+        c=st.floats(0.0, 1.0),
+        n_pairs=st.sampled_from([1, 2, 3, 5, 8, 12, 40]),
+        sigma=st.sampled_from([0.0, 0.05, 0.3]),
+        group_size=st.integers(1, 40),
+        extra=st.integers(0, 150),
+        threshold=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_random_configs_match_reference(
+        self, c, n_pairs, sigma, group_size, extra, threshold, seed
+    ):
+        k_a, k_ap = couplings_for_table(CorrelationTable(c, c, c, -c))
+        repetitions = group_size + extra
+        arms = draw_arms(k_a, k_ap, n_pairs, repetitions, NoiseModel(sigma), seed)
+        for cfg in scoring_configs(n_pairs, sigma, repetitions, (group_size,), (threshold,)):
+            assert score_arms(k_a, k_ap, arms, cfg) == reference_score_arms(
+                k_a, k_ap, arms, cfg
+            ), cfg
 
 
 class TestCouplingsForTable:
