@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linprog
 
 NORM_TOL = 1e-12
 CHSH_LOCAL_TOL = 1e-12
@@ -332,6 +331,8 @@ def local_hull_membership(table: CorrelationTable, tol: float = 1e-9) -> HullMem
     where V's columns are the deterministic correlation tables.  The table is
     a local-box correlation table iff the optimum is (numerically) zero.
     """
+    from scipy.optimize import linprog  # imported here: it slows every CLI start
+
     vertices = np.array([t.as_tuple() for t in deterministic_tables()]).T  # 4 x 16
     target = np.array(table.as_tuple())
     n = vertices.shape[1]

@@ -116,7 +116,7 @@ class Validator:
             return None
         try:
             value = int(raw) if integer else float(raw)
-            if integer and isinstance(raw, float) and raw != int(raw):
+            if isinstance(raw, bool) or integer and isinstance(raw, float) and raw != int(raw):
                 raise ValueError
         except (TypeError, ValueError):
             kind = "an integer" if integer else "a number"
@@ -443,6 +443,8 @@ def cmd_couplings(args) -> int:
     if v.values.get("targets") is not None:
         pair = v.correlations("targets", 2)
         v.raise_if_any()
+        if v.values.get("C") is not None:
+            print("warning: ignored C: targets given", file=sys.stderr)
         payload.update(mode="targets", targets=pair)
         arms = {
             "min_disagree": (extremal_coupling(*pair, CouplingObjective.MIN_DISAGREE), pair),

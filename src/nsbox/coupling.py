@@ -3,10 +3,10 @@
 A coupling is an 8-point pmf over (i, j, j') in {+1,-1}^3 with uniform
 one-variable marginals and prescribed correlations E[ij] and E[ij'].  The
 correlation between j and j' is not fixed by the box; its feasible range,
-and hence the feasible range of Var(b +/- b'), is what the extremal-coupling
-LP computes.  The LP is solved exactly: the feasible set is a polytope of
-dimension two, so enumerating basic feasible solutions in rational
-arithmetic is cheap and leaves no solver tolerance to argue about.
+and hence the feasible range of Var(b +/- b'), follows in closed form.  Given
+i, the pair (j, j') is two Bernoulli variables with fixed marginals, whose
+joint law is extremal at a Frechet bound.  The extremal couplings are built
+from that bound in rational arithmetic, so no solver tolerance enters.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 
 import numpy as np
 
-from .boxes import A, A_PRIME, Party, Setting
+from .boxes import A, A_PRIME, CorrelationTable, Party, Setting
 
 CORR_TOL = 1e-9
 
@@ -28,7 +27,6 @@ CORR_TOL = 1e-9
 I_VALUES = np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=float)
 J_VALUES = np.array([1, 1, -1, -1, 1, 1, -1, -1], dtype=float)
 JP_VALUES = np.array([1, -1, 1, -1, 1, -1, 1, -1], dtype=float)
-DISAGREE = (J_VALUES != JP_VALUES).astype(float)
 
 
 class CouplingObjective(enum.Enum):
@@ -39,10 +37,6 @@ class CouplingObjective(enum.Enum):
 class Combination(enum.Enum):
     SUM = "sum"
     DIFFERENCE = "difference"
-
-
-class CouplingInfeasibleError(ValueError):
-    """No pmf satisfies the requested marginal/correlation constraints."""
 
 
 class TripleCoupling:
@@ -99,89 +93,10 @@ class CouplingValidation:
     residuals: dict[str, float]
 
 
-# ---------------------------------------------------------------------------
-# Exact LP over basic feasible solutions
-# ---------------------------------------------------------------------------
-
-# Constraint rows (all coefficients are +/-1 or 1): total mass, three uniform
-# marginals, two target correlations.
-_CONSTRAINT_ROWS = (
-    np.ones(8),
-    I_VALUES,
-    J_VALUES,
-    JP_VALUES,
-    I_VALUES * J_VALUES,
-    I_VALUES * JP_VALUES,
-)
-_CONSTRAINT_NAMES = (
-    "normalization",
-    "marginal_i",
-    "marginal_j",
-    "marginal_jp",
-    "corr_ij",
-    "corr_ijp",
-)
-
-
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over the rationals; None for a singular system."""
-    n = len(rhs)
-    aug = [row[:] + [rhs[r]] for r, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
 def _check_targets(c_xb: float, c_xbp: float) -> None:
     for name, c in (("c_xb", c_xb), ("c_xbp", c_xbp)):
         if not math.isfinite(c) or abs(c) > 1.0:
             raise ValueError(f"target correlation {name} must lie in [-1, 1], got {c!r}")
-
-
-def _enumerate_optima(c_xb: float, c_xbp: float) -> tuple[
-    tuple[Fraction, tuple[Fraction, ...]], tuple[Fraction, tuple[Fraction, ...]]
-]:
-    """Exact (min, max) of P(j != j') with the achieving basic solutions."""
-    rhs_full = [
-        Fraction(1),
-        Fraction(0),
-        Fraction(0),
-        Fraction(0),
-        Fraction(c_xb),
-        Fraction(c_xbp),
-    ]
-    rows = [[Fraction(int(v)) for v in row] for row in _CONSTRAINT_ROWS]
-    objective = [Fraction(int(v)) for v in DISAGREE]
-
-    best_min = best_max = None
-    for basis in combinations(range(8), 6):
-        matrix = [[rows[r][c] for c in basis] for r in range(6)]
-        solution = _solve_exact(matrix, rhs_full)
-        if solution is None or any(v < 0 for v in solution):
-            continue
-        full = [Fraction(0)] * 8
-        for c, v in zip(basis, solution):
-            full[c] = v
-        value = sum(o * v for o, v in zip(objective, full))
-        if best_min is None or value < best_min[0]:
-            best_min = (value, tuple(full))
-        if best_max is None or value > best_max[0]:
-            best_max = (value, tuple(full))
-    if best_min is None:
-        raise CouplingInfeasibleError(
-            "no pmf satisfies "
-            + ", ".join(f"{n}={float(v)}" for n, v in zip(_CONSTRAINT_NAMES, rhs_full))
-        )
-    return best_min, best_max
 
 
 def extremal_coupling(
@@ -190,24 +105,33 @@ def extremal_coupling(
     objective: CouplingObjective,
     alice_setting: Setting = A,
 ) -> TripleCoupling:
-    """Coupling achieving the exact optimum of P(b != b') for the targets.
+    """The coupling achieving the exact optimum of P(b != b') for the targets.
 
-    Feasibility always holds for |targets| <= 1 because the product coupling
-    (1 + ij*c_xb)(1 + ij'*c_xbp)/8 satisfies every constraint.
+    Given Alice's outcome i = s, b and b' are +1 with probabilities
+    p = (1 + s c_xb)/2 and q = (1 + s c_xbp)/2, and r = P(b = b' = +1 | i)
+    ranges over the Frechet segment [max(0, p + q - 1), min(p, q)].  As
+    P(b != b' | i) = p + q - 2r falls strictly in r, each objective takes one
+    end, so the optimum is unique.  Cells are exact rationals rounded once.
     """
     _check_targets(c_xb, c_xbp)
-    best_min, best_max = _enumerate_optima(c_xb, c_xbp)
-    chosen = best_min if objective is CouplingObjective.MIN_DISAGREE else best_max
-    pmf = np.array([float(v) for v in chosen[1]]).reshape(2, 2, 2)
-    return TripleCoupling(alice_setting, pmf)
+    cells = []
+    for s in (1, -1):
+        p, q = (1 + s * Fraction(c_xb)) / 2, (1 + s * Fraction(c_xbp)) / 2
+        if objective is CouplingObjective.MIN_DISAGREE:
+            r = min(p, q)
+        else:
+            r = max(Fraction(0), p + q - 1)
+        cells += [r, p - r, q - r, 1 - p - q + r]
+    return TripleCoupling(alice_setting, np.array([float(v / 2) for v in cells]).reshape(2, 2, 2))
 
 
 def coupling_bounds(c_xb: float, c_xbp: float) -> CouplingBounds:
-    """Closed-form extremes, cross-checked against the LP by the test suite.
+    """Closed-form extremes of P(b != b') and Var(b + b') for the targets.
 
     With uniform marginals, conditioning on i reduces the question to two
-    Bernoulli pairs, giving P(b != b') in [|c1 - c2|/2, 1 - |c1 + c2|/2];
-    Var(b + b') = 4 P(b = b') then maps the same interval.
+    Bernoulli pairs whose Frechet bounds (see `extremal_coupling`) give
+    P(b != b') in [|c1 - c2|/2, 1 - |c1 + c2|/2]; Var(b + b') = 4 P(b = b')
+    then maps the same interval.
     """
     _check_targets(c_xb, c_xbp)
     min_disagree = abs(c_xb - c_xbp) / 2.0
@@ -230,17 +154,28 @@ def make_scalar_extremal_couplings(c: float) -> tuple[TripleCoupling, TripleCoup
     """
     if not math.isfinite(c) or not 0.0 <= c <= 1.0:
         raise ValueError(f"correlation strength must lie in [0, 1], got {c!r}")
-    under_a = extremal_coupling(c, c, CouplingObjective.MAX_DISAGREE, alice_setting=A)
-    under_ap = extremal_coupling(c, -c, CouplingObjective.MIN_DISAGREE, alice_setting=A_PRIME)
-    return under_a, under_ap
+    return couplings_for_table(CorrelationTable(c, c, c, -c))
+
+
+def couplings_for_table(table: CorrelationTable) -> tuple[TripleCoupling, TripleCoupling]:
+    """Variance-extremal couplings for a correlation table: minimal B+B'
+    spread under a, maximal under a' (the most signalling-hostile pair)."""
+    k_a = extremal_coupling(
+        table.c_ab, table.c_abp, CouplingObjective.MAX_DISAGREE, alice_setting=A
+    )
+    k_ap = extremal_coupling(
+        table.c_apb, table.c_apbp, CouplingObjective.MIN_DISAGREE, alice_setting=A_PRIME
+    )
+    return k_a, k_ap
 
 
 def validate_coupling(
-    coupling: TripleCoupling, targets: tuple[float, float], tol: float = CORR_TOL
+    coupling: TripleCoupling, targets: tuple[float, float] | None = None, tol: float = CORR_TOL
 ) -> CouplingValidation:
     """Check normalization, nonnegativity, uniform marginals and target correlations.
 
     Every constraint's absolute residual is reported; ok means all within tol.
+    Without targets, the correlations are not checked.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -251,9 +186,10 @@ def validate_coupling(
         "marginal_i": abs(coupling.expectation(I_VALUES)) / 2.0,
         "marginal_j": abs(coupling.expectation(J_VALUES)) / 2.0,
         "marginal_jp": abs(coupling.expectation(JP_VALUES)) / 2.0,
-        "corr_ij": abs(coupling.expectation(I_VALUES * J_VALUES) - targets[0]),
-        "corr_ijp": abs(coupling.expectation(I_VALUES * JP_VALUES) - targets[1]),
     }
+    if targets is not None:
+        residuals["corr_ij"] = abs(coupling.expectation(I_VALUES * J_VALUES) - targets[0])
+        residuals["corr_ijp"] = abs(coupling.expectation(I_VALUES * JP_VALUES) - targets[1])
     return CouplingValidation(
         ok=all(r <= tol for r in residuals.values()), tol=tol, residuals=residuals
     )

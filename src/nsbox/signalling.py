@@ -21,7 +21,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .boxes import A, A_PRIME, CorrelationTable
-from .coupling import CouplingObjective, TripleCoupling, extremal_coupling
+from .coupling import TripleCoupling, couplings_for_table, validate_coupling
 from .macro import (
     BatchArrays, MacroObservation, NoiseModel, STRATEGY_STREAM, Strategy, sample_batches
 )
@@ -325,18 +325,6 @@ def make_likelihood_detector(
 # Protocol
 # ---------------------------------------------------------------------------
 
-def couplings_for_table(table: CorrelationTable) -> tuple[TripleCoupling, TripleCoupling]:
-    """Variance-extremal couplings for a correlation table: minimal B+B'
-    spread under a, maximal under a' (the most signalling-hostile pair)."""
-    k_a = extremal_coupling(
-        table.c_ab, table.c_abp, CouplingObjective.MAX_DISAGREE, alice_setting=A
-    )
-    k_ap = extremal_coupling(
-        table.c_apb, table.c_apbp, CouplingObjective.MIN_DISAGREE, alice_setting=A_PRIME
-    )
-    return k_a, k_ap
-
-
 #: Alice's strategy in each arm, in the order `draw_arms` returns the arms.
 ARMS = (Strategy.ALWAYS_A, Strategy.ALWAYS_APRIME)
 
@@ -369,7 +357,20 @@ def draw_arms(
     noise: NoiseModel,
     seed: int,
 ) -> tuple[BatchArrays, BatchArrays]:
-    """Batches 0..n_batches-1 of both strategy arms, in `ARMS` order."""
+    """Batches 0..n_batches-1 of both strategy arms, in `ARMS` order.
+
+    The couplings must be under a and a', in that order, and each must be a
+    pmf with uniform marginals within `CORR_TOL`; otherwise ValueError.
+    """
+    for setting, coupling in zip((A, A_PRIME), (k_a, k_ap)):
+        if coupling.alice_setting != setting:
+            raise ValueError(
+                "arm couplings must be under a then a', got "
+                f"{k_a.alice_setting.label} then {k_ap.alice_setting.label}"
+            )
+        check = validate_coupling(coupling)
+        if not check.ok:
+            raise ValueError(f"coupling under {setting.label} is defective: {check.residuals}")
     return tuple(
         sample_batches(coupling, n_pairs, n_batches, noise, seed, stream=STRATEGY_STREAM[strategy])
         for strategy, coupling in zip(ARMS, (k_a, k_ap))

@@ -3,6 +3,9 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +126,14 @@ class TestSimulateSignalling:
         assert "'C'" in err
         assert "'N'" in err
         assert "'sigma'" in err
+
+    def test_boolean_numbers_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simulate_signalling": {"N": True, "sigma": False}}))
+        assert run(["simulate-signalling", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "field 'N' must be an integer, got True" in err
+        assert "field 'sigma' must be a number, got False" in err
 
     def test_missing_config_file(self, capsys):
         code = run(["simulate-signalling", "--config", "/nonexistent/path.json"])
@@ -412,6 +423,15 @@ class TestCouplings:
         assert run(["couplings", "--config", str(cfg)]) == 2
         assert "field 'targets' must hold 2 correlations" in capsys.readouterr().err
 
+    def test_c_with_targets_warned_and_ignored(self, capsys):
+        assert run(["couplings", "--targets", "0.1", "0.2"]) == 0
+        alone = capsys.readouterr()
+        assert alone.err == ""
+        assert run(["couplings", "--C", "0.5", "--targets", "0.1", "0.2"]) == 0
+        both = capsys.readouterr()
+        assert both.err == "warning: ignored C: targets given\n"
+        assert both.out == alone.out
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "couplings.csv"
         code = run(["couplings", "--C", "1", "--format", "csv", "--out", str(out)])
@@ -546,6 +566,14 @@ class TestExport:
             ["export", "--run-dir", str(tmp_path / "nope"), "--out-dir", str(tmp_path / "o")]
         )
         assert code == 2
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """Only the locality LP needs scipy.optimize; every CLI start would pay for it."""
+    src = str(Path(nsbox.cli.__file__).resolve().parents[1])
+    code = "import sys, nsbox.cli; sys.exit('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0
 
 
 # sha256 of every artifact the commands in `artifacts` write, pinned so that

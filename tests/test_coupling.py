@@ -1,9 +1,11 @@
 import json
 import math
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nsbox.boxes import A, A_PRIME, B
@@ -56,6 +58,134 @@ def brute_force_disagree_range(c1, c2, step=1e-3):
     feasible_t = tg[min_cell >= -1e-12]
     assert feasible_t.size > 0
     return float((1 - feasible_t.max()) / 2), float((1 - feasible_t.min()) / 2)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the exact LP over basic feasible solutions, which `extremal_coupling`
+# solved before its closed form.  The feasible set is a 2-dimensional polytope,
+# so enumerating the bases of the 6x8 system in rational arithmetic finds the
+# exact optimum; each cell is rounded to float once.
+# ---------------------------------------------------------------------------
+
+# Constraint rows (all coefficients are +/-1 or 1): total mass, three uniform
+# marginals, two target correlations.
+_CONSTRAINT_ROWS = (
+    np.ones(8),
+    I_VALUES,
+    J_VALUES,
+    JP_VALUES,
+    I_VALUES * J_VALUES,
+    I_VALUES * JP_VALUES,
+)
+DISAGREE = (J_VALUES != JP_VALUES).astype(float)
+_CONSTRAINT_NAMES = (
+    "normalization",
+    "marginal_i",
+    "marginal_j",
+    "marginal_jp",
+    "corr_ij",
+    "corr_ijp",
+)
+
+
+def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Gaussian elimination over the rationals; None for a singular system."""
+    n = len(rhs)
+    aug = [row[:] + [rhs[r]] for r, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = Fraction(1, 1) / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def _enumerate_optima(c_xb: float, c_xbp: float) -> tuple[
+    tuple[Fraction, tuple[Fraction, ...]], tuple[Fraction, tuple[Fraction, ...]]
+]:
+    """Exact (min, max) of P(j != j') with the achieving basic solutions."""
+    rhs_full = [
+        Fraction(1),
+        Fraction(0),
+        Fraction(0),
+        Fraction(0),
+        Fraction(c_xb),
+        Fraction(c_xbp),
+    ]
+    rows = [[Fraction(int(v)) for v in row] for row in _CONSTRAINT_ROWS]
+    objective = [Fraction(int(v)) for v in DISAGREE]
+
+    best_min = best_max = None
+    for basis in combinations(range(8), 6):
+        matrix = [[rows[r][c] for c in basis] for r in range(6)]
+        solution = _solve_exact(matrix, rhs_full)
+        if solution is None or any(v < 0 for v in solution):
+            continue
+        full = [Fraction(0)] * 8
+        for c, v in zip(basis, solution):
+            full[c] = v
+        value = sum(o * v for o, v in zip(objective, full))
+        if best_min is None or value < best_min[0]:
+            best_min = (value, tuple(full))
+        if best_max is None or value > best_max[0]:
+            best_max = (value, tuple(full))
+    if best_min is None:
+        raise ValueError(
+            "no pmf satisfies "
+            + ", ".join(f"{n}={float(v)}" for n, v in zip(_CONSTRAINT_NAMES, rhs_full))
+        )
+    return best_min, best_max
+
+
+def reference_extremal_coupling(c_xb, c_xbp, objective, alice_setting=A) -> TripleCoupling:
+    """The LP's optimal coupling, with each exact cell rounded once."""
+    best_min, best_max = _enumerate_optima(c_xb, c_xbp)
+    chosen = best_min if objective is CouplingObjective.MIN_DISAGREE else best_max
+    pmf = np.array([float(v) for v in chosen[1]]).reshape(2, 2, 2)
+    return TripleCoupling(alice_setting, pmf)
+
+
+#: Targets where rounding or a degenerate Frechet segment could go wrong.
+EDGE_TARGETS = (
+    (0.0, 0.0),
+    (0.0, -0.0),
+    (-0.0, -0.0),
+    (1.0, 1.0),
+    (1.0, -1.0),
+    (-1.0, -1.0),
+    (-1.0, 0.0),
+    (5e-324, 0.0),
+    (5e-324, -5e-324),
+    (1 - 2**-53, 1 - 2**-53),
+    (1 - 2**-53, -(1 - 2**-53)),
+    (1 - 2**-53, 5e-324),
+    (0.7071, -0.7071),
+    (-0.7071, 0.7071),
+    (0.7071, 0.7071),
+)
+
+unit_floats = st.floats(min_value=-1, max_value=1, allow_nan=False, allow_subnormal=True)
+
+
+class TestClosedFormMatchesLP:
+    @pytest.mark.parametrize("targets", EDGE_TARGETS)
+    @pytest.mark.parametrize("objective", [MIN_D, MAX_D])
+    def test_edge_targets(self, targets, objective):
+        reference = reference_extremal_coupling(*targets, objective)
+        assert extremal_coupling(*targets, objective).pmf.tobytes() == reference.pmf.tobytes()
+
+    @given(unit_floats, unit_floats, st.sampled_from([MIN_D, MAX_D]))
+    @example(0.5, 0.5 + 2**-53, MIN_D)
+    @example(1e-20, -1e-20, MAX_D)
+    def test_bytes_equal_anywhere(self, c1, c2, objective):
+        reference = reference_extremal_coupling(c1, c2, objective)
+        assert extremal_coupling(c1, c2, objective).pmf.tobytes() == reference.pmf.tobytes()
 
 
 class TestExtremalCoupling:

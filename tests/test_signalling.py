@@ -9,8 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsbox.boxes import CorrelationTable
-from nsbox.coupling import make_scalar_extremal_couplings, pr_limit_couplings
+from nsbox.boxes import A_PRIME, CorrelationTable
+from nsbox.coupling import (
+    I_VALUES,
+    J_VALUES,
+    JP_VALUES,
+    TripleCoupling,
+    make_scalar_extremal_couplings,
+    pr_limit_couplings,
+)
 from nsbox.macro import MacroObservation, NoiseModel, Strategy, sample_batches
 from nsbox.signalling import (
     Detector,
@@ -295,6 +302,26 @@ class TestRunProtocol:
             PR_A, PR_AP, ProtocolConfig(detector=Detector.LIKELIHOOD, **base), seed=5
         )
         assert lr.advantage >= cov.advantage - 0.02
+
+    @pytest.mark.parametrize(
+        "defect, pmf",
+        [
+            ("mass deficit 0.3", 0.7 * PR_AP.flat),
+            ("negative cells", (1 + 1.5 * I_VALUES * J_VALUES * JP_VALUES) / 8),
+            ("non-uniform marginal", np.array([0.55, 0, 0, 0, 0, 0, 0, 0.45])),
+        ],
+    )
+    def test_defective_coupling_rejected(self, defect, pmf):
+        cfg = ProtocolConfig(n_pairs=4, repetitions=64, noise=NOISELESS, group_size=8)
+        bad = TripleCoupling(A_PRIME, pmf.reshape(2, 2, 2))
+        with pytest.raises(ValueError, match="coupling under a' is defective"):
+            run_protocol(PR_A, bad, cfg, seed=1)
+
+    @pytest.mark.parametrize("pair", [(PR_AP, PR_A), (PR_A, PR_A), (PR_AP, PR_AP)])
+    def test_arm_settings_must_be_a_then_aprime(self, pair):
+        cfg = ProtocolConfig(n_pairs=4, repetitions=64, noise=NOISELESS, group_size=8)
+        with pytest.raises(ValueError, match="under a then a'"):
+            run_protocol(*pair, cfg, seed=1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
