@@ -48,7 +48,7 @@ from .coupling import (
     make_scalar_extremal_couplings,
     validate_coupling,
 )
-from .macro import NoiseModel, write_batches_csv
+from .macro import BATCH_CSV_HEADER, NoiseModel, csv_rows, write_batches_csv
 from .signalling import (
     ARMS,
     Detector,
@@ -161,7 +161,7 @@ class Validator:
         entries = []
         for k, v in enumerate(raw):
             try:
-                value = float(v)
+                value = float(None if isinstance(v, bool) else v)  # a JSON boolean is no number
             except (TypeError, ValueError):
                 self.errors.append(f"field {name!r}[{k}] must be a number, got {v!r}")
                 continue
@@ -326,13 +326,10 @@ def cmd_simulate_signalling(args) -> int:
         if out and not dump_ref.is_absolute():
             dump_ref = Path(os.path.relpath(dump_ref, Path(out).parent))
         payload["batches_csv"] = str(dump_ref)
-        parts = []
+        buffer = io.StringIO()  # both arms, then the second arm's header is dropped
         for strategy, arrays in zip(ARMS, arms):
-            part = io.StringIO()
-            write_batches_csv(part, arrays, strategy, n_pairs, seed)
-            parts.append(part.getvalue())
-        head, tail = parts  # both arms under one header
-        _write_atomic(dump, head + tail.split("\n", 1)[1])
+            write_batches_csv(buffer, arrays, strategy, n_pairs, seed)
+        _write_atomic(dump, buffer.getvalue().replace("\n" + BATCH_CSV_HEADER + "\n", "\n", 1))
     if out:
         if fmt == "json":
             _write_json(out, payload)
@@ -417,12 +414,9 @@ def cmd_scan_frontier(args) -> int:
     out = v.values.get("out")
     if out and fmt == "csv":
         grid = frontier_grid(resolution, symmetric, rhs)
-        # floats at 17 significant digits, booleans spelled as in JSON
-        rows = [
-            [f"{x:.17g}" if isinstance(x, float) else str(x).lower() for x in row]
-            for row in zip(*(column.tolist() for column in grid.values()))
-        ]
-        _write_csv(out, list(grid), rows)
+        # floats at 17 significant digits, booleans spelled as in JSON (lower-cased)
+        template = ",".join("%s" if c.dtype == bool else "%.17g" for c in grid.values()) + "\n"
+        _write_atomic(out, ",".join(grid) + "\n" + csv_rows(template, grid.values()).lower())
     summary = {
         "schema_version": SCHEMA_VERSION,
         "command": "scan-frontier",
@@ -538,8 +532,15 @@ def cmd_export(args) -> int:
         counts: dict[tuple[str, float], int] = {}
         try:
             with open(batch_file) as handle:
-                for row in csv.DictReader(handle):
-                    key = (row["strategy"], round(float(row["B"]) + float(row["Bprime"]), 12))
+                reader = csv.reader(handle)
+                header = next(reader, [])
+                # fields as csv.DictReader finds them: a repeated name means its last
+                # column, blank lines are skipped, and a short row reads None at its end
+                at = {name: k for k, name in enumerate(header)}
+                for row in filter(None, reader):
+                    row += [None] * (len(header) - len(row))
+                    strategy = row[at["strategy"]]
+                    key = (strategy, round(float(row[at["B"]]) + float(row[at["Bprime"]]), 12))
                     counts[key] = counts.get(key, 0) + 1
         except KeyError as exc:
             _warn_skipped(batch_file, f"missing column {exc}")

@@ -11,14 +11,12 @@ so any execution order, serial or parallel, reproduces the same values.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
-from scipy.special import ndtri
 
 from .coupling import I_VALUES, J_VALUES, JP_VALUES, TripleCoupling
 
@@ -128,9 +126,15 @@ def _chunk_key(seed: int, stream: int, chunk_index: int) -> list[int]:
     return [seed, (stream << 32) | chunk_index]
 
 
-def _chunk_uniforms(seed: int, stream: int, chunk_index: int, n_cols: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=_chunk_key(seed, stream, chunk_index)))
-    return rng.random((CHUNK, n_cols))
+def _chunk_uniforms(
+    seed: int, stream: int, chunk_index: int, n_cols: int, offset: int = 0, rows: int = CHUNK
+) -> np.ndarray:
+    """Rows offset..offset+rows-1 of the chunk, skipping 4-uniform Philox blocks whole."""
+    bit_generator = np.random.Philox(key=_chunk_key(seed, stream, chunk_index))
+    blocks, rest = divmod(offset * n_cols, 4)
+    bit_generator.advance(blocks)
+    u = np.random.Generator(bit_generator).random(rest + rows * n_cols)
+    return u[rest:].reshape(rows, n_cols)
 
 
 def sample_batches(
@@ -168,7 +172,7 @@ def sample_batches(
         chunk_index, offset = divmod(start + filled, CHUNK)
         take = min(CHUNK - offset, n_batches - filled)
         rows = slice(filled, filled + take)
-        u = _chunk_uniforms(seed, stream, chunk_index, n_cols)[offset : offset + take]
+        u = _chunk_uniforms(seed, stream, chunk_index, n_cols, offset, take)
         pairs = u[:, :n_pairs]
         below = [np.count_nonzero(pairs < bound, axis=1) for bound in bounds]
         # pairs per batch in cells 0..k (the cdf is nondecreasing), then per cell
@@ -178,6 +182,7 @@ def sample_batches(
         a, b, bp = (2 * (_PLUS_ONE @ counts) - n_pairs) / n_pairs
         out.a_mean[rows], out.b_mean[rows], out.bp_mean[rows] = a, b, bp
         if noise.sigma > 0:
+            from scipy.special import ndtri  # imported here: it slows every CLI start
             z = ndtri(np.clip(u[:, n_pairs:], 1e-300, None))
             b, bp = b + noise.sigma * z[:, 0], bp + noise.sigma * z[:, 1]
         out.noisy_b[rows], out.noisy_bp[rows] = b, bp
@@ -284,6 +289,11 @@ def empirical(samples: Iterable[float]) -> EmpiricalDistribution:
 BATCH_CSV_HEADER = "batch_index,strategy,N,A,B,Bprime,noisyB,noisyBprime,seed"
 
 
+def csv_rows(template: str, columns: Sequence[np.ndarray]) -> str:
+    """``template % row`` for each row of the columns, for fields csv.writer never quotes."""
+    return "".join(template % row for row in zip(*(column.tolist() for column in columns)))
+
+
 def write_batches_csv(
     stream: TextIO,
     arrays: BatchArrays,
@@ -293,8 +303,7 @@ def write_batches_csv(
     start_index: int = 0,
 ) -> None:
     """Batch dump with floating-point fields at 17 significant digits."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(BATCH_CSV_HEADER.split(","))
-    columns = (arrays.a_mean, arrays.b_mean, arrays.bp_mean, arrays.noisy_b, arrays.noisy_bp)
-    for index, means in enumerate(zip(*(column.tolist() for column in columns)), start_index):
-        writer.writerow([index, strategy.value, n_pairs, *(f"{m:.17g}" for m in means), seed])
+    index = np.arange(start_index, start_index + len(arrays))
+    means = (arrays.a_mean, arrays.b_mean, arrays.bp_mean, arrays.noisy_b, arrays.noisy_bp)
+    template = f"%d,{strategy.value},{n_pairs},{'%.17g,' * 5}{seed}\n"
+    stream.writelines((BATCH_CSV_HEADER + "\n", csv_rows(template, (index, *means))))

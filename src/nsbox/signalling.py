@@ -11,7 +11,6 @@ the two observation laws.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -445,6 +444,7 @@ def score_arms(
 # ---------------------------------------------------------------------------
 
 SWEEP_CSV_HEADER = "C,N,R,sigma,detector,advantage,ci_low,ci_high,n_used,verdict"
+SWEEP_CSV_ROW = "%.17g,%s,%s,%.17g,%s,%.17g,%.17g,%.17g,%s,%s"
 
 
 @dataclass(frozen=True)
@@ -458,18 +458,9 @@ class SweepRow:
 
     def csv_fields(self) -> list[str]:
         r = self.report
-        return [
-            f"{self.c:.17g}",
-            str(self.n_pairs),
-            str(self.repetitions),
-            f"{self.sigma:.17g}",
-            self.detector.value,
-            f"{r.advantage:.17g}",
-            f"{r.ci_low:.17g}",
-            f"{r.ci_high:.17g}",
-            str(r.n_used),
-            r.verdict.value,
-        ]
+        fields = (self.c, self.n_pairs, self.repetitions, self.sigma, self.detector.value,
+                  r.advantage, r.ci_low, r.ci_high, r.n_used, r.verdict.value)
+        return (SWEEP_CSV_ROW % fields).split(",")
 
 
 def resource_sweep(
@@ -531,10 +522,8 @@ def resource_sweep(
 
 
 def write_sweep_csv(stream: TextIO, rows: Sequence[SweepRow]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER.split(","))
-    for row in rows:
-        writer.writerow(row.csv_fields())
+    """One line per row; csv.writer would quote none of the fields."""
+    stream.write(SWEEP_CSV_HEADER + "\n" + "".join(",".join(r.csv_fields()) + "\n" for r in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,10 +14,84 @@ import nsbox.cli
 import nsbox.macro
 import nsbox.signalling
 from nsbox.cli import frontier_report_from_json, frontier_report_to_json, main
-from nsbox.causality import frontier_scan
+from nsbox.causality import frontier_grid, frontier_scan
 from nsbox.signalling import report_from_json
 
 Q = math.sqrt(2.0) / 2.0
+
+
+def reference_grid_csv(grid) -> str:
+    """The scan-frontier grid CSV through csv.writer, one formatted row at a time."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(list(grid))
+    writer.writerows(
+        [f"{x:.17g}" if isinstance(x, float) else str(x).lower() for x in row]
+        for row in zip(*(column.tolist() for column in grid.values()))
+    )
+    return buffer.getvalue()
+
+
+def reference_histogram(batch_file: Path) -> tuple[str | None, str]:
+    """export's B + B' histogram of one batch CSV through csv.DictReader:
+    the histogram CSV text, or None when the file is skipped, and stderr."""
+    counts: dict[tuple[str, float], int] = {}
+    try:
+        with open(batch_file) as handle:
+            for row in csv.DictReader(handle):
+                key = (row["strategy"], round(float(row["B"]) + float(row["Bprime"]), 12))
+                counts[key] = counts.get(key, 0) + 1
+    except KeyError as exc:
+        return None, f"warning: skipped {batch_file}: missing column {exc}\n"
+    except (OSError, ValueError, TypeError) as exc:
+        return None, f"warning: skipped {batch_file}: {exc}\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["strategy", "value", "count"])
+    writer.writerows([s, f"{value:.17g}", n] for (s, value), n in sorted(counts.items()))
+    return buffer.getvalue(), ""
+
+
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _move_columns(rows, order):
+    return _csv_text([[row[k] for k in order] + ["x"] for row in rows])
+
+
+def _set_fields(rows, line, **values):
+    for name, value in values.items():
+        rows[line][rows[0].index(name)] = value
+    return _csv_text(rows)
+
+
+#: Edits of a dumped batch CSV (header row first; B is column 4, Bprime 5).
+BATCH_CSV_EDITS = {
+    "as-written": _csv_text,
+    "reordered-extra-columns": lambda rows: _move_columns(rows, [8, 5, 0, 4, 1, 2, 3, 7, 6]),
+    # noisyB renamed B: the last column of a repeated name is the one read
+    "repeated-B-name": lambda rows: _csv_text([rows[0][:6] + ["B"] + rows[0][7:]] + rows[1:]),
+    "missing-Bprime": lambda rows: _move_columns(rows, [0, 1, 2, 3, 4, 6, 7, 8]),
+    "missing-strategy-and-Bprime": lambda rows: _move_columns(rows, [0, 4]),
+    "short-row": lambda rows: _csv_text(rows[:3] + [rows[3][:5]] + rows[4:]),
+    "short-row-before-bad-B": lambda rows: _csv_text(
+        rows[:3] + [rows[3][:4]] + [rows[4][:4] + ["x"]] + rows[5:]
+    ),
+    "non-numeric-B": lambda rows: _set_fields(rows, 2, B="abc"),
+    "non-numeric-B-missing-Bprime": lambda rows: _set_fields([row[:5] for row in rows], 1, B="abc"),
+    # round(x, 12) gives 0.215531383081 here, np.round(x, 12) 0.215531383082
+    "rounding": lambda rows: _set_fields(
+        rows, 1, B="-0.07535307521601253", Bprime="0.2908844582975125"
+    ),
+    "blank-lines": lambda rows: _csv_text(rows[:2] + [[]] + rows[2:] + [[], []]),
+    "header-only": lambda rows: _csv_text(rows[:1]),
+    "header-only-missing-Bprime": lambda rows: _csv_text([rows[0][:5]]),
+    "blank-header": lambda rows: "\n" + _csv_text(rows[1:]),
+    "empty": lambda rows: "",
+}
 
 
 def run(argv):
@@ -365,6 +440,17 @@ class TestScanFrontier:
         assert f"field 'symmetric' must be true or false, got {value!r}" in errors
         assert "field 'resolution'" in errors
 
+    @pytest.mark.parametrize(
+        "symmetric, rhs, resolution",
+        [(False, 4.0, 101), (False, 2.5, 57), (False, 9.0, 10), (True, 0.3, 57), (True, 4.0, 11)],
+    )
+    def test_grid_csv_matches_csv_writer(self, tmp_path, symmetric, rhs, resolution):
+        out = tmp_path / "grid.csv"
+        argv = ["scan-frontier", "--resolution", str(resolution), "--rhs", repr(rhs)]
+        assert run(argv + ["--symmetric"] * symmetric + ["--out", str(out)]) == 0
+        grid = frontier_grid(resolution, symmetric, rhs)
+        assert out.read_text() == reference_grid_csv(grid)
+
     def test_low_resolution_rejected(self, capsys):
         assert run(["scan-frontier", "--resolution", "5"]) == 2
 
@@ -416,6 +502,22 @@ class TestCouplings:
         err = capsys.readouterr().err
         assert "field 'targets'[0] must be a number, got 'x'" in err
         assert "field 'targets'[1] must lie in [-1, 1], got 1.5" in err
+
+    @pytest.mark.parametrize(
+        "command, section, field, values",
+        [
+            ("verify-bounds", "verify_bounds", "table", [True, True, True, False]),
+            ("couplings", "couplings", "targets", [True, False]),
+        ],
+        ids=["table", "targets"],
+    )
+    def test_boolean_correlations_rejected(self, tmp_path, capsys, command, section, field, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {field: values}}))
+        assert run([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        for k, value in enumerate(values):
+            assert f"field {field!r}[{k}] must be a number, got {value!r}" in err
 
     def test_wrong_target_count(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -555,6 +657,24 @@ class TestExport:
         assert not (out_dir / "hist_batches_pr.csv").exists()
         assert (out_dir / "hist_batches_half.csv").exists()
 
+    @pytest.mark.parametrize("case", sorted(BATCH_CSV_EDITS))
+    def test_histogram_matches_dict_reader(self, tmp_path, capsys, case):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        batches = run_dir / "b.csv"
+        argv = ["simulate-signalling", "--N", "4", "--reps", "16", "--group-size", "8"]
+        run(argv + ["--seed", "2", "--out", str(run_dir / "r.json"), "--dump-batches", str(batches)])
+        with open(batches) as handle:
+            rows = list(csv.reader(handle))
+        batches.write_text(BATCH_CSV_EDITS[case](rows))
+        want_hist, want_err = reference_histogram(batches)
+        capsys.readouterr()
+        out_dir = tmp_path / "export"
+        assert run(["export", "--run-dir", str(run_dir), "--out-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().err == want_err
+        hist = out_dir / "hist_b.csv"
+        assert (hist.read_text() if hist.exists() else None) == want_hist
+
     def test_empty_run_dir(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -568,12 +688,16 @@ class TestExport:
         assert code == 2
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    """Only the locality LP needs scipy.optimize; every CLI start would pay for it."""
+def test_cli_import_loads_no_scipy():
+    """Only the locality LP and noisy draws need scipy; every CLI start would
+    pay for its import."""
     src = str(Path(nsbox.cli.__file__).resolve().parents[1])
-    code = "import sys, nsbox.cli; sys.exit('scipy.optimize' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
-    assert result.returncode == 0
+    code = "import sys, nsbox.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 # sha256 of every artifact the commands in `artifacts` write, pinned so that

@@ -1,5 +1,11 @@
+import csv
 import io
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+import nsbox.macro
 from nsbox.boxes import A
 from nsbox.coupling import (
     I_VALUES,
@@ -18,6 +25,7 @@ from nsbox.coupling import (
     pr_limit_couplings,
 )
 from nsbox.macro import (
+    BATCH_CSV_HEADER,
     CHUNK,
     BatchArrays,
     BatchConfig,
@@ -251,6 +259,42 @@ class TestDeterminismContract:
                 reference_sample_batches(*args, stream=1, start=4000),
             )
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("n_pairs", [1, 2, 16, 1023])
+    @pytest.mark.parametrize("start", [1, 3, 4095, 4097])
+    def test_partial_chunks_match_reference_kernel(self, start, n_pairs, sigma):
+        # draws that start inside a chunk skip its leading rows, or end early
+        for n_batches in (1, 2):
+            args = (GOLDEN_COUPLING, n_pairs, n_batches, NoiseModel(sigma), 2**62 + 5)
+            assert_bit_identical(
+                sample_batches(*args, stream=1, start=start),
+                reference_sample_batches(*args, stream=1, start=start),
+            )
+
+    def test_golden_value_in_fresh_interpreter(self):
+        """A fresh process loads scipy only when the first noisy batch needs it."""
+        point = (7, 1, 4095, 1024, 0.1)
+        seed, stream, index, n_pairs, sigma = point
+        code = "\n".join([
+            "import json, sys",
+            "import numpy as np",
+            "from nsbox.boxes import A",
+            "from nsbox.coupling import TripleCoupling",
+            "from nsbox.macro import NoiseModel, sample_batches",
+            "assert not any(m.startswith('scipy') for m in sys.modules)",
+            f"pmf = np.array({GOLDEN_COUPLING.flat.tolist()}).reshape(2, 2, 2)",
+            f"arrays = sample_batches(TripleCoupling(A, pmf), {n_pairs}, 1, NoiseModel({sigma}),"
+            f" {seed}, stream={stream}, start={index})",
+            "assert 'scipy.special' in sys.modules",
+            "print(json.dumps([float(arrays.noisy_b[0]), float(arrays.noisy_bp[0])]))",
+        ])
+        src = str(Path(nsbox.macro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        )
+        assert json.loads(result.stdout) == list(GOLDEN[point][3:])
+
     def test_mass_deficit_goes_to_last_cell(self):
         # half the mass is missing; the remainder falls to (-1, -1, -1)
         short = TripleCoupling(A, np.array([0.5, 0, 0, 0, 0, 0, 0, 0]).reshape(2, 2, 2))
@@ -368,7 +412,44 @@ class TestEmpirical:
         assert np.all(arrays.b_mean + arrays.bp_mean == 0.0)
 
 
+def reference_write_batches_csv(stream, arrays, strategy, n_pairs, seed, start_index=0):
+    """The batch dump through csv.writer, one formatted row at a time."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(BATCH_CSV_HEADER.split(","))
+    columns = (arrays.a_mean, arrays.b_mean, arrays.bp_mean, arrays.noisy_b, arrays.noisy_bp)
+    for index, means in enumerate(zip(*(column.tolist() for column in columns)), start_index):
+        writer.writerow([index, strategy.value, n_pairs, *(f"{m:.17g}" for m in means), seed])
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1 - 2**-53, -1.0, 1.0]
+
+
 class TestCsvDump:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        columns=st.integers(0, 12).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_subnormal=True)),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=5,
+                max_size=5,
+            )
+        ),
+        strategy=st.sampled_from(Strategy),
+        n_pairs=st.one_of(st.just(1), st.integers(1, 10**6)),
+        seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        start_index=st.one_of(st.just(0), st.integers(1, 2**44)),
+    )
+    def test_bytes_match_csv_writer(self, columns, strategy, n_pairs, seed, start_index):
+        arrays = BatchArrays(*(np.array(column, dtype=float) for column in columns))
+        got, want = io.StringIO(), io.StringIO()
+        write_batches_csv(got, arrays, strategy, n_pairs, seed, start_index)
+        reference_write_batches_csv(want, arrays, strategy, n_pairs, seed, start_index)
+        assert got.getvalue() == want.getvalue()
+
     def test_layout_and_precision(self):
         arrays = sample_batches(UNIFORM, 3, 4, NoiseModel(0.25), seed=8)
         buffer = io.StringIO()

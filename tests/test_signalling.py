@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import math
@@ -24,6 +25,7 @@ from nsbox.signalling import (
     ProtocolConfig,
     SWEEP_CSV_HEADER,
     SignallingReport,
+    SweepRow,
     Verdict,
     advantage_ceiling,
     batch_law,
@@ -342,6 +344,64 @@ class TestRunProtocol:
                 detector=Detector.COVARIANCE_SIGN,
                 group_size=1,
             )
+
+
+def reference_csv_fields(row: SweepRow) -> list[str]:
+    """Sweep CSV fields formatted one at a time."""
+    r = row.report
+    return [
+        f"{row.c:.17g}",
+        str(row.n_pairs),
+        str(row.repetitions),
+        f"{row.sigma:.17g}",
+        row.detector.value,
+        f"{r.advantage:.17g}",
+        f"{r.ci_low:.17g}",
+        f"{r.ci_high:.17g}",
+        str(r.n_used),
+        r.verdict.value,
+    ]
+
+
+def reference_write_sweep_csv(stream, rows) -> None:
+    """The sweep CSV through csv.writer."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(SWEEP_CSV_HEADER.split(","))
+    writer.writerows(reference_csv_fields(row) for row in rows)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1 - 2**-53, 1.0, math.inf, -math.inf]
+SWEEP_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_subnormal=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fields=st.lists(
+        st.tuples(
+            SWEEP_FLOATS,
+            st.integers(1, 2**40),
+            st.integers(1, 2**40),
+            SWEEP_FLOATS,
+            st.sampled_from(Detector),
+            st.lists(SWEEP_FLOATS.filter(lambda x: not math.isnan(x)), min_size=3, max_size=3),
+            st.integers(0, 2**40),
+            st.sampled_from(Verdict),
+        ),
+        max_size=6,
+    )
+)
+def test_sweep_csv_matches_csv_writer(fields):
+    rows = []
+    for c, n_pairs, reps, sigma, detector, interval, n_used, verdict in fields:
+        low, advantage, high = sorted(interval)
+        report = SignallingReport(advantage, low, high, n_used, verdict, n_used // 2, None)
+        rows.append(SweepRow(c, n_pairs, reps, sigma, detector, report))
+    for row in rows:
+        assert row.csv_fields() == reference_csv_fields(row)
+    got, want = io.StringIO(), io.StringIO()
+    write_sweep_csv(got, rows)
+    reference_write_sweep_csv(want, rows)
+    assert got.getvalue() == want.getvalue()
 
 
 class TestResourceSweep:
