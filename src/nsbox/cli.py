@@ -540,12 +540,14 @@ def cmd_export(args) -> int:
                 for row in filter(None, reader):
                     row += [None] * (len(header) - len(row))
                     strategy = row[at["strategy"]]
+                    if strategy is None:
+                        raise ValueError(f"line {reader.line_num} has no field 'strategy'")
                     key = (strategy, round(float(row[at["B"]]) + float(row[at["Bprime"]]), 12))
                     counts[key] = counts.get(key, 0) + 1
         except KeyError as exc:
             _warn_skipped(batch_file, f"missing column {exc}")
             continue
-        except (OSError, ValueError, TypeError) as exc:
+        except (OSError, ValueError, TypeError, csv.Error) as exc:
             _warn_skipped(batch_file, exc)
             continue
         target = str(Path(out_dir) / f"hist_{batch_file.stem}.csv")

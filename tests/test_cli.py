@@ -657,6 +657,27 @@ class TestExport:
         assert not (out_dir / "hist_batches_pr.csv").exists()
         assert (out_dir / "hist_batches_half.csv").exists()
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("B,Bprime,strategy\n0.5,0.5\n0.5,0.5,always_a\n", "line 2 has no field 'strategy'"),
+            ("B,Bprime,strategy\n" + "9" * 140_000 + ",0,always_a\n", "field larger than"),
+        ],
+        ids=["row-without-strategy", "oversized-field"],
+    )
+    def test_unreadable_batch_csv_skipped_with_warning(self, tmp_path, capsys, content, reason):
+        run_dir = self._make_run(tmp_path)
+        (run_dir / "batches_pr.csv").write_text(content)
+        capsys.readouterr()
+        out_dir = tmp_path / "export"
+        assert run(["export", "--run-dir", str(run_dir), "--out-dir", str(out_dir)]) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"warning: skipped {run_dir / 'batches_pr.csv'}: ")
+        assert reason in warnings[0]
+        assert not (out_dir / "hist_batches_pr.csv").exists()
+        assert (out_dir / "hist_batches_half.csv").exists()
+
     @pytest.mark.parametrize("case", sorted(BATCH_CSV_EDITS))
     def test_histogram_matches_dict_reader(self, tmp_path, capsys, case):
         run_dir = tmp_path / "run"

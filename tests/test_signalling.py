@@ -1,9 +1,14 @@
 import csv
 import io
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from nsbox.signalling import (
     SignallingReport,
     SweepRow,
     Verdict,
+    _tv_simpson,
     advantage_ceiling,
     batch_law,
     couplings_for_table,
@@ -67,6 +73,105 @@ class TestBatchLaw:
             assert law.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def reference_tv_simpson(
+    diff: np.ndarray, lattice: np.ndarray, sigma: float, step_divisor: int
+) -> float:
+    """The untiled Simpson kernel: one 512 x m product and |.| per row block."""
+    span = 1.0 + 7.0 * sigma
+    step = sigma / step_divisor
+    m = int(math.ceil(2.0 * span / step)) + 1
+    m = min(m | 1, 40001)  # odd point count for Simpson
+    grid = np.linspace(-span, span, m)
+    h = grid[1] - grid[0]
+    weights = np.ones(m)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= h / 3.0
+    kernel = np.exp(-0.5 * ((grid[:, None] - lattice[None, :]) / sigma) ** 2) / (
+        sigma * math.sqrt(2 * math.pi)
+    )  # m x (N+1)
+    total = 0.0
+    block = 512
+    inner = diff @ kernel.T  # (N+1) x m
+    for lo in range(0, m, block):
+        rows = kernel[lo : lo + block] @ inner  # block x m
+        total += float((weights[lo : lo + block] @ np.abs(rows)) @ weights)
+    return 0.5 * total
+
+
+def grid_points(sigma: float, step_divisor: int) -> int:
+    """The Simpson point count m that `_tv_simpson` uses."""
+    return min(int(math.ceil(2.0 * (1.0 + 7.0 * sigma) / (sigma / step_divisor))) + 1 | 1, 40001)
+
+
+# (N, sigma, step divisor) with m < 256 (37, 171), 256 < m < 512 (361) and
+# m = 513, one row past a block
+SMALL_GRIDS = ((5, 0.5, 2), (12, 0.1, 5), (12, 0.5, 20), (5, 0.00402, 1))
+
+
+def kernel_cases(seed: int, count: int):
+    """Seeded difference laws for the two Simpson kernels: N in 1..12, sigma
+    log-uniform in [0.01, 0.5], both step divisors, some laws with a zero row
+    or a zero column, and the SMALL_GRIDS grids."""
+    rng = np.random.default_rng(seed)
+    points = list(SMALL_GRIDS)
+    for _ in range(count):
+        sigma = float(np.exp(rng.uniform(math.log(0.01), math.log(0.5))))
+        points += [(int(rng.integers(1, 13)), sigma, d) for d in (20, 40)]
+    for n, sigma, step_divisor in points:
+        diff = rng.dirichlet(np.ones((n + 1) ** 2)) - rng.dirichlet(np.ones((n + 1) ** 2))
+        diff = diff.reshape(n + 1, n + 1)
+        zero = rng.integers(0, 4)
+        if zero == 1:
+            diff[rng.integers(0, n + 1)] = 0.0
+        elif zero == 2:
+            diff[:, rng.integers(0, n + 1)] = 0.0
+        lattice = np.array([(2 * k - n) / n for k in range(n + 1)])
+        yield diff, lattice, sigma, step_divisor
+
+
+def kernel_mismatches(seed: int, count: int) -> list:
+    """Cases where `_tv_simpson` and `reference_tv_simpson` differ in any bit."""
+    bad = []
+    for diff, lattice, sigma, step_divisor in kernel_cases(seed, count):
+        got = _tv_simpson(diff, lattice, sigma, step_divisor)
+        want = reference_tv_simpson(diff, lattice, sigma, step_divisor)
+        if got != want:
+            bad.append([len(lattice) - 1, sigma, step_divisor, repr(got), repr(want)])
+    return bad
+
+
+def run_fresh(code: str, blas_threads: int) -> str:
+    """stdout of `code` in a fresh interpreter with the given BLAS thread count."""
+    path = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), str(Path(__file__).resolve().parent)]
+    )
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(blas_threads)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout
+
+
+# exact_tv_distance on the exact-oracle benchmark points, at 17 digits
+ORACLE_GOLDEN = {
+    (1.0, 12, 0.0): 0.7744140625,
+    (1.0, 12, 0.1): 0.70360643942264478,
+    (1.0, 12, 0.01): 0.77441406250074529,
+    (1.0, 8, 0.01): 0.72656250000068068,
+    (0.5, 12, 0.0): 0.0,
+    (0.5, 12, 0.1): 0.0,
+    (0.5, 12, 0.01): 0.0,
+    (0.5, 8, 0.01): 0.0,
+}
+
+# (C, N, sigma) noisy laws for the BLAS thread-count check
+THREAD_CASES = (
+    (1.0, 12, 0.02), (0.9, 11, 0.03), (0.8, 10, 0.0228), (0.75, 9, 0.05), (0.7, 8, 0.07),
+    (0.6, 7, 0.1), (0.95, 6, 0.15), (0.85, 5, 0.2), (0.65, 3, 0.3), (1.0, 1, 0.5),
+)
+
+
 class TestExactTv:
     def test_pr_even_n_overlaps_at_origin(self):
         # diagonal and antidiagonal supports share only the (0, 0) point
@@ -100,8 +205,6 @@ class TestExactTv:
         assert values[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_quadrature_matches_refined_grid(self):
-        from nsbox.signalling import _tv_simpson
-
         lattice, law_a = batch_law(PR_A, 8)
         _, law_ap = batch_law(PR_AP, 8)
         diff = law_a - law_ap
@@ -112,6 +215,44 @@ class TestExactTv:
     def test_n_cap(self):
         with pytest.raises(ValueError):
             exact_tv_distance(PR_A, PR_AP, 13, NOISELESS)
+
+    @pytest.mark.parametrize("c, n_pairs, sigma", sorted(ORACLE_GOLDEN))
+    def test_oracle_golden(self, c, n_pairs, sigma):
+        k_a, k_ap = make_scalar_extremal_couplings(c)
+        tv = exact_tv_distance(k_a, k_ap, n_pairs, NoiseModel(sigma))
+        assert tv == ORACLE_GOLDEN[c, n_pairs, sigma]
+
+    def test_identical_laws_skip_the_integral(self, monkeypatch):
+        k_a, k_ap = make_scalar_extremal_couplings(0.5)
+        monkeypatch.setattr("nsbox.signalling._tv_simpson", None)
+        assert exact_tv_distance(k_a, k_ap, 12, NoiseModel(0.003)) == 0.0
+
+    def test_kernel_matches_reference_bit_for_bit(self):
+        """The tiled kernel against the untiled one at one BLAS thread, as the
+        benchmark runs; the grids cover m below, between and past the tiles."""
+        ms = {grid_points(s, d) for _, _, s, d in kernel_cases(11, 20)}
+        assert min(ms) < 256 and any(256 < m < 512 for m in ms) and 513 in ms
+        out = run_fresh("import json, test_signalling as t; print(json.dumps("
+                        "t.kernel_mismatches(11, 20)))", blas_threads=1)
+        assert json.loads(out) == []
+
+    def test_bits_independent_of_blas_threads(self):
+        """exact_tv_distance on THREAD_CASES and the kernel on seed-1 laws, one
+        of which the untiled kernel sums differently at two BLAS threads."""
+        code = "\n".join([
+            "import test_signalling as t",
+            "from nsbox.coupling import make_scalar_extremal_couplings",
+            "from nsbox.macro import NoiseModel",
+            "from nsbox.signalling import _tv_simpson, exact_tv_distance",
+            "for c, n, s in t.THREAD_CASES:",
+            "    pair = make_scalar_extremal_couplings(c)",
+            "    print(repr(exact_tv_distance(*pair, n, NoiseModel(s))))",
+            "for case in t.kernel_cases(1, 20):",
+            "    print(repr(_tv_simpson(*case)))",
+        ])
+        one = run_fresh(code, blas_threads=1)
+        assert len(one.split()) == len(THREAD_CASES) + len(list(kernel_cases(1, 20)))
+        assert run_fresh(code, blas_threads=2) == one
 
 
 class TestAdvantageHelpers:
