@@ -116,7 +116,10 @@ class Validator:
             return None
         try:
             value = int(raw) if integer else float(raw)
-            if isinstance(raw, bool) or integer and isinstance(raw, float) and raw != int(raw):
+            # a JSON boolean or string is no number, however it would convert
+            if isinstance(raw, (bool, str)) or (
+                integer and isinstance(raw, float) and raw != int(raw)
+            ):
                 raise ValueError
         except (TypeError, ValueError):
             kind = "an integer" if integer else "a number"
@@ -161,7 +164,8 @@ class Validator:
         entries = []
         for k, v in enumerate(raw):
             try:
-                value = float(None if isinstance(v, bool) else v)  # a JSON boolean is no number
+                # a JSON boolean or string is no number, as in `number`
+                value = float(None if isinstance(v, (bool, str)) else v)
             except (TypeError, ValueError):
                 self.errors.append(f"field {name!r}[{k}] must be a number, got {v!r}")
                 continue

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -36,19 +36,6 @@ STRATEGY_STREAM = {Strategy.ALWAYS_A: 0, Strategy.ALWAYS_APRIME: 1}
 
 
 @dataclass(frozen=True)
-class BatchConfig:
-    n_pairs: int
-    alice_strategy: Strategy
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_pairs, int) or self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be a positive integer, got {self.n_pairs!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     """Standard deviation of the additive Gaussian read-out noise on B and B'."""
 
@@ -57,27 +44,6 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not math.isfinite(self.sigma) or self.sigma < 0:
             raise ValueError(f"sigma must be a nonnegative real, got {self.sigma!r}")
-
-
-@dataclass(frozen=True)
-class MacroObservation:
-    a_mean: float
-    b_mean: float
-    bp_mean: float
-    noisy_b: float
-    noisy_bp: float
-
-
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    samples: tuple[float, ...]
-    mean: float
-    variance: float  # unbiased; NaN when only one sample
-    count: int
-
-    @property
-    def variance_defined(self) -> bool:
-        return self.count >= 2
 
 
 @dataclass(frozen=True)
@@ -106,18 +72,6 @@ class BatchArrays:
 
     def __len__(self) -> int:
         return len(self.a_mean)
-
-    def observation(self, row: int) -> MacroObservation:
-        return MacroObservation(
-            a_mean=float(self.a_mean[row]),
-            b_mean=float(self.b_mean[row]),
-            bp_mean=float(self.bp_mean[row]),
-            noisy_b=float(self.noisy_b[row]),
-            noisy_bp=float(self.noisy_bp[row]),
-        )
-
-    def observations(self) -> list[MacroObservation]:
-        return [self.observation(r) for r in range(len(self))]
 
 
 def _chunk_key(seed: int, stream: int, chunk_index: int) -> list[int]:
@@ -190,29 +144,11 @@ def sample_batches(
     return out
 
 
-def sample_batch(
-    k_a: TripleCoupling,
-    k_ap: TripleCoupling,
-    cfg: BatchConfig,
-    noise: NoiseModel,
-) -> MacroObservation:
-    """One batch under the configured strategy (batch index 0 of its stream)."""
-    coupling = k_a if cfg.alice_strategy is Strategy.ALWAYS_A else k_ap
-    arrays = sample_batches(
-        coupling,
-        cfg.n_pairs,
-        1,
-        noise,
-        cfg.seed,
-        stream=STRATEGY_STREAM[cfg.alice_strategy],
-    )
-    return arrays.observation(0)
-
-
 def batch_lattice(n_pairs: int) -> np.ndarray:
-    """The N+1 possible values of a batch mean, in the same float rounding
-    as the sample means (integer sum divided by N)."""
-    return np.array([(n_pairs - 2 * n) / n_pairs for n in range(n_pairs + 1)])
+    """The N+1 possible values (2k - N)/N of a batch mean, ascending in k
+    (the count of +1 outcomes), in the same float rounding as the sample
+    means (integer sum divided by N)."""
+    return np.array([(2 * k - n_pairs) / n_pairs for k in range(n_pairs + 1)])
 
 
 def a_distribution(n_pairs: int) -> dict[float, float]:
@@ -233,21 +169,16 @@ def parallelogram_residuals(b_mean: np.ndarray, bp_mean: np.ndarray) -> np.ndarr
     return (b + bp) ** 2 + (b - bp) ** 2 - 2.0 * b**2 - 2.0 * bp**2
 
 
-def parallelogram_check(obs: MacroObservation) -> float:
-    """Residual of the parallelogram identity on the noiseless means."""
-    return float(parallelogram_residuals(np.array([obs.b_mean]), np.array([obs.bp_mean]))[0])
-
-
-def mean_square_check(observations: Sequence[MacroObservation], n_pairs: int) -> MeanSquareReport:
-    """Compare the estimated <B^2>, <B'^2> with 1/N (i.i.d. pairs make the
-    cross-terms vanish).  Needs at least 100 observations for the z-score
-    to mean anything."""
-    if len(observations) < 100:
-        raise ValueError(f"need at least 100 observations, got {len(observations)}")
-    b2 = np.array([o.b_mean for o in observations]) ** 2
-    bp2 = np.array([o.bp_mean for o in observations]) ** 2
+def mean_square_check(arrays: BatchArrays, n_pairs: int) -> MeanSquareReport:
+    """Compare the estimated <B^2>, <B'^2> of the batches' noiseless means
+    with 1/N (i.i.d. pairs make the cross-terms vanish).  Needs at least 100
+    batches for the z-score to mean anything."""
+    count = len(arrays)
+    if count < 100:
+        raise ValueError(f"need at least 100 batches, got {count}")
+    b2 = arrays.b_mean**2
+    bp2 = arrays.bp_mean**2
     expected = 1.0 / n_pairs
-    count = len(observations)
     se_b2 = float(b2.std(ddof=1) / math.sqrt(count))
     se_bp2 = float(bp2.std(ddof=1) / math.sqrt(count))
     est_b2 = float(b2.mean())
@@ -268,17 +199,6 @@ def mean_square_check(observations: Sequence[MacroObservation], n_pairs: int) ->
         z_b2=z_score(est_b2, se_b2),
         z_bp2=z_score(est_bp2, se_bp2),
         count=count,
-    )
-
-
-def empirical(samples: Iterable[float]) -> EmpiricalDistribution:
-    values = tuple(float(s) for s in samples)
-    if not values:
-        raise ValueError("need at least one sample")
-    arr = np.array(values)
-    variance = float(arr.var(ddof=1)) if len(values) >= 2 else math.nan
-    return EmpiricalDistribution(
-        samples=values, mean=float(arr.mean()), variance=variance, count=len(values)
     )
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .boxes import A, A_PRIME, CorrelationTable
 from .coupling import TripleCoupling, couplings_for_table, validate_coupling
 from .macro import (
-    BatchArrays, MacroObservation, NoiseModel, STRATEGY_STREAM, Strategy, sample_batches
+    BatchArrays, NoiseModel, STRATEGY_STREAM, Strategy, batch_lattice, sample_batches
 )
 
 MAX_EXACT_PAIRS = 12
@@ -145,7 +145,7 @@ def exact_laws(
 def batch_law(coupling: TripleCoupling, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact joint law of (B, B') for one batch from the coupling.
 
-    Returns (lattice, P) where lattice[k] = (2k - N)/N and P[k, k'] is the
+    Returns (batch_lattice(N), P): lattice[k] = (2k - N)/N and P[k, k'] is the
     probability that B and B' sit at lattice indices k and k' (k counts +1
     outcomes).  Works by summing the multinomial law of the four (j, j')
     cell counts.
@@ -169,8 +169,7 @@ def batch_law(coupling: TripleCoupling, n_pairs: int) -> tuple[np.ndarray, np.nd
                     * q[3] ** n4
                 )
                 law[n1 + n2, n1 + n3] += weight
-    lattice = np.array([(2 * k - n) / n for k in range(n + 1)])
-    return lattice, law
+    return batch_lattice(n), law
 
 
 def exact_tv_distance(
@@ -287,49 +286,13 @@ def likelihood_guess_a(
     return ll[0] >= ll[1]
 
 
-def _one_group(observations: Sequence[MacroObservation]) -> tuple[np.ndarray, np.ndarray]:
-    """A group of observations as (1, g) float rows of noisy B and B'."""
-    u = np.array([[o.noisy_b for o in observations]], dtype=float)
-    return u, np.array([[o.noisy_bp for o in observations]], dtype=float)
-
-
-def _strategy(guess_a) -> Strategy:
-    return Strategy.ALWAYS_A if guess_a else Strategy.ALWAYS_APRIME
-
-
-def detector_covariance_sign(observations: Sequence[MacroObservation]) -> Strategy:
-    """Guess from the sign of the sample covariance of the noisy pair.
-
-    Positive covariance reads as the correlated strategy; an exact zero
-    (degenerate group) breaks toward ALWAYS_A.
-    """
-    if len(observations) < 2:
-        raise ValueError("covariance needs at least 2 observations")
-    return _strategy(covariance_guess_a(*_one_group(observations))[0])
-
-
-def detector_postselect(
-    observations: Sequence[MacroObservation], threshold: float
-) -> tuple[Strategy | None, int]:
-    """Keep batches with both |noisy B| and |noisy B'| at or above threshold;
-    majority sign agreement among survivors reads as ALWAYS_A (ties included).
-    Returns (guess, surviving count); guess is None with no survivors."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    guess_a, survivors = postselect_guess_a(*_one_group(observations), threshold)
-    return (_strategy(guess_a[0]) if survivors[0] else None), int(survivors[0])
-
-
 def make_likelihood_detector(
     k_a: TripleCoupling, k_ap: TripleCoupling, n_pairs: int, noise: NoiseModel
-) -> Callable[[Sequence[MacroObservation]], Strategy]:
-    """Exact likelihood-ratio detector against the enumerated batch laws."""
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The `likelihood_guess_a` kernel bound to the exact batch laws, which
+    are enumerated once, here."""
     laws = exact_laws(k_a, k_ap, n_pairs)
-
-    def guess(observations: Sequence[MacroObservation]) -> Strategy:
-        return _strategy(likelihood_guess_a(*_one_group(observations), laws, noise.sigma)[0])
-
-    return guess
+    return lambda u, v: likelihood_guess_a(u, v, laws, noise.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +360,10 @@ def score_arms(
     """Score the first `protocol_batches(cfg)` rows of each arm; longer arms
     are fine, since batch b of a draw does not depend on the draw's length.
 
-    Each arm is scored whole, as (groups, g) arrays, by one detector kernel;
-    the per-group rules and the report are those of the per-group detector
-    functions.
+    Each arm is scored whole, as (groups, g) arrays, by one detector kernel.
     """
     if cfg.detector is Detector.LIKELIHOOD:
-        laws = exact_laws(k_a, k_ap, cfg.n_pairs)
+        likelihood = make_likelihood_detector(k_a, k_ap, cfg.n_pairs, cfg.noise)
     n_batches = protocol_batches(cfg)
     shape = (n_batches // cfg.group_size, cfg.group_size)
     trials = correct = n_used = 0
@@ -415,7 +376,7 @@ def score_arms(
         elif cfg.detector is Detector.POSTSELECT_EXTREMES:
             guess_a, survivors = postselect_guess_a(u, v, cfg.postselect_threshold)
         else:
-            guess_a = likelihood_guess_a(u, v, laws, cfg.noise.sigma)
+            guess_a = likelihood(u, v)
         guessed = survivors > 0
         n_used += int(survivors.sum())
         trials += int(np.count_nonzero(guessed))

@@ -202,13 +202,27 @@ class TestSimulateSignalling:
         assert "'N'" in err
         assert "'sigma'" in err
 
-    def test_boolean_numbers_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, section, fields, expected",
+        [
+            ("simulate-signalling", "simulate_signalling", {"N": True, "sigma": False},
+             ["field 'N' must be an integer, got True", "field 'sigma' must be a number, got False"]),
+            # a JSON string is no number either, even one that would convert
+            ("simulate-signalling", "simulate_signalling", {"N": "16", "sigma": "0.1", "reps": "640"},
+             ["field 'N' must be an integer, got '16'", "field 'sigma' must be a number, got '0.1'",
+              "field 'reps' must be an integer, got '640'"]),
+            ("verify-bounds", "verify_bounds", {"table": [0.5, 0.5, 0.5, -0.5], "N": "2"},
+             ["field 'N' must be an integer, got '2'"]),
+        ],
+        ids=["booleans", "strings", "verify-bounds-string"],
+    )
+    def test_boolean_numbers_rejected(self, tmp_path, capsys, command, section, fields, expected):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"simulate_signalling": {"N": True, "sigma": False}}))
-        assert run(["simulate-signalling", "--config", str(cfg)]) == 2
+        cfg.write_text(json.dumps({section: fields}))
+        assert run([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "field 'N' must be an integer, got True" in err
-        assert "field 'sigma' must be a number, got False" in err
+        for line in expected:
+            assert line in err
 
     def test_missing_config_file(self, capsys):
         code = run(["simulate-signalling", "--config", "/nonexistent/path.json"])
@@ -508,8 +522,10 @@ class TestCouplings:
         [
             ("verify-bounds", "verify_bounds", "table", [True, True, True, False]),
             ("couplings", "couplings", "targets", [True, False]),
+            ("verify-bounds", "verify_bounds", "table", ["0.5", 0.5, 0.5, -0.5]),
+            ("couplings", "couplings", "targets", ["0.1", "-0.2"]),
         ],
-        ids=["table", "targets"],
+        ids=["table", "targets", "table-strings", "targets-strings"],
     )
     def test_boolean_correlations_rejected(self, tmp_path, capsys, command, section, field, values):
         cfg = tmp_path / "cfg.json"
@@ -517,7 +533,8 @@ class TestCouplings:
         assert run([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         for k, value in enumerate(values):
-            assert f"field {field!r}[{k}] must be a number, got {value!r}" in err
+            flagged = f"field {field!r}[{k}] must be a number, got {value!r}" in err
+            assert flagged is isinstance(value, (bool, str)), (k, value)
 
     def test_wrong_target_count(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -27,18 +27,14 @@ from nsbox.coupling import (
 from nsbox.macro import (
     BATCH_CSV_HEADER,
     CHUNK,
+    STRATEGY_STREAM,
     BatchArrays,
-    BatchConfig,
-    MacroObservation,
     NoiseModel,
     Strategy,
     a_distribution,
     batch_lattice,
-    empirical,
     mean_square_check,
-    parallelogram_check,
     parallelogram_residuals,
-    sample_batch,
     sample_batches,
     write_batches_csv,
     _chunk_uniforms,
@@ -47,22 +43,27 @@ from nsbox.macro import (
 PR_A, PR_AP = pr_limit_couplings()
 UNIFORM = extremal_coupling(0.0, 0.0, CouplingObjective.MIN_DISAGREE)
 NOISELESS = NoiseModel(0.0)
+COLUMNS = ("a_mean", "b_mean", "bp_mean", "noisy_b", "noisy_bp")
+
+
+def first_row(arrays: BatchArrays) -> tuple:
+    """Row 0 of the columns as (A, B, B', noisy B, noisy B')."""
+    return tuple(float(getattr(arrays, name)[0]) for name in COLUMNS)
+
+
+def first_batch(coupling, n_pairs, strategy, seed, noise=NOISELESS):
+    """Batch 0 of the strategy's stream."""
+    return first_row(
+        sample_batches(coupling, n_pairs, 1, noise, seed, stream=STRATEGY_STREAM[strategy])
+    )
 
 
 class TestSampling:
     def test_deterministic(self):
-        cfg = BatchConfig(n_pairs=12, alice_strategy=Strategy.ALWAYS_A, seed=2024)
         noise = NoiseModel(0.3)
-        first = sample_batch(PR_A, PR_AP, cfg, noise)
-        second = sample_batch(PR_A, PR_AP, cfg, noise)
+        first = first_batch(PR_A, 12, Strategy.ALWAYS_A, 2024, noise)
+        second = first_batch(PR_A, 12, Strategy.ALWAYS_A, 2024, noise)
         assert first == second
-
-    def test_single_batch_matches_bulk(self):
-        cfg = BatchConfig(n_pairs=9, alice_strategy=Strategy.ALWAYS_APRIME, seed=55)
-        noise = NoiseModel(0.2)
-        single = sample_batch(PR_A, PR_AP, cfg, noise)
-        bulk = sample_batches(PR_AP, 9, 3, noise, 55, stream=1)
-        assert single == bulk.observation(0)
 
     def test_offset_slices_agree_across_chunks(self):
         # batch index fully determines the draw, whatever range produced it
@@ -77,23 +78,20 @@ class TestSampling:
         assert not np.array_equal(a.a_mean, ap.a_mean)
 
     def test_pr_always_a_locks_all_three_means(self):
-        cfg = BatchConfig(n_pairs=20, alice_strategy=Strategy.ALWAYS_A, seed=7)
-        obs = sample_batch(PR_A, PR_AP, cfg, NOISELESS)
-        assert obs.b_mean == obs.a_mean
-        assert obs.bp_mean == obs.a_mean
-        assert obs.noisy_b == obs.b_mean
+        a, b, bp, noisy_b, _ = first_batch(PR_A, 20, Strategy.ALWAYS_A, 7)
+        assert b == a
+        assert bp == a
+        assert noisy_b == b
 
     def test_pr_always_aprime_anticorrelates(self):
-        cfg = BatchConfig(n_pairs=20, alice_strategy=Strategy.ALWAYS_APRIME, seed=7)
-        obs = sample_batch(PR_A, PR_AP, cfg, NOISELESS)
-        assert obs.b_mean == -obs.bp_mean
+        _, b, bp, _, _ = first_batch(PR_AP, 20, Strategy.ALWAYS_APRIME, 7)
+        assert b == -bp
 
     def test_single_pair_means_are_signs(self):
         for seed in range(10):
-            cfg = BatchConfig(n_pairs=1, alice_strategy=Strategy.ALWAYS_A, seed=seed)
-            obs = sample_batch(UNIFORM, UNIFORM, cfg, NOISELESS)
-            assert obs.a_mean in (-1.0, 1.0)
-            assert obs.b_mean in (-1.0, 1.0)
+            a, b, _, _, _ = first_batch(UNIFORM, 1, Strategy.ALWAYS_A, seed)
+            assert a in (-1.0, 1.0)
+            assert b in (-1.0, 1.0)
 
     def test_noise_leaves_pair_outcomes_alone(self):
         quiet = sample_batches(UNIFORM, 6, 50, NOISELESS, seed=3)
@@ -111,10 +109,10 @@ class TestSampling:
             assert float(value) in lattice
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BatchConfig(n_pairs=0, alice_strategy=Strategy.ALWAYS_A, seed=1)
-        with pytest.raises(ValueError):
-            BatchConfig(n_pairs=4, alice_strategy=Strategy.ALWAYS_A, seed=-1)
+        with pytest.raises(ValueError, match="n_pairs"):
+            sample_batches(UNIFORM, 0, 1, NOISELESS, seed=1)
+        with pytest.raises(ValueError, match="seed"):
+            sample_batches(UNIFORM, 4, 1, NOISELESS, seed=-1)
         with pytest.raises(ValueError):
             NoiseModel(-0.1)
         with pytest.raises(ValueError):
@@ -208,7 +206,7 @@ class TestDeterminismContract:
         arrays = sample_batches(
             GOLDEN_COUPLING, n_pairs, 1, NoiseModel(sigma), seed, stream=stream, start=index
         )
-        assert arrays.observation(0) == MacroObservation(*GOLDEN[point])
+        assert first_row(arrays) == GOLDEN[point]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -338,15 +336,15 @@ class TestADistribution:
 
 class TestParallelogram:
     def test_examples(self):
-        assert parallelogram_check(MacroObservation(0, 1.0, -1.0, 0, 0)) == 0.0
-        assert abs(parallelogram_check(MacroObservation(0, 0.3, 0.7, 0, 0))) <= 1e-12
+        assert parallelogram_residuals(np.array([1.0]), np.array([-1.0]))[0] == 0.0
+        assert abs(parallelogram_residuals(np.array([0.3]), np.array([0.7]))[0]) <= 1e-12
 
     @given(
         st.floats(min_value=-1, max_value=1, allow_nan=False),
         st.floats(min_value=-1, max_value=1, allow_nan=False),
     )
     def test_pointwise_identity(self, b, bp):
-        assert abs(parallelogram_check(MacroObservation(0.0, b, bp, 0.0, 0.0))) <= 1e-12
+        assert abs(parallelogram_residuals(np.array([b]), np.array([bp]))[0]) <= 1e-12
 
     def test_vectorized_form(self):
         rng = np.random.default_rng(0)
@@ -357,54 +355,36 @@ class TestParallelogram:
 class TestMeanSquare:
     def test_pr_coupling(self):
         arrays = sample_batches(PR_A, 10, 20000, NOISELESS, seed=100)
-        report = mean_square_check(arrays.observations(), 10)
+        report = mean_square_check(arrays, 10)
         assert abs(report.z_b2) <= 5
         assert abs(report.z_bp2) <= 5
 
     def test_uncorrelated_coupling(self):
         arrays = sample_batches(UNIFORM, 10, 20000, NOISELESS, seed=101)
-        report = mean_square_check(arrays.observations(), 10)
+        report = mean_square_check(arrays, 10)
         assert abs(report.z_b2) <= 5
 
     def test_single_pair_is_exact(self):
         arrays = sample_batches(UNIFORM, 1, 200, NOISELESS, seed=5)
-        report = mean_square_check(arrays.observations(), 1)
+        report = mean_square_check(arrays, 1)
         assert report.estimate_b2 == 1.0
         assert report.z_b2 == 0.0
 
     def test_too_few_samples(self):
         arrays = sample_batches(UNIFORM, 4, 99, NOISELESS, seed=5)
         with pytest.raises(ValueError):
-            mean_square_check(arrays.observations(), 4)
+            mean_square_check(arrays, 4)
 
 
 class TestEmpirical:
-    def test_two_points(self):
-        dist = empirical([1.0, -1.0])
-        assert dist.mean == 0.0
-        assert dist.variance == 2.0
-        assert dist.count == 2
-
-    def test_single_sample_flagged(self):
-        dist = empirical([0.5])
-        assert dist.mean == 0.5
-        assert dist.count == 1
-        assert not dist.variance_defined
-        assert math.isnan(dist.variance)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical([])
-
     def test_pr_sum_variance_matches_binomial(self):
         # under the C=1 coupling B + B' = 2A, so Var = 4/N
         arrays = sample_batches(PR_A, 25, 100_000, NOISELESS, seed=77)
         total = arrays.b_mean + arrays.bp_mean
-        dist = empirical(total.tolist())
         m2 = np.mean((total - total.mean()) ** 2)
         m4 = np.mean((total - total.mean()) ** 4)
         se = math.sqrt((m4 - m2**2) / len(total))
-        assert abs(dist.variance - 4 / 25) <= 5 * se
+        assert abs(np.var(total, ddof=1) - 4 / 25) <= 5 * se
 
     def test_pr_anticorrelated_sum_vanishes(self):
         # under a' the C=1 coupling forces b = -b', so B + B' is identically 0

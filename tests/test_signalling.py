@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from dataclasses import replace
 from math import comb
 from pathlib import Path
@@ -24,7 +25,7 @@ from nsbox.coupling import (
     make_scalar_extremal_couplings,
     pr_limit_couplings,
 )
-from nsbox.macro import MacroObservation, NoiseModel, Strategy, sample_batches
+from nsbox.macro import NoiseModel, Strategy, sample_batches
 from nsbox.signalling import (
     Detector,
     ProtocolConfig,
@@ -36,12 +37,12 @@ from nsbox.signalling import (
     advantage_ceiling,
     batch_law,
     couplings_for_table,
-    detector_covariance_sign,
-    detector_postselect,
+    covariance_guess_a,
     draw_arms,
     exact_tv_distance,
     make_likelihood_detector,
     optimal_advantage,
+    postselect_guess_a,
     resource_sweep,
     run_protocol,
     score_arms,
@@ -54,8 +55,15 @@ PR_A, PR_AP = pr_limit_couplings()
 NOISELESS = NoiseModel(0.0)
 
 
-def obs(b, bp):
-    return MacroObservation(a_mean=0.0, b_mean=b, bp_mean=bp, noisy_b=b, noisy_bp=bp)
+def group(*pairs):
+    """One group of (noisy B, noisy B') pairs as the (1, g) rows u, v."""
+    u, v = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return u[None, :], v[None, :]
+
+
+def whole(arrays):
+    """Every batch of a draw as one group: (1, g) rows of noisy B and B'."""
+    return arrays.noisy_b[None, :], arrays.noisy_bp[None, :]
 
 
 class TestBatchLaw:
@@ -282,54 +290,40 @@ class TestAdvantageHelpers:
 class TestDetectors:
     def test_covariance_sign_noiseless_groups(self):
         arrays = sample_batches(PR_A, 10, 64, NOISELESS, seed=4, stream=0)
-        assert detector_covariance_sign(arrays.observations()) is Strategy.ALWAYS_A
+        assert covariance_guess_a(*whole(arrays)).tolist() == [True]
         arrays = sample_batches(PR_AP, 10, 64, NOISELESS, seed=4, stream=1)
-        assert detector_covariance_sign(arrays.observations()) is Strategy.ALWAYS_APRIME
+        assert covariance_guess_a(*whole(arrays)).tolist() == [False]
 
     def test_covariance_tie_break(self):
-        group = [obs(0.5, 0.5), obs(0.5, 0.5), obs(0.5, 0.5)]
-        assert detector_covariance_sign(group) is Strategy.ALWAYS_A
+        # a zero covariance (degenerate group) guesses a
+        assert covariance_guess_a(*group((0.5, 0.5), (0.5, 0.5), (0.5, 0.5))).tolist() == [True]
 
     def test_covariance_near_tie_follows_np_cov(self):
         # the exact covariance is 0; np.cov rounds it to a tiny negative,
-        # while a plain dot product of the centred rows gives 0 (ALWAYS_A)
+        # while a plain dot product of the centred rows gives 0 (guess a)
         u = np.array([-3, -1, -2, -1, 0, -2, 0, 1, 2, -2, -2, -1, -3, 1, -2, -1]) / 3
         v = np.array([0] * 15 + [-1]) / 3
         assert np.cov(u, v)[0, 1] < 0
-        group = [obs(b, bp) for b, bp in zip(u, v)]
-        assert detector_covariance_sign(group) is Strategy.ALWAYS_APRIME
-
-    def test_covariance_of_int_observations(self):
-        # int fields are read as floats, as np.cov reads them
-        assert detector_covariance_sign([obs(1, 1), obs(-1, -1)]) is Strategy.ALWAYS_A
-        assert detector_covariance_sign([obs(1, -1), obs(-1, 1)]) is Strategy.ALWAYS_APRIME
-
-    def test_covariance_needs_two(self):
-        with pytest.raises(ValueError):
-            detector_covariance_sign([obs(1, 1)])
+        assert covariance_guess_a(u[None, :], v[None, :]).tolist() == [False]
 
     def test_postselect_keeps_extremes_only(self):
-        group = [obs(1.0, 1.0), obs(0.5, 1.0), obs(-1.0, -1.0), obs(1.0, -1.0)]
-        guess, n_surviving = detector_postselect(group, threshold=1.0)
-        assert n_surviving == 3
-        assert guess is Strategy.ALWAYS_A  # 2 of 3 survivors agree in sign
+        u, v = group((1.0, 1.0), (0.5, 1.0), (-1.0, -1.0), (1.0, -1.0))
+        guess_a, survivors = postselect_guess_a(u, v, threshold=1.0)
+        assert survivors.tolist() == [3]
+        assert guess_a.tolist() == [True]  # 2 of 3 survivors agree in sign
 
     def test_postselect_empty(self):
-        guess, n_surviving = detector_postselect([obs(0.1, 0.1)], threshold=0.9)
-        assert guess is None
-        assert n_surviving == 0
-
-    def test_postselect_bad_threshold(self):
-        with pytest.raises(ValueError):
-            detector_postselect([obs(1, 1)], threshold=0.0)
+        _, survivors = postselect_guess_a(*group((0.1, 0.1)), threshold=0.9)
+        assert survivors.tolist() == [0]
 
     def test_pr_survivors_always_agree(self):
         arrays = sample_batches(PR_A, 10, 2000, NOISELESS, seed=6, stream=0)
-        survivors = [
-            o for o in arrays.observations() if abs(o.noisy_b) >= 1 and abs(o.noisy_bp) >= 1
-        ]
-        assert survivors, "with 2000 batches some |B| = 1 batches exist"
-        assert all(o.noisy_b == o.noisy_bp for o in survivors)
+        keep = (np.abs(arrays.noisy_b) >= 1) & (np.abs(arrays.noisy_bp) >= 1)
+        assert keep.any(), "with 2000 batches some |B| = 1 batches exist"
+        np.testing.assert_array_equal(arrays.noisy_b[keep], arrays.noisy_bp[keep])
+        guess_a, survivors = postselect_guess_a(*whole(arrays), threshold=1.0)
+        assert survivors.tolist() == [np.count_nonzero(keep)]
+        assert guess_a.tolist() == [True]
 
     def test_noisy_survivor_count_matches_gaussian_tail(self):
         # oracle: P(survive) = sum_v P(A=v) * s(v)^2 with
@@ -348,28 +342,28 @@ class TestDetectors:
             comb(n, k) / 2**n * tail((2 * k - n) / n) ** 2 for k in range(n + 1)
         )
         arrays = sample_batches(PR_A, n, count, NoiseModel(sigma), seed=60, stream=0)
-        _, observed = detector_postselect(arrays.observations(), threshold)
+        _, survivors = postselect_guess_a(*whole(arrays), threshold)
         se = math.sqrt(count * p_surv * (1 - p_surv))
-        assert abs(observed - count * p_surv) <= 5 * se
+        assert abs(int(survivors[0]) - count * p_surv) <= 5 * se
 
     def test_likelihood_detector_noiseless(self):
-        guess = make_likelihood_detector(PR_A, PR_AP, 8, NOISELESS)
+        guess_a = make_likelihood_detector(PR_A, PR_AP, 8, NOISELESS)
         arrays = sample_batches(PR_A, 8, 16, NOISELESS, seed=2, stream=0)
-        assert guess(arrays.observations()) is Strategy.ALWAYS_A
+        assert guess_a(*whole(arrays)).tolist() == [True]
         arrays = sample_batches(PR_AP, 8, 16, NOISELESS, seed=2, stream=1)
-        assert guess(arrays.observations()) is Strategy.ALWAYS_APRIME
+        assert guess_a(*whole(arrays)).tolist() == [False]
 
     def test_likelihood_detector_noisy(self):
         noise = NoiseModel(0.1)
-        guess = make_likelihood_detector(PR_A, PR_AP, 8, noise)
+        guess_a = make_likelihood_detector(PR_A, PR_AP, 8, noise)
         arrays = sample_batches(PR_A, 8, 64, noise, seed=2, stream=0)
-        assert guess(arrays.observations()) is Strategy.ALWAYS_A
+        assert guess_a(*whole(arrays)).tolist() == [True]
 
     @pytest.mark.parametrize("sigma", [0.0, 0.1])
     def test_likelihood_detector_empty_group_ties(self, sigma):
-        # both log-likelihoods are the empty sum 0.0; the tie reads as ALWAYS_A
-        guess = make_likelihood_detector(PR_A, PR_AP, 8, NoiseModel(sigma))
-        assert guess([]) is Strategy.ALWAYS_A
+        # both log-likelihoods are the empty sum 0.0; the tie guesses a
+        guess_a = make_likelihood_detector(PR_A, PR_AP, 8, NoiseModel(sigma))
+        assert guess_a(np.empty((1, 0)), np.empty((1, 0))).tolist() == [True]
 
 
 class TestRunProtocol:
@@ -473,6 +467,8 @@ class TestRunProtocol:
             ProtocolConfig(n_pairs=8, repetitions=0, noise=NOISELESS)
         with pytest.raises(ValueError):
             ProtocolConfig(n_pairs=8, repetitions=16, noise=NOISELESS, postselect_threshold=1.5)
+        with pytest.raises(ValueError):
+            ProtocolConfig(n_pairs=8, repetitions=16, noise=NOISELESS, postselect_threshold=0.0)
         with pytest.raises(ValueError):
             ProtocolConfig(
                 n_pairs=16, repetitions=64, noise=NOISELESS, detector=Detector.LIKELIHOOD
@@ -662,6 +658,10 @@ class TestResourceSweep:
 # ---------------------------------------------------------------------------
 
 
+#: One batch of a group as the per-group reference detectors read it.
+Row = namedtuple("Row", "noisy_b noisy_bp")
+
+
 def reference_covariance_sign(observations):
     u = np.array([o.noisy_b for o in observations])
     v = np.array([o.noisy_bp for o in observations])
@@ -716,7 +716,10 @@ def reference_group_guesses(arrays, cfg, guess_fn, collect_survivors):
     survivors_total = 0
     for g in range(cfg.repetitions // cfg.group_size):
         lo, hi = g * cfg.group_size, (g + 1) * cfg.group_size
-        observations = [arrays.observation(r) for r in range(lo, hi)]
+        observations = [
+            Row(*pair)
+            for pair in zip(arrays.noisy_b[lo:hi].tolist(), arrays.noisy_bp[lo:hi].tolist())
+        ]
         if collect_survivors:
             guess, n_surv = guess_fn(observations)
             survivors_total += n_surv
@@ -727,7 +730,7 @@ def reference_group_guesses(arrays, cfg, guess_fn, collect_survivors):
 
 
 def reference_score_arms(k_a, k_ap, arms, cfg):
-    """The original scorer: one MacroObservation per batch, one detector
+    """The original scorer: one `Row` per batch, one detector
     call (and one `np.cov`) per group.  `score_arms` must match it exactly."""
     if cfg.detector is Detector.COVARIANCE_SIGN:
         guess_fn, collect = reference_covariance_sign, False
