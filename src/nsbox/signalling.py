@@ -239,9 +239,12 @@ def covariance_guess_a(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     The steps are those of `np.cov`: centre by the row mean, then one
     matrix-times-transpose product (the BLAS syrk that `np.cov` reaches),
-    so every sign, ties included, is the one `np.cov` gives.
+    so every sign, ties included, is the one `np.cov` gives.  Integer
+    rows are read as floats, as `np.cov` reads them.
     """
-    x = np.stack([u, v], axis=1)  # (G, 2, g)
+    if u.shape[1] < 2:
+        raise ValueError("covariance needs at least 2 batches per group")
+    x = np.stack([u, v], axis=1).astype(float, copy=False)  # (G, 2, g)
     x -= x.mean(axis=2, keepdims=True)
     return (x @ x.transpose(0, 2, 1))[:, 0, 1] * (1.0 / (u.shape[1] - 1)) >= 0.0
 
@@ -253,6 +256,8 @@ def postselect_guess_a(
     threshold; a sign-agreement majority among survivors (ties included)
     guesses a.  Returns (guess a, survivors); a row without survivors
     makes no guess."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
     keep = (np.abs(u) >= threshold) & (np.abs(v) >= threshold)
     survivors = keep.sum(axis=1)
     agree = (keep & ((u >= 0) == (v >= 0))).sum(axis=1)

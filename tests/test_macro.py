@@ -65,6 +65,12 @@ class TestSampling:
         second = first_batch(PR_A, 12, Strategy.ALWAYS_A, 2024, noise)
         assert first == second
 
+    def test_single_batch_matches_bulk(self):
+        noise = NoiseModel(0.2)
+        single = first_batch(PR_AP, 9, Strategy.ALWAYS_APRIME, 55, noise)
+        bulk = sample_batches(PR_AP, 9, 3, noise, 55, stream=1)
+        assert single == first_row(bulk)
+
     def test_offset_slices_agree_across_chunks(self):
         # batch index fully determines the draw, whatever range produced it
         full = sample_batches(UNIFORM, 5, 4200, NoiseModel(0.1), seed=9)

@@ -306,6 +306,15 @@ class TestDetectors:
         assert np.cov(u, v)[0, 1] < 0
         assert covariance_guess_a(u[None, :], v[None, :]).tolist() == [False]
 
+    def test_covariance_of_int_observations(self):
+        # int rows are read as floats, as np.cov reads them
+        assert covariance_guess_a(np.array([[1, -1]]), np.array([[1, -1]])).tolist() == [True]
+        assert covariance_guess_a(np.array([[1, -1]]), np.array([[-1, 1]])).tolist() == [False]
+
+    def test_covariance_needs_two(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            covariance_guess_a(*group((1.0, 1.0)))
+
     def test_postselect_keeps_extremes_only(self):
         u, v = group((1.0, 1.0), (0.5, 1.0), (-1.0, -1.0), (1.0, -1.0))
         guess_a, survivors = postselect_guess_a(u, v, threshold=1.0)
@@ -315,6 +324,11 @@ class TestDetectors:
     def test_postselect_empty(self):
         _, survivors = postselect_guess_a(*group((0.1, 0.1)), threshold=0.9)
         assert survivors.tolist() == [0]
+
+    def test_postselect_bad_threshold(self):
+        for threshold in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="threshold"):
+                postselect_guess_a(*group((1.0, 1.0)), threshold=threshold)
 
     def test_pr_survivors_always_agree(self):
         arrays = sample_batches(PR_A, 10, 2000, NOISELESS, seed=6, stream=0)
