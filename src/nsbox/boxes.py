@@ -191,8 +191,6 @@ def _require_parties(x: Setting, y: Setting) -> None:
 # Constructors
 # ---------------------------------------------------------------------------
 
-_SIGN_PATTERN = np.array([[1.0, 1.0], [1.0, -1.0]])  # +1 except the (a', b') pair
-
 # ij products on the outcome axes: +1 on agreeing cells, -1 otherwise
 _IJ = np.array([[1.0, -1.0], [-1.0, 1.0]])
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import CorrelationTable, chsh
+from .boxes import CorrelationTable, chsh, chsh_variants
 from .coupling import Combination, TripleCoupling, per_pair_variance
 
 CAUSALITY_TOL = 1e-12
@@ -56,8 +56,8 @@ class VarianceBudget:
     def residual(self) -> float:
         return self.total - (self.delta_a_sum_sq + self.delta_ap_diff_sq)
 
-    def within(self, tol: float = BUDGET_TOL) -> bool:
-        return self.residual >= -tol
+    def within(self) -> bool:
+        return self.residual >= -BUDGET_TOL
 
 
 @dataclass(frozen=True)
@@ -101,26 +101,37 @@ class FrontierReport:
 # Bounds and conditions
 # ---------------------------------------------------------------------------
 
-def variance_lower_bound_a(table: CorrelationTable, n_pairs: int) -> float:
-    """Lower bound [C(a,b) + C(a,b')] / sqrt(N) on the B+B' spread under a.
+def _binding_terms(table: CorrelationTable) -> tuple[float, float]:
+    """(|x|, |y|) of the causality terms under the binding labelling.
 
-    Callers arrange signs so the sum is nonnegative (see flip_bob_labels).
+    Relabelling outcomes or settings only swaps or negates the terms of
+    x, y = C(a,b)+C(a,b'), C(a',b)-C(a',b') or of the pair with b' negated,
+    C(a,b)-C(a,b'), C(a',b)+C(a',b'); the larger x^2 + y^2 binds (the first
+    on a tie).
     """
+    x, y = table.c_ab + table.c_abp, table.c_apb - table.c_apbp
+    u, v = table.c_ab - table.c_abp, table.c_apb + table.c_apbp
+    if u * u + v * v > x * x + y * y:
+        x, y = u, v
+    return abs(x), abs(y)
+
+
+def variance_lower_bound_a(table: CorrelationTable, n_pairs: int) -> float:
+    """Lower bound |C(a,b) + C(a,b')| / sqrt(N) on the B+B' spread under a."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
-    return (table.c_ab + table.c_abp) / math.sqrt(n_pairs)
+    return _binding_terms(table)[0] / math.sqrt(n_pairs)
 
 
 def variance_lower_bound_ap(table: CorrelationTable, n_pairs: int) -> float:
-    """Lower bound [C(a',b) - C(a',b')] / sqrt(N) on the B-B' spread under a'."""
+    """Lower bound |C(a',b) - C(a',b')| / sqrt(N) on the B-B' spread under a'."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
-    return (table.c_apb - table.c_apbp) / math.sqrt(n_pairs)
+    return _binding_terms(table)[1] / math.sqrt(n_pairs)
 
 
 def causality_lhs(table: CorrelationTable) -> float:
-    x = table.c_ab + table.c_abp
-    y = table.c_apb - table.c_apbp
+    x, y = _binding_terms(table)
     return x * x + y * y
 
 
@@ -131,40 +142,8 @@ def causality_condition(table: CorrelationTable) -> CausalityCheck:
 
 
 def tsirelson_check(table: CorrelationTable) -> bool:
-    """|CHSH| within 2 sqrt(2); implied whenever the causality condition holds."""
-    value = abs(chsh(table))
-    ok = value <= TSIRELSON_BOUND + CAUSALITY_TOL
-    if causality_condition(table).ok and not ok:
-        # |x+y| <= sqrt(2(x^2+y^2)) makes this unreachable
-        raise AssertionError(f"causality holds but |CHSH| = {value} exceeds the bound")
-    return ok
-
-
-def flip_bob_labels(table: CorrelationTable) -> CorrelationTable:
-    """Interchange b and b' so both causality terms can share a sign.
-
-    The swap negates C(a',b) - C(a',b') while leaving C(a,b) + C(a,b')
-    alone, so the causality left side is unchanged.
-    """
-    return CorrelationTable(
-        c_ab=table.c_abp, c_abp=table.c_ab, c_apb=table.c_apbp, c_apbp=table.c_apb
-    )
-
-
-def orient_for_bounds(table: CorrelationTable) -> CorrelationTable:
-    """Relabel Bob's side so both lower-bound numerators are nonnegative.
-
-    Swapping b and b' negates the difference term only; negating Bob's
-    outcomes negates both terms.  Neither touches the causality left side.
-    """
-    x = table.c_ab + table.c_abp
-    y = table.c_apb - table.c_apbp
-    if (x < 0 < y) or (y < 0 < x):  # sign test, not x*y: the product can underflow
-        table = flip_bob_labels(table)
-        y = -y
-    if x < 0 or y < 0:
-        table = CorrelationTable(*(-v for v in table.as_tuple()))
-    return table
+    """Every |CHSH| within 2 sqrt(2); implied whenever the causality condition holds."""
+    return max(map(abs, chsh_variants(table))) <= TSIRELSON_BOUND + CAUSALITY_TOL
 
 
 def critical_c_scalar() -> float:
@@ -177,25 +156,9 @@ def critical_c_scalar() -> float:
 
 
 def vector_addition_model(table: CorrelationTable) -> VectorAdditionModel:
-    """Composite observables meeting both binomial bounds with equality.
-
-    Requires the causality terms to be nonnegative; use flip_bob_labels (or
-    orient_for_bounds) first when they disagree in sign.
-    """
-    x = table.c_ab + table.c_abp
-    y = table.c_apb - table.c_apbp
-    if x < 0 or y < 0:
-        raise ValueError(
-            "causality terms must be nonnegative; apply flip_bob_labels first "
-            f"(got {x} and {y})"
-        )
-    model = VectorAdditionModel(c_values=(x, -x), cp_values=(y, -y))
-    # equality check against the binomial bounds (any N; use N = 1)
-    if not math.isclose(model.implied_delta_a_sum(1), variance_lower_bound_a(table, 1), abs_tol=1e-12):
-        raise AssertionError("vector model fails the B+B' equality case")
-    if not math.isclose(model.implied_delta_ap_diff(1), variance_lower_bound_ap(table, 1), abs_tol=1e-12):
-        raise AssertionError("vector model fails the B-B' equality case")
-    return model
+    """Composite observables meeting both binomial bounds with equality."""
+    x, y = _binding_terms(table)
+    return VectorAdditionModel(c_values=(x, -x), cp_values=(y, -y))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +229,13 @@ def _best_y(x, rhs: float):
     return np.minimum(2.0, np.sqrt(np.maximum(rhs - x * x, 0.0)))
 
 
+def _check_frontier_args(resolution: int, rhs: float) -> None:
+    if resolution < 10:
+        raise ValueError(f"resolution must be at least 10, got {resolution}")
+    if rhs <= 0:
+        raise ValueError("rhs must be positive")
+
+
 def frontier_grid(
     resolution: int, symmetric: bool = False, rhs: float = 4.0
 ) -> dict[str, np.ndarray]:
@@ -276,10 +246,7 @@ def frontier_grid(
     C over [0, 1] for tables (C, C, C, -C), their CHSH 4C, the causality
     left side 8C^2 and whether it is at most rhs.
     """
-    if resolution < 10:
-        raise ValueError(f"resolution must be at least 10, got {resolution}")
-    if rhs <= 0:
-        raise ValueError("rhs must be positive")
+    _check_frontier_args(resolution, rhs)
     if symmetric:
         c = np.linspace(0.0, 1.0, resolution)
         lhs = 8.0 * c * c
@@ -299,20 +266,13 @@ def frontier_scan(
     y = C(a',b)-C(a',b'), then refines by golden section; symmetric mode
     restricts to tables (C, C, C, -C) and reports the largest feasible C.
     """
-    grid = frontier_grid(resolution, symmetric, rhs)
     if symmetric:
-        # feasibility: 8 C^2 <= rhs, C in [0, 1]; refine the boundary by bisection
-        limit = min(1.0, math.sqrt(rhs / 8.0))
-        feasible = grid["C"][grid["feasible"]]
-        lo = float(feasible.max()) if feasible.size else 0.0
-        hi = min(1.0, lo + (1.0 / (resolution - 1)))
-        for _ in range(100):
-            mid = (lo + hi) / 2.0
-            if 8.0 * mid**2 <= rhs:
-                lo = mid
-            else:
-                hi = mid
-        critical = min(lo, limit)
+        _check_frontier_args(resolution, rhs)
+        # largest C in [0, 1] with 8 C^2 <= rhs: the rounded root, or one ulp
+        # below; C**2 is the bisection oracle's predicate (C * C can differ by an ulp)
+        critical = min(1.0, math.sqrt(rhs / 8.0))
+        if 8.0 * critical**2 > rhs:
+            critical = math.nextafter(critical, 0.0)
         table = CorrelationTable(critical, critical, critical, -critical)
         return FrontierReport(
             max_chsh=chsh(table),
@@ -323,6 +283,7 @@ def frontier_scan(
             critical_c=critical,
         )
 
+    grid = frontier_grid(resolution, False, rhs)
     k = int(np.argmax(grid["chsh"]))
     lo = grid["x"][max(0, k - 1)]
     hi = grid["x"][min(resolution - 1, k + 1)]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -26,12 +27,10 @@ from pathlib import Path
 
 from .boxes import CorrelationTable, chsh
 from .causality import (
-    FrontierReport,
     budget_from_table,
     causality_condition,
     frontier_grid,
     frontier_scan,
-    orient_for_bounds,
     tsirelson_check,
     variance_lower_bound_a,
     variance_lower_bound_ap,
@@ -121,7 +120,7 @@ class Validator:
                 integer and isinstance(raw, float) and raw != int(raw)
             ):
                 raise ValueError
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             kind = "an integer" if integer else "a number"
             self.errors.append(f"field {name!r} must be {kind}, got {raw!r}")
             return None
@@ -246,32 +245,6 @@ def _write_sweep_csv(path: str, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Frontier report serialization (round-trips with FrontierReport)
-# ---------------------------------------------------------------------------
-
-def frontier_report_to_json(report: FrontierReport) -> dict:
-    return {
-        "max_chsh": report.max_chsh,
-        "argmax_table": report.argmax_table.as_dict(),
-        "mode": report.mode,
-        "rhs": report.rhs,
-        "resolution": report.resolution,
-        "critical_c": report.critical_c,
-    }
-
-
-def frontier_report_from_json(data: dict) -> FrontierReport:
-    return FrontierReport(
-        max_chsh=float(data["max_chsh"]),
-        argmax_table=CorrelationTable(**data["argmax_table"]),
-        mode=str(data["mode"]),
-        rhs=float(data["rhs"]),
-        resolution=int(data["resolution"]),
-        critical_c=None if data.get("critical_c") is None else float(data["critical_c"]),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
@@ -357,8 +330,7 @@ def cmd_verify_bounds(args) -> int:
 
     check = causality_condition(table)
     tsirelson_ok = tsirelson_check(table)
-    oriented = orient_for_bounds(table)
-    budget = budget_from_table(oriented, n_pairs)
+    budget = budget_from_table(table, n_pairs)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify-bounds",
@@ -367,8 +339,8 @@ def cmd_verify_bounds(args) -> int:
         "causality_lhs": check.lhs,
         "causality_ok": check.ok,
         "tsirelson_ok": tsirelson_ok,
-        "lower_bound_a": variance_lower_bound_a(oriented, n_pairs),
-        "lower_bound_ap": variance_lower_bound_ap(oriented, n_pairs),
+        "lower_bound_a": variance_lower_bound_a(table, n_pairs),
+        "lower_bound_ap": variance_lower_bound_ap(table, n_pairs),
         "budget_total": budget.total,
     }
 
@@ -376,14 +348,13 @@ def cmd_verify_bounds(args) -> int:
     failures = []
     if check.ok and not tsirelson_ok:
         failures.append("causality holds but the CHSH bound fails")
-    flipped_lhs = causality_condition(orient_for_bounds(table)).lhs
+    flipped = CorrelationTable(table.c_ab, -table.c_abp, table.c_apb, -table.c_apbp)
+    flipped_lhs = causality_condition(flipped).lhs
     if not math.isclose(flipped_lhs, check.lhs, rel_tol=1e-12, abs_tol=1e-12):
         failures.append("causality left side changed under relabeling")
-    model = vector_addition_model(oriented)
+    model = vector_addition_model(table)
     if not math.isclose(
-        model.implied_delta_a_sum(n_pairs),
-        variance_lower_bound_a(oriented, n_pairs),
-        abs_tol=1e-12,
+        model.implied_delta_a_sum(n_pairs), payload["lower_bound_a"], abs_tol=1e-12
     ):
         failures.append("vector model misses the B+B' equality case")
     payload["identities_ok"] = not failures
@@ -424,7 +395,7 @@ def cmd_scan_frontier(args) -> int:
     summary = {
         "schema_version": SCHEMA_VERSION,
         "command": "scan-frontier",
-        **frontier_report_to_json(report),
+        **dataclasses.asdict(report),
     }
     if out and fmt == "json":
         _write_json(out, summary)

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsbox.boxes import CorrelationTable, chsh
+from nsbox.boxes import CorrelationTable, chsh, chsh_variants
 from nsbox.causality import (
     TSIRELSON_BOUND,
     budget_from_couplings,
@@ -13,10 +13,8 @@ from nsbox.causality import (
     budget_identity_residual,
     causality_condition,
     critical_c_scalar,
-    flip_bob_labels,
     frontier_grid,
     frontier_scan,
-    orient_for_bounds,
     tsirelson_check,
     variance_lower_bound_a,
     variance_lower_bound_ap,
@@ -44,6 +42,43 @@ def corr_values():
 
 def tables():
     return st.builds(CorrelationTable, corr_values(), corr_values(), corr_values(), corr_values())
+
+
+def onto_frontier(table):
+    """The table scaled down onto the causality frontier when it lies outside."""
+    lhs = causality_condition(table).lhs
+    if lhs <= 4.0:
+        return table
+    return CorrelationTable(*(v * 2.0 / math.sqrt(lhs) for v in table.as_tuple()))
+
+
+def frontier_tables():
+    return st.one_of(tables(), tables().map(onto_frontier))
+
+
+# the relabelling group acts on (C(a,b), C(a,b'), C(a',b), C(a',b'))
+RELABELLINGS = (
+    lambda t: (t[2], t[3], t[0], t[1]),  # a <-> a'
+    lambda t: (t[1], t[0], t[3], t[2]),  # b <-> b'
+    lambda t: (-t[0], -t[1], t[2], t[3]),  # a's outcomes negated
+    lambda t: (t[0], t[1], -t[2], -t[3]),  # a''s outcomes negated
+    lambda t: (-t[0], t[1], -t[2], t[3]),  # b's outcomes negated
+    lambda t: (t[0], -t[1], t[2], -t[3]),  # b''s outcomes negated
+)
+
+
+def relabelled(table):
+    """Every table the relabelling group reaches from `table`."""
+    orbit = {table.as_tuple()}
+    pending = list(orbit)
+    while pending:
+        t = pending.pop()
+        for move in RELABELLINGS:
+            image = move(t)
+            if image not in orbit:
+                orbit.add(image)
+                pending.append(image)
+    return [CorrelationTable(*t) for t in orbit]
 
 
 class TestLowerBounds:
@@ -98,6 +133,12 @@ class TestTsirelson:
         if causality_condition(table).ok:
             assert tsirelson_check(table)
 
+    @given(frontier_tables())
+    def test_causality_bounds_every_chsh_variant(self, table):
+        for t in relabelled(table):
+            if causality_condition(t).ok:
+                assert max(map(abs, chsh_variants(t))) <= TSIRELSON_BOUND + 1e-12
+
     def test_witness_tsirelson_without_causality(self):
         witness = CorrelationTable(1.0, 1.0, 0.2, -0.2)
         assert tsirelson_check(witness)
@@ -116,40 +157,30 @@ class TestTsirelson:
         assert np.any(within & ~causal)
 
 
-class TestFlip:
-    def test_pr_flip(self):
-        assert flip_bob_labels(PR_TABLE).as_tuple() == (1, 1, -1, 1)
+class TestLabelling:
+    @given(tables())
+    def test_lhs_bit_identical_under_relabelling(self, table):
+        lhs = causality_condition(table).lhs
+        assert {causality_condition(t).lhs for t in relabelled(table)} == {lhs}
 
-    def test_symmetric_family(self):
-        flipped = flip_bob_labels(CorrelationTable(0.4, 0.4, 0.4, -0.4))
-        assert flipped.as_tuple() == (0.4, 0.4, -0.4, 0.4)
+    def test_relabelled_pr_boxes_fail(self):
+        boxes = relabelled(PR_TABLE)
+        assert len(boxes) == 8 and CorrelationTable(1, -1, 1, 1) in boxes
+        for table in boxes:
+            check = causality_condition(table)
+            assert not check.ok
+            assert check.lhs == 8.0
+            assert not tsirelson_check(table)
 
     @given(tables())
-    def test_involution(self, table):
-        assert flip_bob_labels(flip_bob_labels(table)) == table
-
-    @given(tables())
-    def test_lhs_invariant_under_flip(self, table):
-        before = causality_condition(table).lhs
-        after = causality_condition(flip_bob_labels(table)).lhs
-        assert after == pytest.approx(before, rel=1e-12, abs=1e-12)
-
-    @given(tables())
-    def test_lhs_invariant_under_global_negation(self, table):
-        negated = CorrelationTable(*(-v for v in table.as_tuple()))
-        assert causality_condition(negated).lhs == pytest.approx(
-            causality_condition(table).lhs, rel=1e-12, abs=1e-12
+    def test_bounds_are_magnitudes(self, table):
+        for n in (1, 7):
+            assert variance_lower_bound_a(table, n) >= 0
+            assert variance_lower_bound_ap(table, n) >= 0
+        budget = budget_from_table(table, 1)
+        assert budget.delta_a_sum_sq + budget.delta_ap_diff_sq == pytest.approx(
+            causality_condition(table).lhs, rel=1e-15, abs=1e-300
         )
-
-    @given(tables())
-    def test_orientation_makes_terms_nonnegative(self, table):
-        oriented = orient_for_bounds(table)
-        assert oriented.c_ab + oriented.c_abp >= 0
-        assert oriented.c_apb - oriented.c_apbp >= 0
-        assert causality_condition(oriented).lhs == pytest.approx(
-            causality_condition(table).lhs, rel=1e-12, abs=1e-12
-        )
-        vector_addition_model(oriented)  # always constructible once oriented
 
 
 class TestScalarCritical:
@@ -189,10 +220,12 @@ class TestVectorModel:
                 variance_lower_bound_ap(table, n), abs=1e-12
             )
 
-    def test_misoriented_rejected(self):
-        with pytest.raises(ValueError):
-            vector_addition_model(CorrelationTable(1.0, 1.0, -1.0, 1.0))
-        vector_addition_model(orient_for_bounds(CorrelationTable(1.0, 1.0, -1.0, 1.0)))
+    def test_misoriented_accepted(self):
+        model = vector_addition_model(CorrelationTable(1.0, 1.0, -1.0, 1.0))
+        assert model.c_values == (2.0, -2.0)
+        assert model.cp_values == (2.0, -2.0)
+        negated = vector_addition_model(CorrelationTable(-0.6, -0.3, -0.8, 0.1))
+        assert negated == vector_addition_model(CorrelationTable(0.6, 0.3, 0.8, -0.1))
 
     def test_scalar_values_force_local_correlations(self):
         # if c and c' are confined to {0, +/-2}, the causality disc admits
@@ -271,6 +304,45 @@ class TestFrontier:
             frontier_scan(5)
         with pytest.raises(ValueError):
             frontier_grid(5)
+
+
+def reference_critical_c(resolution, rhs):
+    """The symmetric scan's former answer: the largest feasible grid C, then bisection."""
+    c = np.linspace(0.0, 1.0, resolution)
+    feasible = c[8.0 * c * c <= rhs]
+    lo = float(feasible.max()) if feasible.size else 0.0
+    hi = min(1.0, lo + (1.0 / (resolution - 1)))
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        if 8.0 * mid**2 <= rhs:
+            lo = mid
+        else:
+            hi = mid
+    return min(lo, min(1.0, math.sqrt(rhs / 8.0)))
+
+
+class TestSymmetricClosedForm:
+    @given(
+        st.floats(min_value=1e-12, max_value=1e3),
+        st.integers(min_value=10, max_value=200_000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisection(self, rhs, resolution):
+        report = frontier_scan(resolution, symmetric=True, rhs=rhs)
+        assert report.critical_c == reference_critical_c(resolution, rhs)
+        assert report.argmax_table.as_tuple() == (report.critical_c,) * 3 + (-report.critical_c,)
+
+    @pytest.mark.parametrize("rhs", [4.0, 8.0, 1e3, 1e-12])
+    def test_edges(self, rhs):
+        report = frontier_scan(11, symmetric=True, rhs=rhs)
+        assert report.critical_c == reference_critical_c(11, rhs)
+        assert report.critical_c <= 1.0
+
+    def test_checks_kept(self):
+        with pytest.raises(ValueError):
+            frontier_scan(9, symmetric=True)
+        with pytest.raises(ValueError):
+            frontier_scan(10, symmetric=True, rhs=0.0)
 
 
 def reference_best_y(x, rhs):

@@ -13,8 +13,8 @@ import pytest
 import nsbox.cli
 import nsbox.macro
 import nsbox.signalling
-from nsbox.cli import frontier_report_from_json, frontier_report_to_json, main
-from nsbox.causality import frontier_grid, frontier_scan
+from nsbox.cli import main
+from nsbox.causality import frontier_grid
 from nsbox.signalling import report_from_json
 
 Q = math.sqrt(2.0) / 2.0
@@ -213,8 +213,13 @@ class TestSimulateSignalling:
               "field 'reps' must be an integer, got '640'"]),
             ("verify-bounds", "verify_bounds", {"table": [0.5, 0.5, 0.5, -0.5], "N": "2"},
              ["field 'N' must be an integer, got '2'"]),
+            # JSON Infinity (and 1e400, which parses to it) overflows int()
+            ("simulate-signalling", "simulate_signalling",
+             {"N": math.inf, "reps": math.inf, "sigma": math.inf},
+             ["field 'N' must be an integer, got inf", "field 'reps' must be an integer, got inf",
+              "field 'sigma' must be finite, got inf"]),
         ],
-        ids=["booleans", "strings", "verify-bounds-string"],
+        ids=["booleans", "strings", "verify-bounds-string", "infinities"],
     )
     def test_boolean_numbers_rejected(self, tmp_path, capsys, command, section, fields, expected):
         cfg = tmp_path / "cfg.json"
@@ -372,6 +377,16 @@ class TestVerifyBounds:
         assert data["tsirelson_ok"] is False
         assert data["chsh"] == 4.0
 
+    def test_relabelled_pr_table_not_causal(self, capsys):
+        code = run(["verify-bounds", "--table", "1", "-1", "1", "1", "--N", "1"])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["causality_lhs"] == 8.0
+        assert data["causality_ok"] is False
+        assert data["tsirelson_ok"] is False
+        assert data["identities_ok"] is True
+        assert data["lower_bound_a"] == data["lower_bound_ap"] == 2.0
+
     def test_malformed_entry(self, capsys):
         code = run(["verify-bounds", "--table", "1.5", "0", "0", "0"])
         assert code == 2
@@ -408,8 +423,8 @@ class TestScanFrontier:
         assert code == 0
         data = json.loads(summary.read_text())
         assert abs(data["max_chsh"] - 2 * math.sqrt(2)) < 1e-6
-        restored = frontier_report_from_json(data)
-        assert restored.max_chsh == data["max_chsh"]
+        assert data["mode"] == "general" and data["critical_c"] is None
+        assert list(data["argmax_table"]) == ["c_ab", "c_abp", "c_apb", "c_apbp"]
         with open(out) as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 10001
@@ -476,10 +491,6 @@ class TestScanFrontier:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["command"] == "scan-frontier"
-
-    def test_round_trip_helpers(self):
-        report = frontier_scan(101, symmetric=True)
-        assert frontier_report_from_json(frontier_report_to_json(report)) == report
 
 
 class TestCouplings:
