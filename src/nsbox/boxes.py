@@ -276,13 +276,12 @@ def chsh_variants(table: CorrelationTable) -> tuple[float, float, float, float]:
     return tuple(sum(s * v for s, v in zip(sg, t)) for sg in signs)
 
 
-def check_no_signalling(box: BipartiteBox, tol: float = NORM_TOL) -> NoSignallingReport:
+def check_no_signalling(box: BipartiteBox) -> NoSignallingReport:
     """Check that each party's outcome marginals ignore the remote setting.
 
-    Returns ok plus the largest marginal deviation found and where it occurs.
+    Returns ok (every deviation within `NORM_TOL`) plus the largest marginal
+    deviation found and where it occurs.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     worst = 0.0
     worst_case = "none"
     for x in ALICE_SETTINGS:
@@ -293,7 +292,7 @@ def check_no_signalling(box: BipartiteBox, tol: float = NORM_TOL) -> NoSignallin
         dev = abs(box.bob_marginal(y, A) - box.bob_marginal(y, A_PRIME))
         if dev > worst:
             worst, worst_case = dev, f"P(outcome | {y.label}) depends on Alice's setting"
-    return NoSignallingReport(ok=worst <= tol, max_deviation=worst, worst_case=worst_case)
+    return NoSignallingReport(ok=worst <= NORM_TOL, max_deviation=worst, worst_case=worst_case)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +321,12 @@ def deterministic_tables() -> list[CorrelationTable]:
     return tables
 
 
-def local_hull_membership(table: CorrelationTable, tol: float = 1e-9) -> HullMembership:
+def local_hull_membership(table: CorrelationTable) -> HullMembership:
     """LP test: distance from the table to the hull of the 16 deterministic tables.
 
     Solves min eps s.t. |V @ lam - t|_inf <= eps, lam >= 0, sum lam = 1,
     where V's columns are the deterministic correlation tables.  The table is
-    a local-box correlation table iff the optimum is (numerically) zero.
+    a local-box correlation table iff the optimum is zero, within 1e-9.
     """
     from scipy.optimize import linprog  # imported here: it slows every CLI start
 
@@ -350,7 +349,7 @@ def local_hull_membership(table: CorrelationTable, tol: float = 1e-9) -> HullMem
     if not res.success:
         raise RuntimeError(f"hull membership LP failed: {res.message}")
     dist = float(res.fun)
-    return HullMembership(inside=dist <= tol, distance=dist)
+    return HullMembership(inside=dist <= 1e-9, distance=dist)
 
 
 # ---------------------------------------------------------------------------

@@ -80,12 +80,6 @@ class VectorAdditionModel:
     def cp_magnitude(self) -> float:
         return self.cp_values[0]
 
-    def implied_delta_a_sum(self, n_pairs: int) -> float:
-        return self.c_magnitude / math.sqrt(n_pairs)
-
-    def implied_delta_ap_diff(self, n_pairs: int) -> float:
-        return self.cp_magnitude / math.sqrt(n_pairs)
-
 
 @dataclass(frozen=True)
 class FrontierReport:
@@ -202,14 +196,14 @@ def budget_identity_residual(coupling: TripleCoupling, n_pairs: int) -> float:
 # Frontier scan
 # ---------------------------------------------------------------------------
 
-def _golden_max(f, lo: float, hi: float, iterations: int = 200):
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
+def _golden_max(f, lo: float, hi: float):
+    """Golden-section maximization of a unimodal f on [lo, hi], at most 200 steps."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iterations):
+    for _ in range(200):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -268,10 +262,10 @@ def frontier_scan(
     """
     if symmetric:
         _check_frontier_args(resolution, rhs)
-        # largest C in [0, 1] with 8 C^2 <= rhs: the rounded root, or one ulp
-        # below; C**2 is the bisection oracle's predicate (C * C can differ by an ulp)
+        # largest C in [0, 1] with 8 C^2 <= rhs, by the grid's `feasible`
+        # predicate: the rounded root, or one ulp below
         critical = min(1.0, math.sqrt(rhs / 8.0))
-        if 8.0 * critical**2 > rhs:
+        if 8.0 * critical * critical > rhs:
             critical = math.nextafter(critical, 0.0)
         table = CorrelationTable(critical, critical, critical, -critical)
         return FrontierReport(

@@ -89,7 +89,6 @@ class CouplingBounds:
 @dataclass(frozen=True)
 class CouplingValidation:
     ok: bool
-    tol: float
     residuals: dict[str, float]
 
 
@@ -170,15 +169,13 @@ def couplings_for_table(table: CorrelationTable) -> tuple[TripleCoupling, Triple
 
 
 def validate_coupling(
-    coupling: TripleCoupling, targets: tuple[float, float] | None = None, tol: float = CORR_TOL
+    coupling: TripleCoupling, targets: tuple[float, float] | None = None
 ) -> CouplingValidation:
     """Check normalization, nonnegativity, uniform marginals and target correlations.
 
-    Every constraint's absolute residual is reported; ok means all within tol.
-    Without targets, the correlations are not checked.
+    Every constraint's absolute residual is reported; ok means all within
+    `CORR_TOL`.  Without targets, the correlations are not checked.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     flat = coupling.flat
     residuals = {
         "normalization": abs(float(flat.sum()) - 1.0),
@@ -190,9 +187,8 @@ def validate_coupling(
     if targets is not None:
         residuals["corr_ij"] = abs(coupling.expectation(I_VALUES * J_VALUES) - targets[0])
         residuals["corr_ijp"] = abs(coupling.expectation(I_VALUES * JP_VALUES) - targets[1])
-    return CouplingValidation(
-        ok=all(r <= tol for r in residuals.values()), tol=tol, residuals=residuals
-    )
+    ok = all(r <= CORR_TOL for r in residuals.values())
+    return CouplingValidation(ok=ok, residuals=residuals)
 
 
 def per_pair_variance(coupling: TripleCoupling, combination: Combination) -> float:

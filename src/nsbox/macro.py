@@ -18,7 +18,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .coupling import I_VALUES, J_VALUES, JP_VALUES, TripleCoupling
+from .coupling import CORR_TOL, I_VALUES, J_VALUES, JP_VALUES, TripleCoupling
 
 CHUNK = 4096
 #: Row r marks the cells where i, j, j' (r = 0, 1, 2) take the outcome +1.
@@ -105,7 +105,9 @@ def sample_batches(
     Batches start..start+n_batches-1 of the given stream are returned, each a
     pure function of (seed, stream, index, coupling, n_pairs, sigma).  Cells
     are counted per batch, one comparison pass per distinct cdf bound, and
-    the outputs are bit for bit those of assigning each pair its cell.
+    the outputs are bit for bit those of assigning each pair its cell.  A
+    pmf that is negative, not finite or off 1 by more than `CORR_TOL` is
+    rejected.
     """
     if n_batches < 0:
         raise ValueError("n_batches must be nonnegative")
@@ -116,8 +118,11 @@ def sample_batches(
     pmf = coupling.flat
     if not (np.all(np.isfinite(pmf)) and np.all(pmf >= 0)):
         raise ValueError(f"coupling pmf must be finite and nonnegative, got {pmf.tolist()}")
-    # cdf[k] bounds cell k; pairs past cdf[6] (mass-deficit rounding) land in
-    # cell 7.  Zero-mass cells repeat a bound, which is compared only once.
+    total = float(pmf.sum())
+    if abs(total - 1.0) > CORR_TOL:
+        raise ValueError(f"coupling pmf must sum to 1 within {CORR_TOL}, got {total!r}")
+    # cdf[k] bounds cell k; pairs past cdf[6] (a rounding-level deficit) land
+    # in cell 7.  Zero-mass cells repeat a bound, which is compared only once.
     bounds, slot = np.unique(np.cumsum(pmf)[:7], return_inverse=True)
     n_cols = n_pairs + 2
     out = BatchArrays(*(np.empty(n_batches) for _ in range(5)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from math import comb
 from typing import Callable, Sequence, TextIO
 
@@ -28,6 +28,7 @@ from .macro import (
 MAX_EXACT_PAIRS = 12
 TV_BLOCK, TV_TILE = 512, 256  # Simpson grid rows x columns per product
 WILSON_Z = 1.959963984540054  # two-sided 95%
+NO_SIGNALLING_WIDTH = 0.02  # CI width needed to call NO_SIGNALLING
 
 
 class Detector(enum.Enum):
@@ -50,7 +51,6 @@ class ProtocolConfig:
     detector: Detector = Detector.COVARIANCE_SIGN
     postselect_threshold: float = 1.0
     group_size: int = 32  # batches per decision
-    no_signalling_width: float = 0.02  # CI width needed to call NO_SIGNALLING
 
     def __post_init__(self) -> None:
         if self.n_pairs < 1:
@@ -71,8 +71,6 @@ class ProtocolConfig:
             raise ValueError(
                 f"likelihood detector enumerates exact laws, needs n_pairs <= {MAX_EXACT_PAIRS}"
             )
-        if self.no_signalling_width <= 0:
-            raise ValueError("no_signalling_width must be positive")
 
 
 @dataclass(frozen=True)
@@ -94,11 +92,11 @@ class SignallingReport:
 # Statistics helpers
 # ---------------------------------------------------------------------------
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         return (0.0, 1.0)
-    p = successes / trials
+    p, z = successes / trials, WILSON_Z
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
@@ -106,11 +104,11 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     return (min(p, max(0.0, center - half)), max(p, min(1.0, center + half)))
 
 
-def suggested_repetitions(advantage: float, delta: float = 0.05) -> float | None:
-    """Hoeffding-style trial count to resolve the bit at confidence 1 - delta."""
+def suggested_repetitions(advantage: float) -> float | None:
+    """Hoeffding-style trial count to resolve the bit at 95% confidence (delta = 0.05)."""
     if advantage <= 0.5:
         return None
-    return math.log(1.0 / delta) / (2.0 * (advantage - 0.5) ** 2)
+    return math.log(1.0 / 0.05) / (2.0 * (advantage - 0.5) ** 2)
 
 
 def optimal_advantage(tv: float) -> float:
@@ -387,22 +385,12 @@ def score_arms(
         trials += int(np.count_nonzero(guessed))
         correct += int(np.count_nonzero(guessed & (guess_a == expected_a)))
 
-    if trials == 0:
-        return SignallingReport(
-            advantage=0.5,
-            ci_low=0.0,
-            ci_high=1.0,
-            n_used=0,
-            verdict=Verdict.INCONCLUSIVE,
-            n_trials=0,
-            suggested_repetitions=None,
-        )
-
-    advantage = correct / trials
+    # no trials: the interval is [0, 1], too wide for any verdict but INCONCLUSIVE
+    advantage = correct / trials if trials else 0.5
     ci_low, ci_high = wilson_interval(correct, trials)
     if ci_low > 0.5:
         verdict = Verdict.SIGNALLING
-    elif ci_low <= 0.5 <= ci_high and (ci_high - ci_low) < cfg.no_signalling_width:
+    elif ci_low <= 0.5 <= ci_high and (ci_high - ci_low) < NO_SIGNALLING_WIDTH:
         verdict = Verdict.NO_SIGNALLING
     else:
         verdict = Verdict.INCONCLUSIVE
@@ -509,15 +497,7 @@ def write_sweep_csv(stream: TextIO, rows: Sequence[SweepRow]) -> None:
 # ---------------------------------------------------------------------------
 
 def report_to_json(report: SignallingReport) -> dict:
-    return {
-        "advantage": report.advantage,
-        "ci_low": report.ci_low,
-        "ci_high": report.ci_high,
-        "n_used": report.n_used,
-        "verdict": report.verdict.value,
-        "n_trials": report.n_trials,
-        "suggested_repetitions": report.suggested_repetitions,
-    }
+    return {**asdict(report), "verdict": report.verdict.value}
 
 
 def report_from_json(data: dict) -> SignallingReport:

@@ -177,10 +177,6 @@ class TestNoSignallingCheck:
         assert report.max_deviation == pytest.approx(0.2, abs=1e-15)
         assert "a" in report.worst_case
 
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            check_no_signalling(make_pr_box(), tol=0.0)
-
 
 class TestLocalityClassifier:
     def test_tilted_boundary(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsbox.boxes import CorrelationTable, chsh, chsh_variants
@@ -213,10 +213,10 @@ class TestVectorModel:
         table = CorrelationTable(0.6, 0.3, 0.8, -0.1)
         model = vector_addition_model(table)
         for n in (1, 4, 100):
-            assert model.implied_delta_a_sum(n) == pytest.approx(
+            assert model.c_magnitude / math.sqrt(n) == pytest.approx(
                 variance_lower_bound_a(table, n), abs=1e-12
             )
-            assert model.implied_delta_ap_diff(n) == pytest.approx(
+            assert model.cp_magnitude / math.sqrt(n) == pytest.approx(
                 variance_lower_bound_ap(table, n), abs=1e-12
             )
 
@@ -314,7 +314,7 @@ def reference_critical_c(resolution, rhs):
     hi = min(1.0, lo + (1.0 / (resolution - 1)))
     for _ in range(100):
         mid = (lo + hi) / 2.0
-        if 8.0 * mid**2 <= rhs:
+        if 8.0 * mid * mid <= rhs:
             lo = mid
         else:
             hi = mid
@@ -331,6 +331,16 @@ class TestSymmetricClosedForm:
         report = frontier_scan(resolution, symmetric=True, rhs=rhs)
         assert report.critical_c == reference_critical_c(resolution, rhs)
         assert report.argmax_table.as_tuple() == (report.critical_c,) * 3 + (-report.critical_c,)
+
+    @given(st.floats(min_value=1e-12, max_value=1e3))
+    @settings(max_examples=300, deadline=None)
+    @example(1.1346686745057649e-4)  # C**2 and C * C differ by an ulp here
+    def test_largest_feasible_c(self, rhs):
+        # the grid's `feasible` predicate holds at C and fails one double above
+        c = frontier_scan(10, symmetric=True, rhs=rhs).critical_c
+        assert 8.0 * c * c <= rhs
+        above = math.nextafter(c, 2.0)
+        assert c == 1.0 or 8.0 * above * above > rhs
 
     @pytest.mark.parametrize("rhs", [4.0, 8.0, 1e3, 1e-12])
     def test_edges(self, rhs):

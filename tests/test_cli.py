@@ -387,6 +387,17 @@ class TestVerifyBounds:
         assert data["identities_ok"] is True
         assert data["lower_bound_a"] == data["lower_bound_ap"] == 2.0
 
+    def test_causal_table_over_tsirelson_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(nsbox.cli, "tsirelson_check", lambda table: False)
+        out = tmp_path / "bounds.json"
+        code = run(["verify-bounds", "--table", "0.5", "0.5", "0.5", "-0.5", "--out", str(out)])
+        assert code == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["causality_ok"] is True
+        assert data["identities_ok"] is False
+        assert data["failures"] == ["causality holds but the CHSH bound fails"]
+        assert json.loads(out.read_text()) == data
+
     def test_malformed_entry(self, capsys):
         code = run(["verify-bounds", "--table", "1.5", "0", "0", "0"])
         assert code == 2

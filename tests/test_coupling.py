@@ -205,7 +205,7 @@ class TestExtremalCoupling:
         for c1, c2 in [(0.3, -0.6), (0.0, 0.0), (1.0, 1.0), (-0.5, 0.5)]:
             for obj in (MIN_D, MAX_D):
                 k = extremal_coupling(c1, c2, obj)
-                assert validate_coupling(k, (c1, c2), tol=1e-9).ok
+                assert validate_coupling(k, (c1, c2)).ok
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -340,11 +340,6 @@ class TestValidateCoupling:
     def test_wrong_party_rejected(self):
         with pytest.raises(ValueError):
             TripleCoupling(B, np.full((2, 2, 2), 0.125))
-
-    def test_bad_tol(self):
-        k = extremal_coupling(0.0, 0.0, MIN_D)
-        with pytest.raises(ValueError):
-            validate_coupling(k, (0.0, 0.0), tol=-1.0)
 
 
 class TestPerPairVariance:

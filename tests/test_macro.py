@@ -247,8 +247,8 @@ class TestDeterminismContract:
             (normalised([58, 39, 97, 97, 1, 62, 80, 0]), lambda cdf: cdf[6] > 1.0),
             # rounding falls short: cdf[6] < 1, the rest goes to cell 7
             ([0.7, 0.1, 0.1, 0.1, 0, 0, 0, 0], lambda cdf: cdf[6] < 1.0),
-            # a real mass deficit of 0.3 with cell 7 itself empty
-            ([0.2, 0.2, 0, 0.2, 0, 0, 0.1, 0], lambda cdf: cdf[6] < 0.71),
+            # a deficit of 5e-10, inside CORR_TOL, with cell 7 itself empty
+            ([0.2, 0.2, 0, 0.2, 0, 0, 0.4 - 5e-10, 0], lambda cdf: cdf[6] < 1.0 - 1e-10),
         ],
         ids=["zero-bounds", "repeated", "cdf6-is-one", "overshoot", "rounding-deficit", "deficit"],
     )
@@ -299,14 +299,15 @@ class TestDeterminismContract:
         )
         assert json.loads(result.stdout) == list(GOLDEN[point][3:])
 
-    def test_mass_deficit_goes_to_last_cell(self):
-        # half the mass is missing; the remainder falls to (-1, -1, -1)
-        short = TripleCoupling(A, np.array([0.5, 0, 0, 0, 0, 0, 0, 0]).reshape(2, 2, 2))
-        arrays = sample_batches(short, 16, 300, NOISELESS, seed=4)
-        assert_bit_identical(arrays, reference_sample_batches(short, 16, 300, NOISELESS, seed=4))
-        np.testing.assert_array_equal(arrays.a_mean, arrays.b_mean)
-        np.testing.assert_array_equal(arrays.a_mean, arrays.bp_mean)
-        assert arrays.a_mean.min() < 0 < arrays.a_mean.max()
+    @pytest.mark.parametrize(
+        "pmf", [[0.5, 0, 0, 0, 0, 0, 0, 0], [0.2, 0.2, 0, 0.2, 0, 0, 0.1, 0], [0.3] * 4 + [0] * 4]
+    )
+    def test_rejects_mass_deficit(self, pmf):
+        # a real deficit (or excess) would pile the missing mass onto cell 7
+        coupling = TripleCoupling(A, np.array(pmf).reshape(2, 2, 2))
+        with pytest.raises(ValueError, match="must sum to 1") as error:
+            sample_batches(coupling, 16, 300, NOISELESS, seed=4)
+        assert repr(float(coupling.flat.sum())) in str(error.value)
 
     def test_rejects_negative_mass(self):
         pmf = np.array([0.3, -0.05, 0.25, 0.0, 0.0, 0.25, 0.0, 0.25]).reshape(2, 2, 2)

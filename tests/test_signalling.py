@@ -27,6 +27,7 @@ from nsbox.coupling import (
 )
 from nsbox.macro import NoiseModel, Strategy, sample_batches
 from nsbox.signalling import (
+    NO_SIGNALLING_WIDTH,
     Detector,
     ProtocolConfig,
     SWEEP_CSV_HEADER,
@@ -283,7 +284,7 @@ class TestAdvantageHelpers:
 
     def test_suggested_repetitions(self):
         assert suggested_repetitions(0.5) is None
-        value = suggested_repetitions(0.6, delta=0.05)
+        value = suggested_repetitions(0.6)
         assert value == pytest.approx(math.log(20) / (2 * 0.01), rel=1e-12)
 
 
@@ -426,9 +427,7 @@ class TestRunProtocol:
             group_size=8,
         )
         report = run_protocol(PR_A, PR_AP, cfg, seed=1)
-        assert report.verdict is Verdict.INCONCLUSIVE
-        assert report.n_used == 0
-        assert report.n_trials == 0
+        assert report == SignallingReport(0.5, 0.0, 1.0, 0, Verdict.INCONCLUSIVE, 0, None)
 
     def test_postselect_detects_pr(self):
         cfg = ProtocolConfig(
@@ -770,7 +769,7 @@ def reference_score_arms(k_a, k_ap, arms, cfg):
     ci_low, ci_high = wilson_interval(correct, trials)
     if ci_low > 0.5:
         verdict = Verdict.SIGNALLING
-    elif ci_low <= 0.5 <= ci_high and (ci_high - ci_low) < cfg.no_signalling_width:
+    elif ci_low <= 0.5 <= ci_high and (ci_high - ci_low) < NO_SIGNALLING_WIDTH:
         verdict = Verdict.NO_SIGNALLING
     else:
         verdict = Verdict.INCONCLUSIVE
