@@ -56,14 +56,6 @@ ALICE_SETTINGS = (A, A_PRIME)
 BOB_SETTINGS = (B, B_PRIME)
 
 
-def outcome_index(value: int) -> int:
-    if value == 1:
-        return 0
-    if value == -1:
-        return 1
-    raise ValueError(f"outcome must be +1 or -1, got {value!r}")
-
-
 class Locality(enum.Enum):
     LOCAL = "local"
     NONLOCAL = "nonlocal"
@@ -95,25 +87,6 @@ class CorrelationTable:
             "c_apb": self.c_apb,
             "c_apbp": self.c_apbp,
         }
-
-
-@dataclass(frozen=True)
-class AgreementProbs:
-    """P(equal) and P(opposite) outcomes for one pair with a given correlation.
-
-    p_plus and p_minus are derived from the stored correlation, never stored
-    independently, so p_plus + p_minus == 1 holds exactly.
-    """
-
-    correlation: float
-
-    @property
-    def p_plus(self) -> float:
-        return 0.5 + 0.5 * self.correlation
-
-    @property
-    def p_minus(self) -> float:
-        return 0.5 - 0.5 * self.correlation
 
 
 @dataclass(frozen=True)
@@ -161,10 +134,6 @@ class BipartiteBox:
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("BipartiteBox is immutable")
-
-    def probability(self, x: Setting, y: Setting, i: int, j: int) -> float:
-        _require_parties(x, y)
-        return float(self.pmf[x.choice.value, y.choice.value, outcome_index(i), outcome_index(j)])
 
     def setting_block(self, x: Setting, y: Setting) -> np.ndarray:
         """The 2x2 outcome pmf for one setting pair."""
@@ -221,23 +190,6 @@ def make_tilted_box(c: float) -> BipartiteBox:
 def make_pr_box() -> BipartiteBox:
     """The extremal no-signalling box with correlations (1, 1, 1, -1)."""
     return make_tilted_box(1.0)
-
-
-def make_local_deterministic(i_a: int, i_ap: int, j_b: int, j_bp: int) -> BipartiteBox:
-    """Deterministic box: fixed outcome per setting, independent of the remote side."""
-    alice = (i_a, i_ap)
-    bob = (j_b, j_bp)
-    pmf = np.zeros((2, 2, 2, 2))
-    for x, y in product(range(2), range(2)):
-        pmf[x, y, outcome_index(alice[x]), outcome_index(bob[y])] = 1.0
-    return BipartiteBox(pmf)
-
-
-def agreement_probabilities(c: float) -> AgreementProbs:
-    """p_plus = (1+C)/2 and p_minus = (1-C)/2 for outcome agreement at correlation C."""
-    if not math.isfinite(c) or abs(c) > 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {c!r}")
-    return AgreementProbs(correlation=c)
 
 
 # ---------------------------------------------------------------------------
@@ -350,31 +302,3 @@ def local_hull_membership(table: CorrelationTable) -> HullMembership:
         raise RuntimeError(f"hull membership LP failed: {res.message}")
     dist = float(res.fun)
     return HullMembership(inside=dist <= 1e-9, distance=dist)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-_SETTINGS_HEADER = {"alice": ["a", "a'"], "bob": ["b", "b'"]}
-
-
-def box_to_json(box: BipartiteBox) -> dict:
-    """JSON form: fixed settings header plus a 4x4 row-major pmf.
-
-    Rows run over setting pairs (a,b), (a,b'), (a',b), (a',b'); columns over
-    outcome pairs (+1,+1), (+1,-1), (-1,+1), (-1,-1).
-    """
-    return {
-        "settings": _SETTINGS_HEADER,
-        "pmf": box.pmf.reshape(4, 4).tolist(),
-    }
-
-
-def box_from_json(data: dict) -> BipartiteBox:
-    if data.get("settings") != _SETTINGS_HEADER:
-        raise ValueError(f"unrecognized settings header: {data.get('settings')!r}")
-    pmf = np.array(data["pmf"], dtype=float)
-    if pmf.shape != (4, 4):
-        raise ValueError(f"pmf must be 4x4, got shape {pmf.shape}")
-    return BipartiteBox(pmf.reshape(2, 2, 2, 2))

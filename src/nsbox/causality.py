@@ -22,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import CorrelationTable, chsh, chsh_variants
-from .coupling import Combination, TripleCoupling, per_pair_variance
 
 CAUSALITY_TOL = 1e-12
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
-BUDGET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,9 +53,6 @@ class VarianceBudget:
     @property
     def residual(self) -> float:
         return self.total - (self.delta_a_sum_sq + self.delta_ap_diff_sq)
-
-    def within(self) -> bool:
-        return self.residual >= -BUDGET_TOL
 
 
 @dataclass(frozen=True)
@@ -159,17 +154,6 @@ def vector_addition_model(table: CorrelationTable) -> VectorAdditionModel:
 # Variance budgets
 # ---------------------------------------------------------------------------
 
-def budget_from_couplings(
-    k_a: TripleCoupling, k_ap: TripleCoupling, n_pairs: int
-) -> VarianceBudget:
-    """Budget realized by concrete couplings: per-pair variances over N."""
-    return VarianceBudget(
-        n_pairs=n_pairs,
-        delta_a_sum_sq=per_pair_variance(k_a, Combination.SUM) / n_pairs,
-        delta_ap_diff_sq=per_pair_variance(k_ap, Combination.DIFFERENCE) / n_pairs,
-    )
-
-
 def budget_from_table(table: CorrelationTable, n_pairs: int) -> VarianceBudget:
     """The saturating budget of the vector-addition model (both bounds squared)."""
     return VarianceBudget(
@@ -177,19 +161,6 @@ def budget_from_table(table: CorrelationTable, n_pairs: int) -> VarianceBudget:
         delta_a_sum_sq=variance_lower_bound_a(table, n_pairs) ** 2,
         delta_ap_diff_sq=variance_lower_bound_ap(table, n_pairs) ** 2,
     )
-
-
-def budget_identity_residual(coupling: TripleCoupling, n_pairs: int) -> float:
-    """|Var(B+B') + Var(B-B') - 4/N| for one coupling (the substitution step).
-
-    The per-pair parallelogram identity makes this vanish for every coupling
-    with +/-1 outcomes and uniform marginals.
-    """
-    total = (
-        per_pair_variance(coupling, Combination.SUM)
-        + per_pair_variance(coupling, Combination.DIFFERENCE)
-    ) / n_pairs
-    return abs(total - 4.0 / n_pairs)
 
 
 # ---------------------------------------------------------------------------

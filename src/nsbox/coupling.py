@@ -199,13 +199,6 @@ def per_pair_variance(coupling: TripleCoupling, combination: Combination) -> flo
     return coupling.expectation(values**2) - mean**2
 
 
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-_SETTING_LABELS = {"a": A, "a'": A_PRIME}
-
-
 def coupling_to_json(coupling: TripleCoupling) -> dict:
     """JSON form: Alice setting label plus the 8 probabilities in cell order
     (i, j, j') lexicographic with +1 before -1."""
@@ -213,16 +206,6 @@ def coupling_to_json(coupling: TripleCoupling) -> dict:
         "alice_setting": coupling.alice_setting.label,
         "pmf": coupling.flat.tolist(),
     }
-
-
-def coupling_from_json(data: dict) -> TripleCoupling:
-    label = data.get("alice_setting")
-    if label not in _SETTING_LABELS:
-        raise ValueError(f"alice_setting must be 'a' or \"a'\", got {label!r}")
-    pmf = np.array(data["pmf"], dtype=float)
-    if pmf.shape != (8,):
-        raise ValueError(f"pmf must have 8 entries, got shape {pmf.shape}")
-    return TripleCoupling(_SETTING_LABELS[label], pmf.reshape(2, 2, 2))
 
 
 def pr_limit_couplings() -> tuple[TripleCoupling, TripleCoupling]:

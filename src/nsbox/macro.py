@@ -156,17 +156,6 @@ def batch_lattice(n_pairs: int) -> np.ndarray:
     return np.array([(2 * k - n_pairs) / n_pairs for k in range(n_pairs + 1)])
 
 
-def a_distribution(n_pairs: int) -> dict[float, float]:
-    """Exact binomial law of A: P(A = (N-2n)/N) = C(N,n) / 2^N."""
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be positive")
-    scale = 2.0**-n_pairs
-    return {
-        (n_pairs - 2 * n) / n_pairs: math.comb(n_pairs, n) * scale
-        for n in range(n_pairs + 1)
-    }
-
-
 def parallelogram_residuals(b_mean: np.ndarray, bp_mean: np.ndarray) -> np.ndarray:
     """(B+B')^2 + (B-B')^2 - 2B^2 - 2B'^2, zero up to rounding for any reals."""
     b = np.asarray(b_mean, dtype=float)

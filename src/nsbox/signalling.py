@@ -27,6 +27,7 @@ from .macro import (
 
 MAX_EXACT_PAIRS = 12
 TV_BLOCK, TV_TILE = 512, 256  # Simpson grid rows x columns per product
+TV_MIN_SIGMA = 1e-4  # the 40001-point Simpson grid undersamples the kernel below this
 WILSON_Z = 1.959963984540054  # two-sided 95%
 NO_SIGNALLING_WIDTH = 0.02  # CI width needed to call NO_SIGNALLING
 
@@ -182,7 +183,13 @@ def exact_tv_distance(
     sigma >= 0.01.  Identical laws return 0 without integrating.  The
     integral's scratch memory is one 512 x 256 tile, not two 512 x m row
     blocks, and it gives the same bits on one and on two BLAS threads.
+    Supported noise: sigma = 0 or sigma >= `TV_MIN_SIGMA` (1e-4); below it
+    the capped grid undersamples the kernel, so ValueError.
     """
+    if 0.0 < noise.sigma < TV_MIN_SIGMA:
+        raise ValueError(
+            f"exact_tv_distance needs sigma = 0 or sigma >= {TV_MIN_SIGMA}, got {noise.sigma!r}"
+        )
     lattice, law_a, law_ap = exact_laws(k_a, k_ap, n_pairs)
     diff = law_a - law_ap
     if noise.sigma == 0.0 or not diff.any():

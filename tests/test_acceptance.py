@@ -5,7 +5,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines inline.
 
 import math
 import time
-from math import comb
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from nsbox.boxes import (
 )
 from nsbox.causality import (
     TSIRELSON_BOUND,
-    budget_identity_residual,
     critical_c_scalar,
     frontier_scan,
 )

@@ -1,9 +1,8 @@
-import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from nsbox.boxes import (
@@ -11,15 +10,11 @@ from nsbox.boxes import (
     A_PRIME,
     B,
     B_PRIME,
-    AgreementProbs,
     BipartiteBox,
     CorrelationTable,
     Locality,
-    agreement_probabilities,
     box_correlations,
     box_from_correlations,
-    box_from_json,
-    box_to_json,
     check_no_signalling,
     chsh,
     chsh_variants,
@@ -27,7 +22,6 @@ from nsbox.boxes import (
     correlation,
     deterministic_tables,
     local_hull_membership,
-    make_local_deterministic,
     make_pr_box,
     make_tilted_box,
 )
@@ -43,6 +37,15 @@ def tables():
     return st.builds(CorrelationTable, corr_values(), corr_values(), corr_values(), corr_values())
 
 
+def deterministic_box(i_a: int, i_ap: int, j_b: int, j_bp: int) -> BipartiteBox:
+    """Box that gives outcome i_x for Alice's setting x and j_y for Bob's y."""
+    pmf = np.zeros((2, 2, 2, 2))
+    for x, i in enumerate((i_a, i_ap)):
+        for y, j in enumerate((j_b, j_bp)):
+            pmf[x, y, (1 - i) // 2, (1 - j) // 2] = 1.0  # index 0 is +1, 1 is -1
+    return BipartiteBox(pmf)
+
+
 class TestPRBox:
     def test_correlations(self):
         box = make_pr_box()
@@ -51,9 +54,8 @@ class TestPRBox:
     def test_agreeing_cells_carry_half(self):
         box = make_pr_box()
         for y in (B, B_PRIME):
-            assert box.probability(A, y, 1, 1) == 0.5
-            assert box.probability(A, y, -1, -1) == 0.5
-            assert box.probability(A, y, 1, -1) == 0.0
+            # rows and columns: outcome +1, then -1
+            assert box.setting_block(A, y).tolist() == [[0.5, 0.0], [0.0, 0.5]]
 
     def test_chsh_is_four(self):
         assert chsh(box_correlations(make_pr_box())) == 4.0
@@ -111,7 +113,7 @@ class TestDeterministicBoxes:
         [((1, 1, 1, 1), 2.0), ((1, -1, 1, 1), 2.0), ((1, 1, 1, -1), 2.0)],
     )
     def test_chsh_examples(self, outcomes, expected_chsh):
-        box = make_local_deterministic(*outcomes)
+        box = deterministic_box(*outcomes)
         assert chsh(box_correlations(box)) == expected_chsh
 
     def test_all_sixteen_are_local_and_no_signalling(self):
@@ -119,12 +121,8 @@ class TestDeterministicBoxes:
             assert classify_locality(table) is Locality.LOCAL
         for i_a in (1, -1):
             for i_ap in (1, -1):
-                report = check_no_signalling(make_local_deterministic(i_a, i_ap, 1, -1))
+                report = check_no_signalling(deterministic_box(i_a, i_ap, 1, -1))
                 assert report.max_deviation == 0.0
-
-    def test_bad_outcome_rejected(self):
-        with pytest.raises(ValueError):
-            make_local_deterministic(1, 0, 1, 1)
 
 
 class TestCorrelation:
@@ -208,28 +206,6 @@ class TestLocalityClassifier:
         assert chsh(table) == variants[0]
 
 
-class TestAgreementProbs:
-    @pytest.mark.parametrize("c,expected", [(1.0, (1.0, 0.0)), (0.5, (0.75, 0.25)), (0.0, (0.5, 0.5))])
-    def test_examples(self, c, expected):
-        probs = agreement_probabilities(c)
-        assert (probs.p_plus, probs.p_minus) == expected
-
-    @given(corr_values())
-    def test_sum_is_one_exactly(self, c):
-        probs = agreement_probabilities(c)
-        assert probs.p_plus + probs.p_minus == 1.0
-
-    @given(corr_values())
-    def test_difference_recovers_correlation(self, c):
-        probs = agreement_probabilities(c)
-        assert probs.correlation == c
-        assert probs.p_plus - probs.p_minus == pytest.approx(c, abs=5e-16)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            agreement_probabilities(-1.5)
-
-
 class TestBoxValidation:
     def test_negative_probability_rejected(self):
         pmf = np.full((2, 2, 2, 2), 0.25)
@@ -248,23 +224,3 @@ class TestBoxValidation:
             box.pmf = None
         with pytest.raises(ValueError):
             box.pmf[0, 0, 0, 0] = 0.9
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        box = make_tilted_box(0.3)
-        data = json.loads(json.dumps(box_to_json(box)))
-        restored = box_from_json(data)
-        assert np.array_equal(restored.pmf, box.pmf)
-
-    def test_layout(self):
-        data = box_to_json(make_pr_box())
-        assert data["settings"] == {"alice": ["a", "a'"], "bob": ["b", "b'"]}
-        # row 3 is the (a', b') pair: anti-agreeing cells carry the mass
-        assert data["pmf"][3] == [0.0, 0.5, 0.5, 0.0]
-
-    def test_bad_header_rejected(self):
-        data = box_to_json(make_pr_box())
-        data["settings"] = {"alice": ["x", "y"], "bob": ["b", "b'"]}
-        with pytest.raises(ValueError):
-            box_from_json(data)

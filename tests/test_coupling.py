@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -17,7 +16,6 @@ from nsbox.coupling import (
     JP_VALUES,
     TripleCoupling,
     coupling_bounds,
-    coupling_from_json,
     coupling_to_json,
     extremal_coupling,
     make_scalar_extremal_couplings,
@@ -362,13 +360,6 @@ class TestPerPairVariance:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        k = extremal_coupling(0.7, -0.2, MAX_D, alice_setting=A_PRIME)
-        data = json.loads(json.dumps(coupling_to_json(k)))
-        restored = coupling_from_json(data)
-        assert restored.alice_setting == k.alice_setting
-        assert np.array_equal(restored.pmf, k.pmf)
-
     def test_lexicographic_order(self):
         under_a, _ = pr_limit_couplings()
         data = coupling_to_json(under_a)
@@ -376,7 +367,3 @@ class TestSerialization:
         # cells (+1,+1,+1) and (-1,-1,-1) are first and last
         assert data["pmf"][0] == 0.5
         assert data["pmf"][7] == 0.5
-
-    def test_bad_label(self):
-        with pytest.raises(ValueError):
-            coupling_from_json({"alice_setting": "b", "pmf": [0.125] * 8})

@@ -31,7 +31,6 @@ from nsbox.macro import (
     BatchArrays,
     NoiseModel,
     Strategy,
-    a_distribution,
     batch_lattice,
     mean_square_check,
     parallelogram_residuals,
@@ -320,25 +319,6 @@ class TestDeterminismContract:
         object.__setattr__(coupling, "pmf", np.full((2, 2, 2), np.nan))
         with pytest.raises(ValueError, match="finite"):
             sample_batches(coupling, 4, 10, NOISELESS, seed=1)
-
-
-class TestADistribution:
-    def test_single_pair(self):
-        assert a_distribution(1) == {-1.0: 0.5, 1.0: 0.5}
-
-    def test_two_pairs(self):
-        assert a_distribution(2) == {-1.0: 0.25, 0.0: 0.5, 1.0: 0.25}
-
-    def test_tail_probability(self):
-        assert a_distribution(20)[1.0] == 2.0**-20
-
-    def test_normalized(self):
-        for n in (3, 10, 33):
-            assert sum(a_distribution(n).values()) == pytest.approx(1.0, abs=1e-14)
-
-    def test_keys_match_sampled_lattice(self):
-        dist = a_distribution(7)
-        assert set(dist) == set(batch_lattice(7).tolist())
 
 
 class TestParallelogram:

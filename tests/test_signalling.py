@@ -31,6 +31,7 @@ from nsbox.signalling import (
     Detector,
     ProtocolConfig,
     SWEEP_CSV_HEADER,
+    TV_MIN_SIGMA,
     SignallingReport,
     SweepRow,
     Verdict,
@@ -224,6 +225,18 @@ class TestExactTv:
     def test_n_cap(self):
         with pytest.raises(ValueError):
             exact_tv_distance(PR_A, PR_AP, 13, NOISELESS)
+
+    @pytest.mark.parametrize("sigma", [1e-5, 1e-9, math.nextafter(TV_MIN_SIGMA, 0.0)])
+    def test_sigma_below_grid_resolution_rejected(self, sigma):
+        # the capped Simpson grid undersamples the kernel: unchecked, it gave 0.14
+        # at sigma = 1e-5 and 2e-14 at 1e-9 here, against a noise-free TV of 1
+        with pytest.raises(ValueError, match="sigma >= 0.0001"):
+            exact_tv_distance(PR_A, PR_AP, 1, NoiseModel(sigma))
+
+    def test_smallest_supported_sigma_is_accurate(self):
+        # N = 1 has the largest error just below the bound: 3.6e-6 at sigma = 8e-5
+        noisy = exact_tv_distance(PR_A, PR_AP, 1, NoiseModel(TV_MIN_SIGMA))
+        assert noisy == pytest.approx(exact_tv_distance(PR_A, PR_AP, 1, NOISELESS), abs=1e-6)
 
     @pytest.mark.parametrize("c, n_pairs, sigma", sorted(ORACLE_GOLDEN))
     def test_oracle_golden(self, c, n_pairs, sigma):
