@@ -7,13 +7,18 @@ additive Gaussian noise on B and B' (the batch means, not the pairs).
 Randomness is counter-based: batch b of stream s under seed k reads its
 uniforms from a fixed window of the Philox stream keyed (k, s, b // 4096),
 so any execution order, serial or parallel, reproduces the same values.
+A draw is cut into cache-sized units of rows; each unit reads its own
+window, counts its cells and writes its own rows, and large draws spread
+the units over the available cores with the same bits on any core count.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -21,6 +26,10 @@ import numpy as np
 from .coupling import CORR_TOL, I_VALUES, J_VALUES, JP_VALUES, TripleCoupling
 
 CHUNK = 4096
+#: A unit of a draw holds at most this many uniforms: 2 MB, cache-sized.
+_UNIT_UNIFORMS = 2**18
+#: Draws of fewer uniforms than this stay on the calling thread.
+_PARALLEL_UNIFORMS = 2**20
 #: Row r marks the cells where i, j, j' (r = 0, 1, 2) take the outcome +1.
 _PLUS_ONE = (np.stack([I_VALUES, J_VALUES, JP_VALUES]) > 0).astype(np.int64)
 _MAX_SEED = 2**64
@@ -91,6 +100,36 @@ def _chunk_uniforms(
     return u[rest:].reshape(rows, n_cols)
 
 
+def _units(start: int, n_batches: int, n_cols: int):
+    """(first output row, chunk index, row offset, rows) of each unit of a draw."""
+    max_rows = max(1, _UNIT_UNIFORMS // n_cols)
+    filled = 0
+    while filled < n_batches:
+        chunk_index, offset = divmod(start + filled, CHUNK)
+        take = min(CHUNK - offset, n_batches - filled, max_rows)
+        yield filled, chunk_index, offset, take
+        filled += take
+
+
+def _fill_unit(out, bounds, slot, n_pairs, sigma, ndtri, seed, stream, unit) -> None:
+    """Draw one unit's uniforms and write its rows of `out`."""
+    first, chunk_index, offset, take = unit
+    u = _chunk_uniforms(seed, stream, chunk_index, n_pairs + 2, offset, take)
+    pairs = u[:, :n_pairs]
+    below = [np.count_nonzero(pairs < bound, axis=1) for bound in bounds]
+    # pairs per batch in cells 0..k (the cdf is nondecreasing), then per cell
+    at_most = np.stack(below)[slot]
+    counts = np.diff(at_most, axis=0, prepend=0, append=n_pairs)
+    # a +/-1 mean is (2n - N) / N exactly, as the summed mean was
+    a, b, bp = (2 * (_PLUS_ONE @ counts) - n_pairs) / n_pairs
+    rows = slice(first, first + take)
+    out.a_mean[rows], out.b_mean[rows], out.bp_mean[rows] = a, b, bp
+    if sigma > 0:
+        z = ndtri(np.clip(u[:, n_pairs:], 1e-300, None))
+        b, bp = b + sigma * z[:, 0], bp + sigma * z[:, 1]
+    out.noisy_b[rows], out.noisy_bp[rows] = b, bp
+
+
 def sample_batches(
     coupling: TripleCoupling,
     n_pairs: int,
@@ -103,11 +142,14 @@ def sample_batches(
     """Draw many batches from one coupling; batch index fixes its randomness.
 
     Batches start..start+n_batches-1 of the given stream are returned, each a
-    pure function of (seed, stream, index, coupling, n_pairs, sigma).  Cells
-    are counted per batch, one comparison pass per distinct cdf bound, and
-    the outputs are bit for bit those of assigning each pair its cell.  A
-    pmf that is negative, not finite or off 1 by more than `CORR_TOL` is
-    rejected.
+    pure function of (seed, stream, index, coupling, n_pairs, sigma).  The
+    draw is cut into units of rows within one chunk, at most `_UNIT_UNIFORMS`
+    uniforms each, and a unit's cells are counted while its uniforms are in
+    cache: one comparison pass per distinct cdf bound.  Draws of at least
+    `_PARALLEL_UNIFORMS` uniforms spread their units over the available cores.
+    Each unit writes only its own rows, so the outputs are bit for bit those
+    of assigning each pair its cell, on any number of cores.  A pmf that is
+    negative, not finite or off 1 by more than `CORR_TOL` is rejected.
     """
     if n_batches < 0:
         raise ValueError("n_batches must be nonnegative")
@@ -124,28 +166,22 @@ def sample_batches(
     # cdf[k] bounds cell k; pairs past cdf[6] (a rounding-level deficit) land
     # in cell 7.  Zero-mass cells repeat a bound, which is compared only once.
     bounds, slot = np.unique(np.cumsum(pmf)[:7], return_inverse=True)
-    n_cols = n_pairs + 2
     out = BatchArrays(*(np.empty(n_batches) for _ in range(5)))
-    filled = 0
-    while filled < n_batches:
-        chunk_index, offset = divmod(start + filled, CHUNK)
-        take = min(CHUNK - offset, n_batches - filled)
-        rows = slice(filled, filled + take)
-        u = _chunk_uniforms(seed, stream, chunk_index, n_cols, offset, take)
-        pairs = u[:, :n_pairs]
-        below = [np.count_nonzero(pairs < bound, axis=1) for bound in bounds]
-        # pairs per batch in cells 0..k (the cdf is nondecreasing), then per cell
-        at_most = np.stack(below)[slot]
-        counts = np.diff(at_most, axis=0, prepend=0, append=n_pairs)
-        # a +/-1 mean is (2n - N) / N exactly, as the summed mean was
-        a, b, bp = (2 * (_PLUS_ONE @ counts) - n_pairs) / n_pairs
-        out.a_mean[rows], out.b_mean[rows], out.bp_mean[rows] = a, b, bp
-        if noise.sigma > 0:
-            from scipy.special import ndtri  # imported here: it slows every CLI start
-            z = ndtri(np.clip(u[:, n_pairs:], 1e-300, None))
-            b, bp = b + noise.sigma * z[:, 0], bp + noise.sigma * z[:, 1]
-        out.noisy_b[rows], out.noisy_bp[rows] = b, bp
-        filled += take
+    ndtri = None
+    if noise.sigma > 0 and n_batches:
+        from scipy.special import ndtri  # imported here: it slows every CLI start
+    fill = partial(_fill_unit, out, bounds, slot, n_pairs, noise.sigma, ndtri, seed, stream)
+    units = list(_units(start, n_batches, n_pairs + 2))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(units), cores or 1)
+    if workers < 2 or n_batches * (n_pairs + 2) < _PARALLEL_UNIFORMS:
+        for unit in units:
+            fill(unit)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only draws that repay it
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, units))
     return out
 
 

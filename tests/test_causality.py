@@ -305,11 +305,13 @@ class TestFrontier:
 
 
 def reference_critical_c(resolution, rhs):
-    """The symmetric scan's former answer: the largest feasible grid C, then bisection."""
+    """The symmetric scan's former answer: the largest feasible grid C, then
+    bisection up to the next grid C, which is infeasible."""
     c = np.linspace(0.0, 1.0, resolution)
     feasible = c[8.0 * c * c <= rhs]
+    infeasible = c[8.0 * c * c > rhs]
     lo = float(feasible.max()) if feasible.size else 0.0
-    hi = min(1.0, lo + (1.0 / (resolution - 1)))
+    hi = float(infeasible.min()) if infeasible.size else 1.0
     for _ in range(100):
         mid = (lo + hi) / 2.0
         if 8.0 * mid * mid <= rhs:
@@ -325,6 +327,8 @@ class TestSymmetricClosedForm:
         st.integers(min_value=10, max_value=200_000),
     )
     @settings(max_examples=300, deadline=None)
+    # lo + 1/(resolution - 1) rounds to a feasible C here, below the next grid C
+    @example(rhs=0.02, resolution=26361)
     def test_matches_bisection(self, rhs, resolution):
         report = frontier_scan(resolution, symmetric=True, rhs=rhs)
         assert report.critical_c == reference_critical_c(resolution, rhs)

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +276,19 @@ class TestDeterminismContract:
                 reference_sample_batches(*args, stream=1, start=start),
             )
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("start", [0, 4000])
+    @pytest.mark.parametrize("n_pairs", [256, 1024])
+    def test_parallel_draws_match_reference_kernel(self, n_pairs, start, sigma):
+        # three chunks, cut into units, large enough for the thread pool
+        n_batches = 2 * CHUNK + 1
+        assert n_batches * (n_pairs + 2) >= nsbox.macro._PARALLEL_UNIFORMS
+        args = (GOLDEN_COUPLING, n_pairs, n_batches, NoiseModel(sigma), 2**62 + 5)
+        assert_bit_identical(
+            sample_batches(*args, stream=1, start=start),
+            reference_sample_batches(*args, stream=1, start=start),
+        )
+
     def test_golden_value_in_fresh_interpreter(self):
         """A fresh process loads scipy only when the first noisy batch needs it."""
         point = (7, 1, 4095, 1024, 0.1)
@@ -298,6 +313,30 @@ class TestDeterminismContract:
         )
         assert json.loads(result.stdout) == list(GOLDEN[point][3:])
 
+    def test_small_draw_starts_no_thread_in_fresh_interpreter(self):
+        """The README draw stays on the calling thread; a large draw's pool
+        is closed when the draw returns."""
+        code = "\n".join([
+            "import json, os, sys, threading",
+            "import nsbox",
+            "from nsbox.macro import sample_batches",
+            "k_a, k_ap = nsbox.make_scalar_extremal_couplings(1.0)",
+            "cfg = nsbox.ProtocolConfig(n_pairs=16, repetitions=20_000, noise=nsbox.NoiseModel(0.1))",
+            "nsbox.run_protocol(k_a, k_ap, cfg, seed=7)",
+            "small = ['concurrent.futures.thread' in sys.modules, threading.active_count()]",
+            "sample_batches(k_a, 256, 8192, nsbox.NoiseModel(0.1), 7)",
+            "large = ['concurrent.futures.thread' in sys.modules, threading.active_count()]",
+            "print(json.dumps([small, large, len(os.sched_getaffinity(0))]))",
+        ])
+        src = str(Path(nsbox.macro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        )
+        small, large, cores = json.loads(result.stdout)
+        assert small == [False, 1]
+        assert large == [cores > 1, 1]
+
     @pytest.mark.parametrize(
         "pmf", [[0.5, 0, 0, 0, 0, 0, 0, 0], [0.2, 0.2, 0, 0.2, 0, 0, 0.1, 0], [0.3] * 4 + [0] * 4]
     )
@@ -319,6 +358,73 @@ class TestDeterminismContract:
         object.__setattr__(coupling, "pmf", np.full((2, 2, 2), np.nan))
         with pytest.raises(ValueError, match="finite"):
             sample_batches(coupling, 4, 10, NOISELESS, seed=1)
+
+
+#: (N, batches, sigma, seed, stream) of draws large enough for the thread pool
+LARGE_DRAWS = [(1024, 2 * CHUNK, 0.1, 11, 0), (256, 3 * CHUNK, 0.0, 12, 1)]
+
+
+def draw_large(n_pairs, n_batches, sigma, seed, stream) -> list[bytes]:
+    arrays = sample_batches(
+        GOLDEN_COUPLING, n_pairs, n_batches, NoiseModel(sigma), seed, stream=stream
+    )
+    return [getattr(arrays, name).tobytes() for name in COLUMNS]
+
+
+def draw_in_child(connection, draw) -> None:
+    connection.send(draw_large(*draw))
+    connection.close()
+
+
+class TestConcurrency:
+    @pytest.fixture
+    def serial(self, monkeypatch):
+        """LARGE_DRAWS on the calling thread: the pool threshold is out of reach."""
+        with monkeypatch.context() as patch:
+            patch.setattr(nsbox.macro, "_PARALLEL_UNIFORMS", math.inf)
+            return [draw_large(*draw) for draw in LARGE_DRAWS]
+
+    def test_user_threads_draw_at_once(self, serial):
+        barrier = threading.Barrier(len(LARGE_DRAWS))
+        results = [None] * len(LARGE_DRAWS)
+
+        def run(k):
+            barrier.wait()
+            results[k] = draw_large(*LARGE_DRAWS[k])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(LARGE_DRAWS))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    )
+    def test_forked_child_draws_after_parallel_draw(self, serial):
+        # a pool that outlived the parent's draw would leave the child waiting on dead threads
+        assert draw_large(*LARGE_DRAWS[0]) == serial[0]
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=draw_in_child, args=(send, LARGE_DRAWS[0]))
+        child.start()
+        send.close()
+        try:
+            got = receive.recv() if receive.poll(60) else None
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert got == serial[0]
+        assert child.exitcode == 0
 
 
 class TestParallelogram:
