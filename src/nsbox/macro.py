@@ -172,17 +172,23 @@ def sample_batches(
         from scipy.special import ndtri  # imported here: it slows every CLI start
     fill = partial(_fill_unit, out, bounds, slot, n_pairs, noise.sigma, ndtri, seed, stream)
     units = list(_units(start, n_batches, n_pairs + 2))
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(units), cores or 1)
-    if workers < 2 or n_batches * (n_pairs + 2) < _PARALLEL_UNIFORMS:
-        for unit in units:
-            fill(unit)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only draws that repay it
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, units))
+    _parallel_map(fill, units, parallel=n_batches * (n_pairs + 2) >= _PARALLEL_UNIFORMS)
     return out
+
+
+def _parallel_map(fn, items: list, parallel: bool) -> list:
+    """[fn(item) for item in items], on a thread pool of one worker per
+    available core (at most one per item) when `parallel` and there is more
+    than one core.  The pool lives for this call only, so no thread outlives
+    it (a later fork inherits none)."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(items), cores or 1) if parallel else 1
+    if workers < 2:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # only work that repays it
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def batch_lattice(n_pairs: int) -> np.ndarray:

@@ -12,6 +12,7 @@ the two observation laws.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 from math import comb
@@ -22,12 +23,14 @@ import numpy as np
 from .boxes import A, A_PRIME, CorrelationTable
 from .coupling import TripleCoupling, couplings_for_table, validate_coupling
 from .macro import (
-    BatchArrays, NoiseModel, STRATEGY_STREAM, Strategy, batch_lattice, sample_batches
+    BatchArrays, NoiseModel, STRATEGY_STREAM, Strategy, _parallel_map, batch_lattice,
+    sample_batches,
 )
 
 MAX_EXACT_PAIRS = 12
 TV_BLOCK, TV_TILE = 512, 256  # Simpson grid rows x columns per product
 TV_MIN_SIGMA = 1e-4  # the 40001-point Simpson grid undersamples the kernel below this
+_PARALLEL_BLOCKS = 12  # fewer Simpson row blocks than this stay on the calling thread
 WILSON_Z = 1.959963984540054  # two-sided 95%
 NO_SIGNALLING_WIDTH = 0.02  # CI width needed to call NO_SIGNALLING
 
@@ -180,11 +183,16 @@ def exact_tv_distance(
     with noise both laws are convolved with the Gaussian read-out kernel and
     the distance is integrated on Richardson-extrapolated Simpson grids
     (steps sigma/20 and sigma/40, capped), accurate to about 1e-6 for
-    sigma >= 0.01.  Identical laws return 0 without integrating.  The
-    integral's scratch memory is one 512 x 256 tile, not two 512 x m row
-    blocks, and it gives the same bits on one and on two BLAS threads.
-    Supported noise: sigma = 0 or sigma >= `TV_MIN_SIGMA` (1e-4); below it
-    the capped grid undersamples the kernel, so ValueError.
+    sigma >= 0.01.  Identical laws return 0 without integrating.  Each grid
+    is summed in 512-row blocks, each in 512 x 256 tiles with one tile of
+    scratch memory.  When numpy's BLAS runs one thread and the two grids
+    hold at least 12 blocks together, the blocks of both grids spread over
+    the available cores; otherwise they run on the calling thread, one
+    grid's kernel and tiles alive at a time.  Block
+    sums are added in block order, grid by grid, so the result has the same
+    bits on any core count and any BLAS thread count.  Supported noise:
+    sigma = 0 or sigma >= `TV_MIN_SIGMA` (1e-4); below it the capped grid
+    undersamples the kernel, so ValueError.
     """
     if 0.0 < noise.sigma < TV_MIN_SIGMA:
         raise ValueError(
@@ -197,16 +205,61 @@ def exact_tv_distance(
 
     # the |.| kinks reduce Simpson to O(h^2); one Richardson step restores
     # the accuracy target
-    coarse = _tv_simpson(diff, lattice, noise.sigma, step_divisor=20)
-    fine = _tv_simpson(diff, lattice, noise.sigma, step_divisor=40)
+    coarse, fine = _tv_simpsons(diff, lattice, noise.sigma, step_divisors=(20, 40))
     return fine + (fine - coarse) / 3.0
 
 
 def _tv_simpson(diff: np.ndarray, lattice: np.ndarray, sigma: float, step_divisor: int) -> float:
+    """The Simpson TV integral on one grid of step sigma / step_divisor."""
+    return _tv_simpsons(diff, lattice, sigma, (step_divisor,))[0]
+
+
+def _tv_simpsons(
+    diff: np.ndarray, lattice: np.ndarray, sigma: float, step_divisors: Sequence[int]
+) -> list[float]:
+    """The Simpson TV integral on one grid per step divisor.  Pooled, the row
+    blocks of all grids run as one batch of work; serial, each grid is built
+    only after the one before it is freed."""
+    sizes = [_grid_points(sigma, d) for d in step_divisors]
+    if sum(-(-m // TV_BLOCK) for m in sizes) >= _PARALLEL_BLOCKS and _blas_threads() == 1:
+        grids = [_simpson_grid(diff, lattice, sigma, d) for d in step_divisors]
+        blocks = [(grid, lo) for grid in grids for lo in range(0, len(grid[1]), TV_BLOCK)]
+        sums = iter(_parallel_map(_simpson_block, blocks, parallel=True))
+    else:
+        sums = _serial_block_sums(diff, lattice, sigma, step_divisors)
+    totals = []
+    for m in sizes:
+        # one += per block in block order, as a serial pass adds them
+        total = 0.0
+        for _ in range(0, m, TV_BLOCK):
+            total += next(sums)
+        totals.append(0.5 * total)
+    return totals
+
+
+def _serial_block_sums(
+    diff: np.ndarray, lattice: np.ndarray, sigma: float, step_divisors: Sequence[int]
+):
+    """The block sums of each grid in turn, on the calling thread."""
+    for d in step_divisors:
+        grid = _simpson_grid(diff, lattice, sigma, d)
+        for lo in range(0, len(grid[1]), TV_BLOCK):
+            yield _simpson_block((grid, lo))
+        del grid  # before the next grid is built
+
+
+def _grid_points(sigma: float, step_divisor: int) -> int:
+    """The odd Simpson point count m of step sigma / step_divisor, capped."""
+    m = int(math.ceil(2.0 * (1.0 + 7.0 * sigma) / (sigma / step_divisor))) + 1
+    return min(m | 1, 40001)
+
+
+def _simpson_grid(diff: np.ndarray, lattice: np.ndarray, sigma: float, step_divisor: int):
+    """(kernel, weights, column tiles) of one Simpson grid: the m x (N+1)
+    read-out Gaussians, the m Simpson weights and the (N+1) x m product
+    diff @ kernel.T cut into contiguous `TV_TILE`-column tiles."""
     span = 1.0 + 7.0 * sigma
-    step = sigma / step_divisor
-    m = int(math.ceil(2.0 * span / step)) + 1
-    m = min(m | 1, 40001)  # odd point count for Simpson
+    m = _grid_points(sigma, step_divisor)
     grid = np.linspace(-span, span, m)
     h = grid[1] - grid[0]
     weights = np.ones(m)
@@ -220,18 +273,52 @@ def _tv_simpson(diff: np.ndarray, lattice: np.ndarray, sigma: float, step_diviso
     # contiguous column tiles keep each block's |rows| in cache; every column
     # still sums its block rows in one gemv, so the bits match an untiled pass
     tiles = [(c, np.ascontiguousarray(inner[:, c : c + TV_TILE])) for c in range(0, m, TV_TILE)]
+    return kernel, weights, tiles
+
+
+def _simpson_block(block) -> float:
+    """Weighted sum of |density| over the grid rows lo..lo+TV_BLOCK-1 and
+    every column, with its own one-tile scratch buffer."""
+    (kernel, weights, tiles), lo = block
+    k_rows, w_rows = kernel[lo : lo + TV_BLOCK], weights[lo : lo + TV_BLOCK]
     buf = np.empty(TV_BLOCK * TV_TILE)
-    col = np.empty(m)
-    total = 0.0
-    for lo in range(0, m, TV_BLOCK):
-        k_rows, w_rows = kernel[lo : lo + TV_BLOCK], weights[lo : lo + TV_BLOCK]
-        for c, tile in tiles:
-            rows = buf[: len(k_rows) * tile.shape[1]].reshape(len(k_rows), -1)
-            np.matmul(k_rows, tile, out=rows)
-            np.abs(rows, out=rows)
-            np.matmul(w_rows, rows, out=col[c : c + tile.shape[1]])
-        total += float(col @ weights)
-    return 0.5 * total
+    col = np.empty(len(weights))
+    for c, tile in tiles:
+        rows = buf[: len(k_rows) * tile.shape[1]].reshape(len(k_rows), -1)
+        np.matmul(k_rows, tile, out=rows)
+        np.abs(rows, out=rows)
+        np.matmul(w_rows, rows, out=col[c : c + tile.shape[1]])
+    return float(col @ weights)
+
+
+@functools.cache
+def _blas_threads() -> int | None:
+    """Threads of the OpenBLAS numpy loaded, read once per process through its
+    own entry point; None where no OpenBLAS is mapped or it has no such entry.
+
+    A thread pool gains only over a one-thread BLAS: OpenBLAS's own spinning
+    threads compete with the pool's workers for the same cores.  A count
+    changed later in the process is not seen; that changes the speed of
+    `exact_tv_distance`, never its bits."""
+    try:
+        with open("/proc/self/maps") as handle:
+            libs = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    except OSError:
+        return None
+    import ctypes  # numpy has loaded it already
+
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            query = getattr(lib, symbol, None)
+            if query is not None:
+                query.argtypes, query.restype = [], ctypes.c_int
+                return int(query())
+    return None
 
 
 # ---------------------------------------------------------------------------

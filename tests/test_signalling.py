@@ -3,9 +3,11 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from collections import namedtuple
 from dataclasses import replace
 from math import comb
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nsbox.signalling
 from nsbox.boxes import A_PRIME, CorrelationTable
 from nsbox.coupling import (
     I_VALUES,
@@ -24,6 +27,7 @@ from nsbox.coupling import (
     TripleCoupling,
     make_scalar_extremal_couplings,
     pr_limit_couplings,
+    validate_coupling,
 )
 from nsbox.macro import NoiseModel, Strategy, sample_batches
 from nsbox.signalling import (
@@ -31,6 +35,7 @@ from nsbox.signalling import (
     Detector,
     ProtocolConfig,
     SWEEP_CSV_HEADER,
+    TV_BLOCK,
     TV_MIN_SIGMA,
     SignallingReport,
     SweepRow,
@@ -119,14 +124,14 @@ def grid_points(sigma: float, step_divisor: int) -> int:
 SMALL_GRIDS = ((5, 0.5, 2), (12, 0.1, 5), (12, 0.5, 20), (5, 0.00402, 1))
 
 
-def kernel_cases(seed: int, count: int):
+def kernel_cases(seed: int, count: int, sigmas: tuple = (0.01, 0.5)):
     """Seeded difference laws for the two Simpson kernels: N in 1..12, sigma
-    log-uniform in [0.01, 0.5], both step divisors, some laws with a zero row
+    log-uniform in `sigmas`, both step divisors, some laws with a zero row
     or a zero column, and the SMALL_GRIDS grids."""
     rng = np.random.default_rng(seed)
     points = list(SMALL_GRIDS)
     for _ in range(count):
-        sigma = float(np.exp(rng.uniform(math.log(0.01), math.log(0.5))))
+        sigma = float(np.exp(rng.uniform(math.log(sigmas[0]), math.log(sigmas[1]))))
         points += [(int(rng.integers(1, 13)), sigma, d) for d in (20, 40)]
     for n, sigma, step_divisor in points:
         diff = rng.dirichlet(np.ones((n + 1) ** 2)) - rng.dirichlet(np.ones((n + 1) ** 2))
@@ -246,7 +251,7 @@ class TestExactTv:
 
     def test_identical_laws_skip_the_integral(self, monkeypatch):
         k_a, k_ap = make_scalar_extremal_couplings(0.5)
-        monkeypatch.setattr("nsbox.signalling._tv_simpson", None)
+        monkeypatch.setattr("nsbox.signalling._simpson_grid", None)
         assert exact_tv_distance(k_a, k_ap, 12, NoiseModel(0.003)) == 0.0
 
     def test_kernel_matches_reference_bit_for_bit(self):
@@ -275,6 +280,193 @@ class TestExactTv:
         one = run_fresh(code, blas_threads=1)
         assert len(one.split()) == len(THREAD_CASES) + len(list(kernel_cases(1, 20)))
         assert run_fresh(code, blas_threads=2) == one
+
+
+def pooled_kernel_cases() -> list:
+    """Seed-1 kernel cases whose one grid holds enough row blocks for the pool
+    (sigma up to 0.015 gives 12 or more blocks at step divisor 40)."""
+    return [
+        case for case in kernel_cases(1, 4, sigmas=(0.01, 0.015))
+        if -(-grid_points(case[2], case[3]) // TV_BLOCK) >= nsbox.signalling._PARALLEL_BLOCKS
+    ]
+
+
+def oracle_tvs() -> dict:
+    """exact_tv_distance on the ORACLE_GOLDEN points and the kernel on
+    `pooled_kernel_cases`, with whether a thread pool ran and the live
+    thread count after it; floats as repr."""
+    golden = [
+        repr(exact_tv_distance(*make_scalar_extremal_couplings(c), n, NoiseModel(s)))
+        for c, n, s in sorted(ORACLE_GOLDEN)
+    ]
+    kernel = [repr(_tv_simpson(*case)) for case in pooled_kernel_cases()]
+    return {
+        "golden": golden,
+        "kernel": kernel,
+        "pooled": "concurrent.futures.thread" in sys.modules,
+        "threads": threading.active_count(),
+        "cores": len(os.sched_getaffinity(0)),
+    }
+
+
+ORACLE_TVS = "import json, test_signalling as t; print(json.dumps(t.oracle_tvs()))"
+
+#: (C, N, sigma) points whose two Richardson grids hold enough blocks for the pool
+POOLED_POINTS = ((1.0, 8, 0.01), (0.8, 12, 0.01))
+
+
+def pooled_tv(point) -> float:
+    c, n_pairs, sigma = point
+    return exact_tv_distance(*make_scalar_extremal_couplings(c), n_pairs, NoiseModel(sigma))
+
+
+def tv_in_child(connection, point) -> None:
+    connection.send(pooled_tv(point))
+    connection.close()
+
+
+def serial_tvs() -> list:
+    """POOLED_POINTS on the calling thread: the pool threshold is out of reach."""
+    threshold = nsbox.signalling._PARALLEL_BLOCKS
+    nsbox.signalling._PARALLEL_BLOCKS = math.inf
+    try:
+        return [pooled_tv(point) for point in POOLED_POINTS]
+    finally:
+        nsbox.signalling._PARALLEL_BLOCKS = threshold
+
+
+def user_threads_tvs() -> dict:
+    """POOLED_POINTS computed by two user threads at once, against serial."""
+    serial = serial_tvs()
+    barrier = threading.Barrier(len(POOLED_POINTS))
+    results = [None] * len(POOLED_POINTS)
+
+    def run(k):
+        barrier.wait()
+        results[k] = pooled_tv(POOLED_POINTS[k])
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(POOLED_POINTS))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    return {
+        "alive": any(thread.is_alive() for thread in threads),
+        "results": results,
+        "serial": serial,
+    }
+
+
+def forked_child_tv() -> dict:
+    """A pooled TV here, then the same TV in a fork-context child."""
+    serial = serial_tvs()[0]
+    parent = pooled_tv(POOLED_POINTS[0])
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=tv_in_child, args=(send, POOLED_POINTS[0]))
+    child.start()
+    send.close()
+    try:
+        got = receive.recv() if receive.poll(60) else None
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    return {"serial": serial, "parent": parent, "child": got, "exitcode": child.exitcode}
+
+
+class TestExactTvPool:
+    """The Simpson row blocks on a thread pool, each case in a fresh
+    interpreter so that the BLAS thread count is the one asked for."""
+
+    @pytest.fixture(scope="class")
+    def one_blas_thread(self):
+        return json.loads(run_fresh(ORACLE_TVS, blas_threads=1))
+
+    def test_pooled_matches_reference_and_golden(self, one_blas_thread):
+        out = one_blas_thread
+        assert out["golden"] == [repr(ORACLE_GOLDEN[point]) for point in sorted(ORACLE_GOLDEN)]
+        cases = pooled_kernel_cases()
+        assert len(cases) >= 4
+        # the untiled reference at one BLAS thread, as the pooled run had
+        code = "\n".join([
+            "import json, test_signalling as t",
+            "print(json.dumps([repr(t.reference_tv_simpson(*c)) for c in t.pooled_kernel_cases()]))",
+        ])
+        assert out["kernel"] == json.loads(run_fresh(code, blas_threads=1))
+        # a pool ran wherever there was a second core, and closed with the call
+        assert out["pooled"] == (out["cores"] > 1)
+        assert out["threads"] == 1
+
+    def test_richardson_pair_matches_reference(self):
+        code = "\n".join([
+            "import json, test_signalling as t",
+            "from nsbox.coupling import make_scalar_extremal_couplings",
+            "from nsbox.signalling import batch_law",
+            "out = []",
+            "for point in t.POOLED_POINTS:",
+            "    c, n, s = point",
+            "    k_a, k_ap = make_scalar_extremal_couplings(c)",
+            "    lattice, law_a = batch_law(k_a, n)",
+            "    diff = law_a - batch_law(k_ap, n)[1]",
+            "    coarse, fine = (t.reference_tv_simpson(diff, lattice, s, d) for d in (20, 40))",
+            "    out.append([repr(t.pooled_tv(point)), repr(fine + (fine - coarse) / 3.0)])",
+            "print(json.dumps(out))",
+        ])
+        for pooled, reference in json.loads(run_fresh(code, blas_threads=1)):
+            assert pooled == reference
+
+    def test_serial_fallback_at_two_blas_threads(self, one_blas_thread):
+        out = json.loads(run_fresh(ORACLE_TVS, blas_threads=2))
+        assert out["golden"] == one_blas_thread["golden"]
+        assert out["kernel"] == one_blas_thread["kernel"]
+        assert not out["pooled"]
+        assert out["threads"] == 1
+
+    def test_small_calls_start_no_thread(self):
+        """Noise-free, identical-law and sigma = 0.1 calls stay on the calling
+        thread even at one BLAS thread."""
+        code = "\n".join([
+            "import json, sys, threading",
+            "from nsbox.coupling import make_scalar_extremal_couplings",
+            "from nsbox.macro import NoiseModel",
+            "from nsbox.signalling import exact_tv_distance",
+            "tvs = [exact_tv_distance(*make_scalar_extremal_couplings(c), n, NoiseModel(s))",
+            "       for c, n, s in ((1.0, 12, 0.0), (0.5, 12, 0.01), (0.5, 8, 0.01), (1.0, 12, 0.1))]",
+            "print(json.dumps([tvs, 'concurrent.futures.thread' in sys.modules,"
+            " threading.active_count()]))",
+        ])
+        tvs, pooled, threads = json.loads(run_fresh(code, blas_threads=1))
+        assert tvs == [ORACLE_GOLDEN[1.0, 12, 0.0], 0.0, 0.0, ORACLE_GOLDEN[1.0, 12, 0.1]]
+        assert not pooled
+        assert threads == 1
+
+
+class TestTvConcurrency:
+    """The pooled oracle under user threads and fork, at one BLAS thread."""
+
+    def test_user_threads_compute_at_once(self):
+        code = "import json, test_signalling as t; print(json.dumps(t.user_threads_tvs()))"
+        out = json.loads(run_fresh(code, blas_threads=1))
+        assert not out["alive"]
+        assert out["results"] == out["serial"]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    )
+    def test_forked_child_computes_after_pooled_tv(self):
+        # a pool that outlived the parent's TV would leave the child waiting on dead threads
+        code = "import json, test_signalling as t; print(json.dumps(t.forked_child_tv()))"
+        out = json.loads(run_fresh(code, blas_threads=1))
+        assert out["parent"] == out["serial"]
+        assert out["child"] == out["serial"]
+        assert out["exitcode"] == 0
 
 
 class TestAdvantageHelpers:
@@ -848,7 +1040,17 @@ class TestScoringEquivalence:
             ), cfg
 
 
+unit_correlations = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
 class TestCouplingsForTable:
+    @given(unit_correlations, unit_correlations, unit_correlations, unit_correlations)
+    @example(1.0, -1.0, 1.0, 1.0)  # the PR box with relabelled outputs
+    def test_pair_realizes_its_table(self, c_ab, c_abp, c_apb, c_apbp):
+        k_a, k_ap = couplings_for_table(CorrelationTable(c_ab, c_abp, c_apb, c_apbp))
+        assert validate_coupling(k_a, (c_ab, c_abp)).ok
+        assert validate_coupling(k_ap, (c_apb, c_apbp)).ok
+
     def test_matches_scalar_construction_for_tilted(self):
         k_a, k_ap = couplings_for_table(CorrelationTable(0.6, 0.6, 0.6, -0.6))
         s_a, s_ap = make_scalar_extremal_couplings(0.6)
