@@ -15,6 +15,7 @@ configuration (every bad field is listed); 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import errno
@@ -25,6 +26,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from .boxes import CorrelationTable, chsh
 from .causality import (
@@ -47,7 +49,7 @@ from .coupling import (
     make_scalar_extremal_couplings,
     validate_coupling,
 )
-from .macro import BATCH_CSV_HEADER, NoiseModel, csv_rows, write_batches_csv
+from .macro import NoiseModel, csv_rows, write_batches_csv
 from .signalling import (
     ARMS,
     Detector,
@@ -211,19 +213,27 @@ def _umask() -> int:
     return mask
 
 
-def _write_atomic(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str) -> Iterator[TextIO]:
+    """A text handle on a temp file beside `path`, renamed onto it when the
+    block ends and removed if the block raises."""
     target = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=str(target.parent), prefix=f".{target.name}.")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         # mkstemp creates the file 0600; give it the mode open() would have
         os.chmod(tmp_name, 0o666 & ~_umask())
         os.replace(tmp_name, target)
-    except Exception:
+    except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def _write_atomic(path: str, text: str) -> None:
+    with _atomic_file(path) as handle:
+        handle.write(text)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -315,10 +325,8 @@ def cmd_simulate_signalling(args) -> int:
         if out and not dump_ref.is_absolute():
             dump_ref = Path(os.path.relpath(dump_ref, Path(out).parent))
         payload["batches_csv"] = str(dump_ref)
-        buffer = io.StringIO()  # both arms, then the second arm's header is dropped
-        for strategy, arrays in zip(ARMS, arms):
-            write_batches_csv(buffer, arrays, strategy, n_pairs, seed)
-        _write_atomic(dump, buffer.getvalue().replace("\n" + BATCH_CSV_HEADER + "\n", "\n", 1))
+        with _atomic_file(dump) as handle:
+            write_batches_csv(handle, zip(ARMS, arms), n_pairs, seed)
     row = SweepRow(c, n_pairs, reps, sigma, cfg.detector, report)
     _write_out(v, fmt, payload, lambda: _sweep_csv([row]))
     print(f"advantage: {report.advantage:.6f}  ci: [{report.ci_low:.6f}, {report.ci_high:.6f}]")

@@ -10,6 +10,9 @@ so any execution order, serial or parallel, reproduces the same values.
 A draw is cut into cache-sized units of rows; each unit reads its own
 window, counts its cells and writes its own rows, and large draws spread
 the units over the available cores with the same bits on any core count.
+The read-out noise is the normal quantile of each batch's two noise
+uniforms, taken once per draw by a numpy port of the cephes `ndtri` that
+scipy runs, bit for bit, so no draw imports scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -111,8 +114,82 @@ def _units(start: int, n_batches: int, n_cols: int):
         filled += take
 
 
-def _fill_unit(out, bounds, slot, n_pairs, sigma, ndtri, seed, stream, unit) -> None:
-    """Draw one unit's uniforms and write its rows of `out`."""
+# ---------------------------------------------------------------------------
+# Normal quantile: the cephes ndtri algorithm, evaluated in its own order
+# ---------------------------------------------------------------------------
+
+_EXP_M2 = 0.13533528323661269189  # exp(-2): the centre/tail split
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+#: Rational fit for the centre, |y - 1/2| <= 1/2 - exp(-2).
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+#: Rational fits in z = 1/x for the tails, x = sqrt(-2 log y) in [2, 8) ...
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+#: ... and x >= 8, that is y <= exp(-32).
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: np.ndarray, coefs: Sequence[float], monic: bool = False) -> np.ndarray:
+    """Horner steps a = a*x + c from the leading coefficient; a monic
+    polynomial (leading 1 left out of `coefs`) starts at x + coefs[0]."""
+    a = x + coefs[0] if monic else np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        a *= x
+        a += c
+    return a
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """The C library's log, element by element: np.log's SIMD loop rounds
+    some values differently."""
+    return np.array(list(map(math.log, x.tolist())), dtype=float)
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of each y0 in (0, 1), bit for bit
+    scipy.special.ndtri (cephes): the centre fit in y0 - 1/2 between
+    exp(-2) and 1 - exp(-2); outside it, the tail fits in z = 1/x,
+    x = sqrt(-2 log y), with y the smaller of y0 and 1 - y0."""
+    out = np.empty_like(y0)
+    flip = y0 > 1.0 - _EXP_M2
+    y = np.where(flip, 1.0 - y0, y0)
+    centre = y > _EXP_M2
+    tail = ~centre
+    yc = y[centre] - 0.5
+    y2 = yc * yc
+    out[centre] = (yc + yc * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0, monic=True))) * _S2PI
+    x = np.sqrt(-2.0 * _log(y[tail]))
+    x0 = x - _log(x) / x
+    z = 1.0 / x
+    x1 = np.empty_like(x)
+    for part, p, q in ((x < 8.0, _P1, _Q1), (x >= 8.0, _P2, _Q2)):
+        zp = z[part]
+        x1[part] = zp * _polevl(zp, p) / _polevl(zp, q, monic=True)
+    x = x0 - x1
+    out[tail] = np.where(flip[tail], x, -x)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Batch sampling
+# ---------------------------------------------------------------------------
+
+def _fill_unit(out, noise_u, bounds, slot, n_pairs, seed, stream, unit) -> None:
+    """Draw one unit's uniforms and write its rows of `out`, and its rows of
+    noise uniforms to `noise_u` unless that is None."""
     first, chunk_index, offset, take = unit
     u = _chunk_uniforms(seed, stream, chunk_index, n_pairs + 2, offset, take)
     pairs = u[:, :n_pairs]
@@ -124,10 +201,9 @@ def _fill_unit(out, bounds, slot, n_pairs, sigma, ndtri, seed, stream, unit) -> 
     a, b, bp = (2 * (_PLUS_ONE @ counts) - n_pairs) / n_pairs
     rows = slice(first, first + take)
     out.a_mean[rows], out.b_mean[rows], out.bp_mean[rows] = a, b, bp
-    if sigma > 0:
-        z = ndtri(np.clip(u[:, n_pairs:], 1e-300, None))
-        b, bp = b + sigma * z[:, 0], bp + sigma * z[:, 1]
     out.noisy_b[rows], out.noisy_bp[rows] = b, bp
+    if noise_u is not None:
+        noise_u[rows] = u[:, n_pairs:]
 
 
 def sample_batches(
@@ -148,7 +224,10 @@ def sample_batches(
     cache: one comparison pass per distinct cdf bound.  Draws of at least
     `_PARALLEL_UNIFORMS` uniforms spread their units over the available cores.
     Each unit writes only its own rows, so the outputs are bit for bit those
-    of assigning each pair its cell, on any number of cores.  A pmf that is
+    of assigning each pair its cell, on any number of cores.  With sigma > 0
+    the units keep each batch's two noise uniforms, and their normal
+    quantiles (`_ndtri`, bit for bit scipy's) are taken once, after the
+    units: the tail's C-library logs hold the GIL.  A pmf that is
     negative, not finite or off 1 by more than `CORR_TOL` is rejected.
     """
     if n_batches < 0:
@@ -167,12 +246,14 @@ def sample_batches(
     # in cell 7.  Zero-mass cells repeat a bound, which is compared only once.
     bounds, slot = np.unique(np.cumsum(pmf)[:7], return_inverse=True)
     out = BatchArrays(*(np.empty(n_batches) for _ in range(5)))
-    ndtri = None
-    if noise.sigma > 0 and n_batches:
-        from scipy.special import ndtri  # imported here: it slows every CLI start
-    fill = partial(_fill_unit, out, bounds, slot, n_pairs, noise.sigma, ndtri, seed, stream)
+    noise_u = np.empty((n_batches, 2)) if noise.sigma > 0 else None
+    fill = partial(_fill_unit, out, noise_u, bounds, slot, n_pairs, seed, stream)
     units = list(_units(start, n_batches, n_pairs + 2))
     _parallel_map(fill, units, parallel=n_batches * (n_pairs + 2) >= _PARALLEL_UNIFORMS)
+    if noise_u is not None:
+        z = _ndtri(np.clip(noise_u, 1e-300, None))
+        out.noisy_b[:] += noise.sigma * z[:, 0]
+        out.noisy_bp[:] += noise.sigma * z[:, 1]
     return out
 
 
@@ -243,6 +324,8 @@ def mean_square_check(arrays: BatchArrays, n_pairs: int) -> MeanSquareReport:
 # ---------------------------------------------------------------------------
 
 BATCH_CSV_HEADER = "batch_index,strategy,N,A,B,Bprime,noisyB,noisyBprime,seed"
+#: Rows of the batch dump formatted per write: about 0.5 MB of text.
+_CSV_SLICE = 4096
 
 
 def csv_rows(template: str, columns: Sequence[np.ndarray]) -> str:
@@ -252,14 +335,19 @@ def csv_rows(template: str, columns: Sequence[np.ndarray]) -> str:
 
 def write_batches_csv(
     stream: TextIO,
-    arrays: BatchArrays,
-    strategy: Strategy,
+    arms: Iterable[tuple[Strategy, BatchArrays]],
     n_pairs: int,
     seed: int,
     start_index: int = 0,
 ) -> None:
-    """Batch dump with floating-point fields at 17 significant digits."""
-    index = np.arange(start_index, start_index + len(arrays))
-    means = (arrays.a_mean, arrays.b_mean, arrays.bp_mean, arrays.noisy_b, arrays.noisy_bp)
-    template = f"%d,{strategy.value},{n_pairs},{'%.17g,' * 5}{seed}\n"
-    stream.writelines((BATCH_CSV_HEADER + "\n", csv_rows(template, (index, *means))))
+    """Batch dump of every (strategy, arrays) arm in order under one header,
+    floating-point fields at 17 significant digits.  Rows are formatted
+    `_CSV_SLICE` at a time, so the text never sits in memory whole."""
+    stream.write(BATCH_CSV_HEADER + "\n")
+    for strategy, arrays in arms:
+        index = np.arange(start_index, start_index + len(arrays))
+        columns = (index, arrays.a_mean, arrays.b_mean, arrays.bp_mean, arrays.noisy_b,
+                   arrays.noisy_bp)
+        template = f"%d,{strategy.value},{n_pairs},{'%.17g,' * 5}{seed}\n"
+        for lo in range(0, len(arrays), _CSV_SLICE):
+            stream.write(csv_rows(template, [column[lo:lo + _CSV_SLICE] for column in columns]))

@@ -186,6 +186,31 @@ class TestSimulateSignalling:
         for path in (out, dump):
             assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
+    def test_failed_dump_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # the dump streams arm by arm into its temp file; the second arm fails
+        csv_rows = nsbox.macro.csv_rows
+        written = []
+
+        def failing_rows(template, columns):
+            if "always_aprime" in template:
+                raise OSError("disk full")
+            written.append(template)
+            return csv_rows(template, columns)
+
+        monkeypatch.setattr(nsbox.macro, "csv_rows", failing_rows)
+        dump = tmp_path / "batches.csv"
+        code = run(
+            [
+                "simulate-signalling", "--N", "4", "--reps", "64", "--seed", "5",
+                "--out", str(tmp_path / "report.json"), "--dump-batches", str(dump),
+            ]
+        )
+        assert code == 3
+        assert "i/o error: disk full" in capsys.readouterr().err
+        assert written and all("always_a," in template for template in written)
+        assert not dump.exists()
+        assert not list(tmp_path.glob(f".{dump.name}.*"))
+
     def test_invalid_fields_all_reported(self, capsys):
         code = run(
             [
@@ -748,16 +773,27 @@ class TestExport:
         assert code == 2
 
 
-def test_cli_import_loads_no_scipy():
-    """Only the locality LP and noisy draws need scipy; every CLI start would
-    pay for its import."""
+def test_cli_import_loads_no_scipy(tmp_path):
+    """Only the locality LP needs scipy; every CLI start would pay for its
+    import.  Neither the import nor a noisy run with a batch dump loads it."""
     src = str(Path(nsbox.cli.__file__).resolve().parents[1])
-    code = "import sys, nsbox.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    argv = [
+        "simulate-signalling", "--N", "16", "--reps", "256", "--sigma", "0.1", "--seed", "1",
+        "--out", str(tmp_path / "r.json"), "--dump-batches", str(tmp_path / "b.csv"),
+    ]
+    code = "\n".join([
+        "import sys, nsbox.cli",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+        f"assert nsbox.cli.main({argv!r}) == 0",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+    ])
     result = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines()[0] == "[]"
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert len((tmp_path / "b.csv").read_text().splitlines()) == 1 + 2 * 256
 
 
 # sha256 of every artifact the commands in `artifacts` write, pinned so that

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -39,6 +39,7 @@ from nsbox.macro import (
     sample_batches,
     write_batches_csv,
     _chunk_uniforms,
+    _ndtri,
 )
 
 PR_A, PR_AP = pr_limit_couplings()
@@ -290,7 +291,7 @@ class TestDeterminismContract:
         )
 
     def test_golden_value_in_fresh_interpreter(self):
-        """A fresh process loads scipy only when the first noisy batch needs it."""
+        """A fresh process draws a noisy batch without loading any scipy module."""
         point = (7, 1, 4095, 1024, 0.1)
         seed, stream, index, n_pairs, sigma = point
         code = "\n".join([
@@ -303,7 +304,7 @@ class TestDeterminismContract:
             f"pmf = np.array({GOLDEN_COUPLING.flat.tolist()}).reshape(2, 2, 2)",
             f"arrays = sample_batches(TripleCoupling(A, pmf), {n_pairs}, 1, NoiseModel({sigma}),"
             f" {seed}, stream={stream}, start={index})",
-            "assert 'scipy.special' in sys.modules",
+            "assert not any(m.startswith('scipy') for m in sys.modules)",
             "print(json.dumps([float(arrays.noisy_b[0]), float(arrays.noisy_bp[0])]))",
         ])
         src = str(Path(nsbox.macro.__file__).resolve().parents[1])
@@ -362,6 +363,66 @@ class TestDeterminismContract:
 
 #: (N, batches, sigma, seed, stream) of draws large enough for the thread pool
 LARGE_DRAWS = [(1024, 2 * CHUNK, 0.1, 11, 0), (256, 3 * CHUNK, 0.0, 12, 1)]
+
+
+def up(y: float) -> float:
+    return math.nextafter(y, 1.0)
+
+
+def down(y: float) -> float:
+    return math.nextafter(y, 0.0)
+
+
+def assert_ndtri_bits(y: np.ndarray) -> None:
+    """The port's quantiles are scipy's, bit for bit (-0.0 and 0.0 differ)."""
+    got, want = _ndtri(y), ndtri(y)
+    mismatch = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert not mismatch.size, [(y.flat[k], got.flat[k], want.flat[k]) for k in mismatch[:5]]
+
+
+EXP_M2 = math.exp(-2.0)
+EXP_M32 = math.exp(-32.0)
+
+
+def p2_switch() -> float:
+    """The largest y whose tail coordinate sqrt(-2 log y) rounds to at least
+    8, a few ulps above exp(-32): the last input of ndtri's far-tail fit."""
+    y = EXP_M32
+    while math.sqrt(-2.0 * math.log(up(y))) >= 8.0:
+        y = up(y)
+    return y
+
+
+P2_SWITCH = p2_switch()
+
+
+class TestNormalQuantile:
+    """`_ndtri` against scipy.special.ndtri, which only the tests import."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(y=st.floats(1e-300, 1.0, exclude_max=True))
+    @example(y=1e-300)
+    @example(y=2.0**-53)
+    @example(y=down(EXP_M32))
+    @example(y=EXP_M32)
+    @example(y=up(EXP_M32))
+    @example(y=P2_SWITCH)
+    @example(y=up(P2_SWITCH))
+    @example(y=down(EXP_M2))
+    @example(y=EXP_M2)
+    @example(y=up(EXP_M2))
+    @example(y=down(1.0 - EXP_M2))
+    @example(y=1.0 - EXP_M2)
+    @example(y=up(1.0 - EXP_M2))
+    @example(y=0.5)
+    @example(y=1.0 - 2.0**-53)
+    def test_matches_scipy(self, y):
+        assert_ndtri_bits(np.array([y]))
+
+    def test_philox_sweep_matches_scipy(self):
+        # the noise uniforms as sample_batches clips them
+        u = np.random.Generator(np.random.Philox(key=[7, 2**32])).random((500_000, 2))
+        assert_ndtri_bits(np.clip(u, 1e-300, None))
 
 
 def draw_large(n_pairs, n_batches, sigma, seed, stream) -> list[bytes]:
@@ -485,13 +546,14 @@ class TestEmpirical:
         assert np.all(arrays.b_mean + arrays.bp_mean == 0.0)
 
 
-def reference_write_batches_csv(stream, arrays, strategy, n_pairs, seed, start_index=0):
+def reference_write_batches_csv(stream, arms, n_pairs, seed, start_index=0):
     """The batch dump through csv.writer, one formatted row at a time."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(BATCH_CSV_HEADER.split(","))
-    columns = (arrays.a_mean, arrays.b_mean, arrays.bp_mean, arrays.noisy_b, arrays.noisy_bp)
-    for index, means in enumerate(zip(*(column.tolist() for column in columns)), start_index):
-        writer.writerow([index, strategy.value, n_pairs, *(f"{m:.17g}" for m in means), seed])
+    for strategy, arrays in arms:
+        columns = (arrays.a_mean, arrays.b_mean, arrays.bp_mean, arrays.noisy_b, arrays.noisy_bp)
+        for index, means in enumerate(zip(*(column.tolist() for column in columns)), start_index):
+            writer.writerow([index, strategy.value, n_pairs, *(f"{m:.17g}" for m in means), seed])
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1 - 2**-53, -1.0, 1.0]
@@ -519,14 +581,27 @@ class TestCsvDump:
     def test_bytes_match_csv_writer(self, columns, strategy, n_pairs, seed, start_index):
         arrays = BatchArrays(*(np.array(column, dtype=float) for column in columns))
         got, want = io.StringIO(), io.StringIO()
-        write_batches_csv(got, arrays, strategy, n_pairs, seed, start_index)
-        reference_write_batches_csv(want, arrays, strategy, n_pairs, seed, start_index)
+        write_batches_csv(got, [(strategy, arrays)], n_pairs, seed, start_index)
+        reference_write_batches_csv(want, [(strategy, arrays)], n_pairs, seed, start_index)
+        assert got.getvalue() == want.getvalue()
+
+    @pytest.mark.parametrize("n_batches", [0, 1, 5, 6, 7])
+    def test_arms_in_slices_match_csv_writer(self, n_batches, monkeypatch):
+        # one header, then each arm in order, its rows written 3 at a time
+        monkeypatch.setattr(nsbox.macro, "_CSV_SLICE", 3)
+        arms = [
+            (strategy, sample_batches(UNIFORM, 5, n_batches, NoiseModel(0.1), 9, stream=stream))
+            for strategy, stream in STRATEGY_STREAM.items()
+        ]
+        got, want = io.StringIO(), io.StringIO()
+        write_batches_csv(got, arms, 5, 9, start_index=4)
+        reference_write_batches_csv(want, arms, 5, 9, start_index=4)
         assert got.getvalue() == want.getvalue()
 
     def test_layout_and_precision(self):
         arrays = sample_batches(UNIFORM, 3, 4, NoiseModel(0.25), seed=8)
         buffer = io.StringIO()
-        write_batches_csv(buffer, arrays, Strategy.ALWAYS_A, 3, 8, start_index=2)
+        write_batches_csv(buffer, [(Strategy.ALWAYS_A, arrays)], 3, 8, start_index=2)
         lines = buffer.getvalue().strip().split("\n")
         assert lines[0] == "batch_index,strategy,N,A,B,Bprime,noisyB,noisyBprime,seed"
         assert len(lines) == 5
