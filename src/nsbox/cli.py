@@ -3,9 +3,11 @@
 Five commands: simulate-signalling, verify-bounds, scan-frontier, couplings,
 export.  Parameters come from an optional JSON config file (one section per
 command) with flags overriding file values; a field's name is its flag's
-argparse dest.  All randomized commands print the resolved seed.  Output
-directories are checked before any compute, and output files are written
-atomically (temp file + rename), so failures never leave partial artifacts.
+argparse dest.  All randomized commands print the resolved seed.  Path
+fields must be strings, and an output path must name a file in an existing
+directory; both are checked before any compute, and output files are
+written atomically (temp file + rename), so failures never leave partial
+artifacts.
 
 Exit codes: 0 success; 1 verify-bounds found a table that satisfies the
 causality condition with some |CHSH| above 2 sqrt(2); 2 invalid
@@ -183,23 +185,36 @@ class Validator:
 
 #: Fields naming files a command writes; their directories must exist.
 _OUTPUT_FIELDS = ("out", "dump_batches", "summary")
+#: Fields naming a file or directory; each must be a string.
+_PATH_FIELDS = (*_OUTPUT_FIELDS, "run_dir", "out_dir")
 
 
 def _resolve(args) -> Validator:
     """The command's config section with every given flag on top.
 
     The subparser's dests are the command's fields, so they name both the
-    section keys it allows and the flags that override them.  Output
-    directories are checked here, before any compute.
+    section keys it allows and the flags that override them.  Path fields
+    and output paths are checked here, before any compute: an output path
+    must not be a directory, and its directory must exist.
     """
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
     values = _load_config_section(args.config, args.command.replace("-", "_"))
     values.update((k, v) for k, v in flags.items() if v is not None)
+    paths = {k: values[k] for k in _PATH_FIELDS if k in flags and values.get(k) is not None}
     for key in _OUTPUT_FIELDS:
-        path = values.get(key) if key in flags else None
-        if isinstance(path, str) and not Path(path).parent.is_dir():
+        path = paths.get(key)
+        if not (isinstance(path, str) and path):
+            continue
+        if not Path(path).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, "output directory does not exist", path)
-    return Validator(values, allowed=set(flags))
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
+    v = Validator(values, allowed=set(flags))
+    v.errors += [
+        f"field {k!r} must be a string, got {path!r}"
+        for k, path in paths.items() if not isinstance(path, str)
+    ]
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +479,12 @@ def cmd_export(args) -> int:
     v = _resolve(args)
     run_dir = v.values.get("run_dir")
     out_dir = v.values.get("out_dir")
-    if not run_dir:
+    # a path of another type is reported by `_resolve`
+    if run_dir in (None, ""):
         v.errors.append("missing required field 'run_dir'")
-    elif not Path(run_dir).is_dir():
+    elif isinstance(run_dir, str) and not Path(run_dir).is_dir():
         v.errors.append(f"run_dir does not exist: {run_dir}")
-    if not out_dir:
+    if out_dir in (None, ""):
         v.errors.append("missing required field 'out_dir'")
     v.raise_if_any()
 

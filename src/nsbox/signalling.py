@@ -185,14 +185,14 @@ def exact_tv_distance(
     (steps sigma/20 and sigma/40, capped), accurate to about 1e-6 for
     sigma >= 0.01.  Identical laws return 0 without integrating.  Each grid
     is summed in 512-row blocks, each in 512 x 256 tiles with one tile of
-    scratch memory.  When numpy's BLAS runs one thread and the two grids
-    hold at least 12 blocks together, the blocks of both grids spread over
-    the available cores; otherwise they run on the calling thread, one
-    grid's kernel and tiles alive at a time.  Block
-    sums are added in block order, grid by grid, so the result has the same
-    bits on any core count and any BLAS thread count.  Supported noise:
-    sigma = 0 or sigma >= `TV_MIN_SIGMA` (1e-4); below it the capped grid
-    undersamples the kernel, so ValueError.
+    scratch memory.  The grids are built in turn, each freed before the
+    next, so one grid's kernel and tiles are alive at a time.  When numpy's
+    BLAS runs one thread and the two grids hold at least 12 blocks together,
+    each grid's blocks spread over the available cores; otherwise they run
+    on the calling thread.  Block sums are added in block order, grid by
+    grid, so the result has the same bits on any core count and any BLAS
+    thread count.  Supported noise: sigma = 0 or sigma >= `TV_MIN_SIGMA`
+    (1e-4); below it the capped grid undersamples the kernel, so ValueError.
     """
     if 0.0 < noise.sigma < TV_MIN_SIGMA:
         raise ValueError(
@@ -209,43 +209,26 @@ def exact_tv_distance(
     return fine + (fine - coarse) / 3.0
 
 
-def _tv_simpson(diff: np.ndarray, lattice: np.ndarray, sigma: float, step_divisor: int) -> float:
-    """The Simpson TV integral on one grid of step sigma / step_divisor."""
-    return _tv_simpsons(diff, lattice, sigma, (step_divisor,))[0]
-
-
 def _tv_simpsons(
     diff: np.ndarray, lattice: np.ndarray, sigma: float, step_divisors: Sequence[int]
 ) -> list[float]:
-    """The Simpson TV integral on one grid per step divisor.  Pooled, the row
-    blocks of all grids run as one batch of work; serial, each grid is built
-    only after the one before it is freed."""
+    """The Simpson TV integral on one grid per step divisor.  Each grid is
+    built, summed and freed before the next; its row blocks go to the pool
+    when all the grids hold enough blocks together and BLAS runs one thread."""
     sizes = [_grid_points(sigma, d) for d in step_divisors]
-    if sum(-(-m // TV_BLOCK) for m in sizes) >= _PARALLEL_BLOCKS and _blas_threads() == 1:
-        grids = [_simpson_grid(diff, lattice, sigma, d) for d in step_divisors]
-        blocks = [(grid, lo) for grid in grids for lo in range(0, len(grid[1]), TV_BLOCK)]
-        sums = iter(_parallel_map(_simpson_block, blocks, parallel=True))
-    else:
-        sums = _serial_block_sums(diff, lattice, sigma, step_divisors)
+    parallel = sum(-(-m // TV_BLOCK) for m in sizes) >= _PARALLEL_BLOCKS and _blas_threads() == 1
     totals = []
     for m in sizes:
-        # one += per block in block order, as a serial pass adds them
+        grid = _simpson_grid(diff, lattice, sigma, m)
+        blocks = [(grid, lo) for lo in range(0, m, TV_BLOCK)]
+        sums = _parallel_map(_simpson_block, blocks, parallel)
+        del grid, blocks  # before the next grid is built
+        # one += per block in block order: sum() compensates floats from Python 3.12
         total = 0.0
-        for _ in range(0, m, TV_BLOCK):
-            total += next(sums)
+        for block_sum in sums:
+            total += block_sum
         totals.append(0.5 * total)
     return totals
-
-
-def _serial_block_sums(
-    diff: np.ndarray, lattice: np.ndarray, sigma: float, step_divisors: Sequence[int]
-):
-    """The block sums of each grid in turn, on the calling thread."""
-    for d in step_divisors:
-        grid = _simpson_grid(diff, lattice, sigma, d)
-        for lo in range(0, len(grid[1]), TV_BLOCK):
-            yield _simpson_block((grid, lo))
-        del grid  # before the next grid is built
 
 
 def _grid_points(sigma: float, step_divisor: int) -> int:
@@ -254,12 +237,11 @@ def _grid_points(sigma: float, step_divisor: int) -> int:
     return min(m | 1, 40001)
 
 
-def _simpson_grid(diff: np.ndarray, lattice: np.ndarray, sigma: float, step_divisor: int):
-    """(kernel, weights, column tiles) of one Simpson grid: the m x (N+1)
-    read-out Gaussians, the m Simpson weights and the (N+1) x m product
-    diff @ kernel.T cut into contiguous `TV_TILE`-column tiles."""
+def _simpson_grid(diff: np.ndarray, lattice: np.ndarray, sigma: float, m: int):
+    """(kernel, weights, column tiles) of the m-point Simpson grid: the
+    m x (N+1) read-out Gaussians, the m Simpson weights and the (N+1) x m
+    product diff @ kernel.T cut into contiguous `TV_TILE`-column tiles."""
     span = 1.0 + 7.0 * sigma
-    m = _grid_points(sigma, step_divisor)
     grid = np.linspace(-span, span, m)
     h = grid[1] - grid[0]
     weights = np.ones(m)

@@ -243,8 +243,21 @@ class TestSimulateSignalling:
              {"N": math.inf, "reps": math.inf, "sigma": math.inf},
              ["field 'N' must be an integer, got inf", "field 'reps' must be an integer, got inf",
               "field 'sigma' must be finite, got inf"]),
+            # a path field of another type is a config error, not a crash after the draw
+            ("simulate-signalling", "simulate_signalling", {"out": 5, "dump_batches": ["x"]},
+             ["field 'out' must be a string, got 5",
+              "field 'dump_batches' must be a string, got ['x']"]),
+            ("verify-bounds", "verify_bounds", {"table": [0.5, 0.5, 0.5, -0.5], "out": ["x"]},
+             ["field 'out' must be a string, got ['x']"]),
+            ("scan-frontier", "scan_frontier", {"summary": True, "out": 5},
+             ["field 'summary' must be a string, got True", "field 'out' must be a string, got 5"]),
+            ("couplings", "couplings", {"out": 5}, ["field 'out' must be a string, got 5"]),
+            ("export", "export", {"run_dir": 3, "out_dir": False},
+             ["field 'run_dir' must be a string, got 3",
+              "field 'out_dir' must be a string, got False"]),
         ],
-        ids=["booleans", "strings", "verify-bounds-string", "infinities"],
+        ids=["booleans", "strings", "verify-bounds-string", "infinities", "simulate-paths",
+             "verify-bounds-path", "scan-frontier-paths", "couplings-path", "export-paths"],
     )
     def test_boolean_numbers_rejected(self, tmp_path, capsys, command, section, fields, expected):
         cfg = tmp_path / "cfg.json"
@@ -344,20 +357,32 @@ class TestSimulateSignalling:
 
     @pytest.mark.parametrize("field", ["out", "dump_batches"])
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_missing_output_dir_fails_before_drawing(self, tmp_path, monkeypatch, field, source):
+    @pytest.mark.parametrize("target", ["missing-dir", "existing-dir"])
+    def test_missing_output_dir_fails_before_drawing(
+        self, tmp_path, monkeypatch, field, source, target
+    ):
         def no_draw(*args, **kwargs):
             raise AssertionError("sample_batches was called")
 
         patch_sample_batches(monkeypatch, no_draw)
-        target = str(tmp_path / "nodir" / "r.json")
+        (tmp_path / "runs").mkdir()
+        bad = tmp_path / ("nodir/r.json" if target == "missing-dir" else "runs")
+        # the other output field names a good path, which must stay unwritten
+        other = "dump_batches" if field == "out" else "out"
+        fields = {field: str(bad), other: str(tmp_path / "other.out")}
         argv = ["simulate-signalling", "--N", "64", "--reps", "100000"]
         if source == "flag":
-            argv += ["--" + field.replace("_", "-"), target]
+            for name, path in fields.items():
+                argv += ["--" + name.replace("_", "-"), path]
         else:
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"simulate_signalling": {field: target}}))
+            cfg.write_text(json.dumps({"simulate_signalling": fields}))
             argv += ["--config", str(cfg)]
         assert run(argv) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["runs"] + (["cfg.json"] if source == "config" else [])
+        )
+        assert list((tmp_path / "runs").iterdir()) == []
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -472,12 +497,17 @@ class TestScanFrontier:
         data = json.loads(capsys.readouterr().out)
         assert abs(data["critical_c"] - Q) < 1e-6
 
-    def test_missing_summary_dir_fails_before_scanning(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("target", ["missing-dir", "existing-dir"])
+    def test_missing_summary_dir_fails_before_scanning(self, tmp_path, monkeypatch, target):
         def no_scan(*args, **kwargs):
             raise AssertionError("frontier_scan was called")
 
         monkeypatch.setattr(nsbox.cli, "frontier_scan", no_scan)
-        assert run(["scan-frontier", "--summary", str(tmp_path / "nodir" / "s.json")]) == 3
+        (tmp_path / "runs").mkdir()
+        bad = tmp_path / ("nodir/s.json" if target == "missing-dir" else "runs")
+        assert run(["scan-frontier", "--summary", str(bad)]) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["runs"]
+        assert list((tmp_path / "runs").iterdir()) == []
 
     def test_absent_flag_keeps_config_symmetric(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

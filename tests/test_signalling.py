@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from collections import namedtuple
 from dataclasses import replace
 from math import comb
@@ -40,7 +41,7 @@ from nsbox.signalling import (
     SignallingReport,
     SweepRow,
     Verdict,
-    _tv_simpson,
+    _tv_simpsons,
     advantage_ceiling,
     batch_law,
     couplings_for_table,
@@ -115,7 +116,7 @@ def reference_tv_simpson(
 
 
 def grid_points(sigma: float, step_divisor: int) -> int:
-    """The Simpson point count m that `_tv_simpson` uses."""
+    """The Simpson point count m that `_tv_simpsons` uses."""
     return min(int(math.ceil(2.0 * (1.0 + 7.0 * sigma) / (sigma / step_divisor))) + 1 | 1, 40001)
 
 
@@ -146,10 +147,10 @@ def kernel_cases(seed: int, count: int, sigmas: tuple = (0.01, 0.5)):
 
 
 def kernel_mismatches(seed: int, count: int) -> list:
-    """Cases where `_tv_simpson` and `reference_tv_simpson` differ in any bit."""
+    """Cases where `_tv_simpsons` and `reference_tv_simpson` differ in any bit."""
     bad = []
     for diff, lattice, sigma, step_divisor in kernel_cases(seed, count):
-        got = _tv_simpson(diff, lattice, sigma, step_divisor)
+        got = _tv_simpsons(diff, lattice, sigma, (step_divisor,))[0]
         want = reference_tv_simpson(diff, lattice, sigma, step_divisor)
         if got != want:
             bad.append([len(lattice) - 1, sigma, step_divisor, repr(got), repr(want)])
@@ -224,7 +225,7 @@ class TestExactTv:
         _, law_ap = batch_law(PR_AP, 8)
         diff = law_a - law_ap
         reported = exact_tv_distance(PR_A, PR_AP, 8, NoiseModel(0.2))
-        fine = _tv_simpson(diff, lattice, 0.2, step_divisor=320)
+        fine = _tv_simpsons(diff, lattice, 0.2, (320,))[0]
         assert reported == pytest.approx(fine, abs=1e-6)
 
     def test_n_cap(self):
@@ -270,12 +271,12 @@ class TestExactTv:
             "import test_signalling as t",
             "from nsbox.coupling import make_scalar_extremal_couplings",
             "from nsbox.macro import NoiseModel",
-            "from nsbox.signalling import _tv_simpson, exact_tv_distance",
+            "from nsbox.signalling import _tv_simpsons, exact_tv_distance",
             "for c, n, s in t.THREAD_CASES:",
             "    pair = make_scalar_extremal_couplings(c)",
             "    print(repr(exact_tv_distance(*pair, n, NoiseModel(s))))",
-            "for case in t.kernel_cases(1, 20):",
-            "    print(repr(_tv_simpson(*case)))",
+            "for diff, lattice, s, d in t.kernel_cases(1, 20):",
+            "    print(repr(_tv_simpsons(diff, lattice, s, (d,))[0]))",
         ])
         one = run_fresh(code, blas_threads=1)
         assert len(one.split()) == len(THREAD_CASES) + len(list(kernel_cases(1, 20)))
@@ -299,7 +300,8 @@ def oracle_tvs() -> dict:
         repr(exact_tv_distance(*make_scalar_extremal_couplings(c), n, NoiseModel(s)))
         for c, n, s in sorted(ORACLE_GOLDEN)
     ]
-    kernel = [repr(_tv_simpson(*case)) for case in pooled_kernel_cases()]
+    kernel = [repr(_tv_simpsons(diff, lattice, s, (d,))[0])
+              for diff, lattice, s, d in pooled_kernel_cases()]
     return {
         "golden": golden,
         "kernel": kernel,
@@ -307,6 +309,28 @@ def oracle_tvs() -> dict:
         "threads": threading.active_count(),
         "cores": len(os.sched_getaffinity(0)),
     }
+
+
+def live_grid_counts() -> list:
+    """For C = 1, N = 12 at sigma 0.1 and 0.01: as each Simpson grid is built,
+    how many kernels of the grids built before it are still alive."""
+    build = nsbox.signalling._simpson_grid
+    kernels, counts = [], []
+
+    def spy(*args):
+        grid = build(*args)
+        counts[-1].append(sum(ref() is not None for ref in kernels))
+        kernels.append(weakref.ref(grid[0]))
+        return grid
+
+    nsbox.signalling._simpson_grid = spy
+    try:
+        for sigma in (0.1, 0.01):
+            counts.append([])
+            exact_tv_distance(*make_scalar_extremal_couplings(1.0), 12, NoiseModel(sigma))
+    finally:
+        nsbox.signalling._simpson_grid = build
+    return counts
 
 
 ORACLE_TVS = "import json, test_signalling as t; print(json.dumps(t.oracle_tvs()))"
@@ -428,6 +452,12 @@ class TestExactTvPool:
         assert out["kernel"] == one_blas_thread["kernel"]
         assert not out["pooled"]
         assert out["threads"] == 1
+
+    @pytest.mark.parametrize("blas_threads", [1, 2])
+    def test_one_grid_alive_at_a_time(self, blas_threads):
+        """Pooled or serial, each Richardson grid is freed before the next is built."""
+        code = "import json, test_signalling as t; print(json.dumps(t.live_grid_counts()))"
+        assert json.loads(run_fresh(code, blas_threads)) == [[0, 0], [0, 0]]
 
     def test_small_calls_start_no_thread(self):
         """Noise-free, identical-law and sigma = 0.1 calls stay on the calling
