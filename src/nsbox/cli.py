@@ -21,7 +21,6 @@ import contextlib
 import csv
 import dataclasses
 import errno
-import io
 import json
 import math
 import os
@@ -195,7 +194,8 @@ def _resolve(args) -> Validator:
     The subparser's dests are the command's fields, so they name both the
     section keys it allows and the flags that override them.  Path fields
     and output paths are checked here, before any compute: an output path
-    must not be a directory, and its directory must exist.
+    must not be a directory or end in a separator, and its directory must
+    exist.
     """
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
     values = _load_config_section(args.config, args.command.replace("-", "_"))
@@ -207,7 +207,8 @@ def _resolve(args) -> Validator:
             continue
         if not Path(path).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, "output directory does not exist", path)
-        if Path(path).is_dir():
+        # Path drops a trailing separator, so "new/" would write a file "new"
+        if path.endswith(("/", os.sep)) or Path(path).is_dir():
             raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
     v = Validator(values, allowed=set(flags))
     v.errors += [
@@ -246,38 +247,26 @@ def _atomic_file(path: str) -> Iterator[TextIO]:
         raise
 
 
-def _write_atomic(path: str, text: str) -> None:
-    with _atomic_file(path) as handle:
-        handle.write(text)
-
-
 def _write_json(path: str, payload: dict) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2) + "\n")
+    with _atomic_file(path) as handle:
+        handle.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_out(v: Validator, fmt: str, payload: dict, csv_text) -> None:
+def _write_out(v: Validator, fmt: str, payload: dict, write_csv) -> None:
     """Write the --out file, if one is given: the payload as JSON, or the
-    text `csv_text()` builds, which is built only for CSV."""
+    CSV that `write_csv(handle)` writes."""
     out = v.values.get("out")
-    if out:
-        if fmt == "json":
-            _write_json(out, payload)
-        else:
-            _write_atomic(out, csv_text())
+    if out and fmt == "json":
+        _write_json(out, payload)
+    elif out:
+        with _atomic_file(out) as handle:
+            write_csv(handle)
 
 
-def _csv(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _write_csv(handle: TextIO, header, rows) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _sweep_csv(rows) -> str:
-    buffer = io.StringIO()
-    write_sweep_csv(buffer, rows)
-    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +332,7 @@ def cmd_simulate_signalling(args) -> int:
         with _atomic_file(dump) as handle:
             write_batches_csv(handle, zip(ARMS, arms), n_pairs, seed)
     row = SweepRow(c, n_pairs, reps, sigma, cfg.detector, report)
-    _write_out(v, fmt, payload, lambda: _sweep_csv([row]))
+    _write_out(v, fmt, payload, lambda handle: write_sweep_csv(handle, [row]))
     print(f"advantage: {report.advantage:.6f}  ci: [{report.ci_low:.6f}, {report.ci_high:.6f}]")
     print(f"verdict: {report.verdict.value}  trials: {report.n_trials}  n_used: {report.n_used}")
     if report.suggested_repetitions is not None:
@@ -389,7 +378,8 @@ def cmd_verify_bounds(args) -> int:
         "budget_total",
     ]
     flat = {**table.as_dict(), **payload}
-    _write_out(v, fmt, payload, lambda: _csv(fields, [[flat[k] for k in fields]]))
+    values = [[flat[k] for k in fields]]
+    _write_out(v, fmt, payload, lambda handle: _write_csv(handle, fields, values))
     print(json.dumps(payload, indent=2))
     return EXIT_OK if not failures else EXIT_INVARIANT
 
@@ -405,11 +395,11 @@ def cmd_scan_frontier(args) -> int:
     report = frontier_scan(resolution, symmetric=symmetric, rhs=rhs)
     summary = _envelope(args, **dataclasses.asdict(report))
 
-    def grid_csv() -> str:
+    def grid_csv(handle: TextIO) -> None:
         grid = frontier_grid(resolution, symmetric, rhs)
         # floats at 17 significant digits, booleans spelled as in JSON (lower-cased)
         template = ",".join("%s" if c.dtype == bool else "%.17g" for c in grid.values()) + "\n"
-        return ",".join(grid) + "\n" + csv_rows(template, grid.values()).lower()
+        handle.write(",".join(grid) + "\n" + csv_rows(template, grid.values()).lower())
 
     _write_out(v, fmt, summary, grid_csv)
     if v.values.get("summary"):
@@ -451,7 +441,8 @@ def cmd_couplings(args) -> int:
         for arm, data in payload["couplings"].items()
         for cell, probability in zip(cells, data["pmf"])
     ]
-    _write_out(v, fmt, payload, lambda: _csv(["arm", "i", "j", "jp", "probability"], rows))
+    header = ["arm", "i", "j", "jp", "probability"]
+    _write_out(v, fmt, payload, lambda handle: _write_csv(handle, header, rows))
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
@@ -510,7 +501,8 @@ def cmd_export(args) -> int:
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     rows.sort(key=lambda r: (r.c, r.n_pairs, r.sigma))
     written = [str(Path(out_dir) / "advantage_curve.csv")]
-    _write_atomic(written[0], _sweep_csv(rows))
+    with _atomic_file(written[0]) as handle:
+        write_sweep_csv(handle, rows)
 
     for batch_file in batch_files:
         counts: dict[tuple[str, float], int] = {}
@@ -536,7 +528,8 @@ def cmd_export(args) -> int:
             continue
         target = str(Path(out_dir) / f"hist_{batch_file.stem}.csv")
         rows = [[strategy, f"{value:.17g}", n] for (strategy, value), n in sorted(counts.items())]
-        _write_atomic(target, _csv(["strategy", "value", "count"], rows))
+        with _atomic_file(target) as handle:
+            _write_csv(handle, ["strategy", "value", "count"], rows)
         written.append(target)
 
     for path in written:

@@ -338,14 +338,13 @@ def write_batches_csv(
     arms: Iterable[tuple[Strategy, BatchArrays]],
     n_pairs: int,
     seed: int,
-    start_index: int = 0,
 ) -> None:
     """Batch dump of every (strategy, arrays) arm in order under one header,
     floating-point fields at 17 significant digits.  Rows are formatted
     `_CSV_SLICE` at a time, so the text never sits in memory whole."""
     stream.write(BATCH_CSV_HEADER + "\n")
     for strategy, arrays in arms:
-        index = np.arange(start_index, start_index + len(arrays))
+        index = np.arange(len(arrays))
         columns = (index, arrays.a_mean, arrays.b_mean, arrays.bp_mean, arrays.noisy_b,
                    arrays.noisy_bp)
         template = f"%d,{strategy.value},{n_pairs},{'%.17g,' * 5}{seed}\n"

@@ -29,7 +29,10 @@ from .macro import (
 
 MAX_EXACT_PAIRS = 12
 TV_BLOCK, TV_TILE = 512, 256  # Simpson grid rows x columns per product
-TV_MIN_SIGMA = 1e-4  # the 40001-point Simpson grid undersamples the kernel below this
+#: N sigma at or below which the noisy TV is the noise-free lattice sum to the last
+#: bit: it lies in [TV_free (1 - 2 P_out), TV_free] with P_out <= 4 Phi_c(1/(N sigma)),
+#: and the gap 8 Phi_c(40) is 0.0 in double precision.
+TV_SEPARATED = 1.0 / 40.0
 _PARALLEL_BLOCKS = 12  # fewer Simpson row blocks than this stay on the calling thread
 WILSON_Z = 1.959963984540054  # two-sided 95%
 NO_SIGNALLING_WIDTH = 0.02  # CI width needed to call NO_SIGNALLING
@@ -179,28 +182,27 @@ def exact_tv_distance(
 ) -> float:
     """Total variation between Bob's observation laws under the two strategies.
 
-    Noise-free laws live on the (N+1)^2 lattice and the distance is exact;
-    with noise both laws are convolved with the Gaussian read-out kernel and
-    the distance is integrated on Richardson-extrapolated Simpson grids
-    (steps sigma/20 and sigma/40, capped), accurate to about 1e-6 for
-    sigma >= 0.01.  Identical laws return 0 without integrating.  Each grid
-    is summed in 512-row blocks, each in 512 x 256 tiles with one tile of
-    scratch memory.  The grids are built in turn, each freed before the
-    next, so one grid's kernel and tiles are alive at a time.  When numpy's
-    BLAS runs one thread and the two grids hold at least 12 blocks together,
-    each grid's blocks spread over the available cores; otherwise they run
-    on the calling thread.  Block sums are added in block order, grid by
-    grid, so the result has the same bits on any core count and any BLAS
-    thread count.  Supported noise: sigma = 0 or sigma >= `TV_MIN_SIGMA`
-    (1e-4); below it the capped grid undersamples the kernel, so ValueError.
+    Noise-free laws live on the (N+1)^2 lattice and the distance is exact.
+    Noise is a Markov kernel, so the noisy distance lies in
+    [TV_free (1 - 2 P_out), TV_free], where P_out <= 4 Phi_c(1 / (N sigma))
+    is the chance that a noisy mean leaves its lattice cell.  While
+    N * sigma <= `TV_SEPARATED` (1/40) the gap 8 Phi_c(40) is 0.0 in double
+    precision, so the noise-free lattice sum is returned.  Above that, both
+    laws are convolved with the Gaussian read-out kernel and the distance is
+    integrated on Richardson-extrapolated Simpson grids (steps sigma/20 and
+    sigma/40), accurate to about 1e-6.  Every sigma >= 0 is accepted.
+    Identical laws return 0 without integrating.  Each grid is summed in
+    512-row blocks, each in 512 x 256 tiles with one tile of scratch memory.
+    The grids are built in turn, each freed before the next, so one grid's
+    kernel and tiles are alive at a time.  When numpy's BLAS runs one thread
+    and the two grids hold at least 12 blocks together, each grid's blocks
+    spread over the available cores; otherwise they run on the calling
+    thread.  Block sums are added in block order, grid by grid, so the
+    result has the same bits on any core count and any BLAS thread count.
     """
-    if 0.0 < noise.sigma < TV_MIN_SIGMA:
-        raise ValueError(
-            f"exact_tv_distance needs sigma = 0 or sigma >= {TV_MIN_SIGMA}, got {noise.sigma!r}"
-        )
     lattice, law_a, law_ap = exact_laws(k_a, k_ap, n_pairs)
     diff = law_a - law_ap
-    if noise.sigma == 0.0 or not diff.any():
+    if n_pairs * noise.sigma <= TV_SEPARATED or not diff.any():
         return 0.5 * float(np.abs(diff).sum())
 
     # the |.| kinks reduce Simpson to O(h^2); one Richardson step restores
@@ -232,9 +234,8 @@ def _tv_simpsons(
 
 
 def _grid_points(sigma: float, step_divisor: int) -> int:
-    """The odd Simpson point count m of step sigma / step_divisor, capped."""
-    m = int(math.ceil(2.0 * (1.0 + 7.0 * sigma) / (sigma / step_divisor))) + 1
-    return min(m | 1, 40001)
+    """The odd Simpson point count m of step sigma / step_divisor."""
+    return int(math.ceil(2.0 * (1.0 + 7.0 * sigma) / (sigma / step_divisor))) + 1 | 1
 
 
 def _simpson_grid(diff: np.ndarray, lattice: np.ndarray, sigma: float, m: int):
@@ -486,7 +487,7 @@ def score_arms(
 # ---------------------------------------------------------------------------
 
 SWEEP_CSV_HEADER = "C,N,R,sigma,detector,advantage,ci_low,ci_high,n_used,verdict"
-SWEEP_CSV_ROW = "%.17g,%s,%s,%.17g,%s,%.17g,%.17g,%.17g,%s,%s"
+SWEEP_CSV_ROW = "%.17g,%s,%s,%.17g,%s,%.17g,%.17g,%.17g,%s,%s\n"
 
 
 @dataclass(frozen=True)
@@ -498,11 +499,15 @@ class SweepRow:
     detector: Detector
     report: SignallingReport
 
-    def csv_fields(self) -> list[str]:
+    def csv_line(self) -> str:
         r = self.report
-        fields = (self.c, self.n_pairs, self.repetitions, self.sigma, self.detector.value,
-                  r.advantage, r.ci_low, r.ci_high, r.n_used, r.verdict.value)
-        return (SWEEP_CSV_ROW % fields).split(",")
+        return SWEEP_CSV_ROW % (self.c, self.n_pairs, self.repetitions, self.sigma,
+                                self.detector.value, r.advantage, r.ci_low, r.ci_high,
+                                r.n_used, r.verdict.value)
+
+    def csv_fields(self) -> list[str]:
+        """The fields of `csv_line`, none of which holds a comma."""
+        return self.csv_line()[:-1].split(",")
 
 
 def resource_sweep(
@@ -565,7 +570,7 @@ def resource_sweep(
 
 def write_sweep_csv(stream: TextIO, rows: Sequence[SweepRow]) -> None:
     """One line per row; csv.writer would quote none of the fields."""
-    stream.write(SWEEP_CSV_HEADER + "\n" + "".join(",".join(r.csv_fields()) + "\n" for r in rows))
+    stream.write(SWEEP_CSV_HEADER + "\n" + "".join(row.csv_line() for row in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,15 @@ from nsbox.signalling import report_from_json
 
 Q = math.sqrt(2.0) / 2.0
 
+#: Output paths no command may write, in a tmp_path holding an empty "runs":
+#: a file in a missing directory, an existing directory, and a new name that
+#: ends in a separator (a directory name, which Path would turn into a file).
+BAD_OUTPUT = {
+    "missing-dir": lambda tmp_path, name: str(tmp_path / "nodir" / name),
+    "existing-dir": lambda tmp_path, name: str(tmp_path / "runs"),
+    "trailing-slash": lambda tmp_path, name: str(tmp_path / "newdir") + os.sep,
+}
+
 
 def reference_grid_csv(grid) -> str:
     """The scan-frontier grid CSV through csv.writer, one formatted row at a time."""
@@ -357,7 +366,7 @@ class TestSimulateSignalling:
 
     @pytest.mark.parametrize("field", ["out", "dump_batches"])
     @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("target", ["missing-dir", "existing-dir"])
+    @pytest.mark.parametrize("target", ["missing-dir", "existing-dir", "trailing-slash"])
     def test_missing_output_dir_fails_before_drawing(
         self, tmp_path, monkeypatch, field, source, target
     ):
@@ -366,10 +375,10 @@ class TestSimulateSignalling:
 
         patch_sample_batches(monkeypatch, no_draw)
         (tmp_path / "runs").mkdir()
-        bad = tmp_path / ("nodir/r.json" if target == "missing-dir" else "runs")
+        bad = BAD_OUTPUT[target](tmp_path, "r.json")
         # the other output field names a good path, which must stay unwritten
         other = "dump_batches" if field == "out" else "out"
-        fields = {field: str(bad), other: str(tmp_path / "other.out")}
+        fields = {field: bad, other: str(tmp_path / "other.out")}
         argv = ["simulate-signalling", "--N", "64", "--reps", "100000"]
         if source == "flag":
             for name, path in fields.items():
@@ -497,15 +506,14 @@ class TestScanFrontier:
         data = json.loads(capsys.readouterr().out)
         assert abs(data["critical_c"] - Q) < 1e-6
 
-    @pytest.mark.parametrize("target", ["missing-dir", "existing-dir"])
+    @pytest.mark.parametrize("target", ["missing-dir", "existing-dir", "trailing-slash"])
     def test_missing_summary_dir_fails_before_scanning(self, tmp_path, monkeypatch, target):
         def no_scan(*args, **kwargs):
             raise AssertionError("frontier_scan was called")
 
         monkeypatch.setattr(nsbox.cli, "frontier_scan", no_scan)
         (tmp_path / "runs").mkdir()
-        bad = tmp_path / ("nodir/s.json" if target == "missing-dir" else "runs")
-        assert run(["scan-frontier", "--summary", str(bad)]) == 3
+        assert run(["scan-frontier", "--summary", BAD_OUTPUT[target](tmp_path, "s.json")]) == 3
         assert [p.name for p in tmp_path.iterdir()] == ["runs"]
         assert list((tmp_path / "runs").iterdir()) == []
 

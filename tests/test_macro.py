@@ -546,13 +546,13 @@ class TestEmpirical:
         assert np.all(arrays.b_mean + arrays.bp_mean == 0.0)
 
 
-def reference_write_batches_csv(stream, arms, n_pairs, seed, start_index=0):
+def reference_write_batches_csv(stream, arms, n_pairs, seed):
     """The batch dump through csv.writer, one formatted row at a time."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(BATCH_CSV_HEADER.split(","))
     for strategy, arrays in arms:
         columns = (arrays.a_mean, arrays.b_mean, arrays.bp_mean, arrays.noisy_b, arrays.noisy_bp)
-        for index, means in enumerate(zip(*(column.tolist() for column in columns)), start_index):
+        for index, means in enumerate(zip(*(column.tolist() for column in columns))):
             writer.writerow([index, strategy.value, n_pairs, *(f"{m:.17g}" for m in means), seed])
 
 
@@ -576,13 +576,12 @@ class TestCsvDump:
         strategy=st.sampled_from(Strategy),
         n_pairs=st.one_of(st.just(1), st.integers(1, 10**6)),
         seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
-        start_index=st.one_of(st.just(0), st.integers(1, 2**44)),
     )
-    def test_bytes_match_csv_writer(self, columns, strategy, n_pairs, seed, start_index):
+    def test_bytes_match_csv_writer(self, columns, strategy, n_pairs, seed):
         arrays = BatchArrays(*(np.array(column, dtype=float) for column in columns))
         got, want = io.StringIO(), io.StringIO()
-        write_batches_csv(got, [(strategy, arrays)], n_pairs, seed, start_index)
-        reference_write_batches_csv(want, [(strategy, arrays)], n_pairs, seed, start_index)
+        write_batches_csv(got, [(strategy, arrays)], n_pairs, seed)
+        reference_write_batches_csv(want, [(strategy, arrays)], n_pairs, seed)
         assert got.getvalue() == want.getvalue()
 
     @pytest.mark.parametrize("n_batches", [0, 1, 5, 6, 7])
@@ -594,19 +593,19 @@ class TestCsvDump:
             for strategy, stream in STRATEGY_STREAM.items()
         ]
         got, want = io.StringIO(), io.StringIO()
-        write_batches_csv(got, arms, 5, 9, start_index=4)
-        reference_write_batches_csv(want, arms, 5, 9, start_index=4)
+        write_batches_csv(got, arms, 5, 9)
+        reference_write_batches_csv(want, arms, 5, 9)
         assert got.getvalue() == want.getvalue()
 
     def test_layout_and_precision(self):
         arrays = sample_batches(UNIFORM, 3, 4, NoiseModel(0.25), seed=8)
         buffer = io.StringIO()
-        write_batches_csv(buffer, [(Strategy.ALWAYS_A, arrays)], 3, 8, start_index=2)
+        write_batches_csv(buffer, [(Strategy.ALWAYS_A, arrays)], 3, 8)
         lines = buffer.getvalue().strip().split("\n")
         assert lines[0] == "batch_index,strategy,N,A,B,Bprime,noisyB,noisyBprime,seed"
         assert len(lines) == 5
         first = lines[1].split(",")
-        assert first[0] == "2"
+        assert first[0] == "0"
         assert first[1] == "always_a"
         assert first[2] == "3"
         assert first[8] == "8"

@@ -37,7 +37,7 @@ from nsbox.signalling import (
     ProtocolConfig,
     SWEEP_CSV_HEADER,
     TV_BLOCK,
-    TV_MIN_SIGMA,
+    TV_SEPARATED,
     SignallingReport,
     SweepRow,
     Verdict,
@@ -96,7 +96,7 @@ def reference_tv_simpson(
     span = 1.0 + 7.0 * sigma
     step = sigma / step_divisor
     m = int(math.ceil(2.0 * span / step)) + 1
-    m = min(m | 1, 40001)  # odd point count for Simpson
+    m |= 1  # odd point count for Simpson
     grid = np.linspace(-span, span, m)
     h = grid[1] - grid[0]
     weights = np.ones(m)
@@ -117,7 +117,7 @@ def reference_tv_simpson(
 
 def grid_points(sigma: float, step_divisor: int) -> int:
     """The Simpson point count m that `_tv_simpsons` uses."""
-    return min(int(math.ceil(2.0 * (1.0 + 7.0 * sigma) / (sigma / step_divisor))) + 1 | 1, 40001)
+    return int(math.ceil(2.0 * (1.0 + 7.0 * sigma) / (sigma / step_divisor))) + 1 | 1
 
 
 # (N, sigma, step divisor) with m < 256 (37, 171), 256 < m < 512 (361) and
@@ -232,17 +232,40 @@ class TestExactTv:
         with pytest.raises(ValueError):
             exact_tv_distance(PR_A, PR_AP, 13, NOISELESS)
 
-    @pytest.mark.parametrize("sigma", [1e-5, 1e-9, math.nextafter(TV_MIN_SIGMA, 0.0)])
-    def test_sigma_below_grid_resolution_rejected(self, sigma):
-        # the capped Simpson grid undersamples the kernel: unchecked, it gave 0.14
-        # at sigma = 1e-5 and 2e-14 at 1e-9 here, against a noise-free TV of 1
-        with pytest.raises(ValueError, match="sigma >= 0.0001"):
-            exact_tv_distance(PR_A, PR_AP, 1, NoiseModel(sigma))
+    @pytest.mark.parametrize("n_pairs", [1, 4, 8, 12])
+    @pytest.mark.parametrize("sigma", [1e-9, 1e-5, 1e-4, None],
+                             ids=["1e-9", "1e-5", "1e-4", "1/(40N)"])
+    @pytest.mark.parametrize("c", [1.0, 0.75])
+    def test_separated_noise_is_the_lattice_sum(self, monkeypatch, c, sigma, n_pairs):
+        """At N sigma <= 1/40 (None: exactly 1/40) the noisy means stay in their
+        lattice cells, so the noise-free sum is returned and nothing is integrated."""
+        if sigma is None:
+            sigma = TV_SEPARATED / n_pairs
+            assert n_pairs * sigma == TV_SEPARATED
+        k_a, k_ap = make_scalar_extremal_couplings(c)
+        diff = batch_law(k_a, n_pairs)[1] - batch_law(k_ap, n_pairs)[1]
+        monkeypatch.setattr("nsbox.signalling._simpson_grid", None)
+        tv = exact_tv_distance(k_a, k_ap, n_pairs, NoiseModel(sigma))
+        assert tv == 0.5 * float(np.abs(diff).sum()) > 0.0
 
-    def test_smallest_supported_sigma_is_accurate(self):
-        # N = 1 has the largest error just below the bound: 3.6e-6 at sigma = 8e-5
-        noisy = exact_tv_distance(PR_A, PR_AP, 1, NoiseModel(TV_MIN_SIGMA))
-        assert noisy == pytest.approx(exact_tv_distance(PR_A, PR_AP, 1, NOISELESS), abs=1e-6)
+    @pytest.mark.parametrize("n_pairs, sigma", [(12, 0.0021), (4, 0.0063), (1, 0.0251)])
+    def test_just_above_the_switch_integrates_near_the_lattice_sum(
+        self, monkeypatch, n_pairs, sigma
+    ):
+        """Past N sigma = 1/40 both Simpson grids are integrated, and land
+        within 1e-6 of the noise-free TV (about 1e-12 at these points)."""
+        assert n_pairs * sigma > TV_SEPARATED
+        built = []
+        build = nsbox.signalling._simpson_grid
+
+        def spy(*args):
+            built.append(args[-1])
+            return build(*args)
+
+        monkeypatch.setattr("nsbox.signalling._simpson_grid", spy)
+        tv = exact_tv_distance(PR_A, PR_AP, n_pairs, NoiseModel(sigma))
+        assert built == [grid_points(sigma, 20), grid_points(sigma, 40)]
+        assert tv == pytest.approx(exact_tv_distance(PR_A, PR_AP, n_pairs, NOISELESS), abs=1e-6)
 
     @pytest.mark.parametrize("c, n_pairs, sigma", sorted(ORACLE_GOLDEN))
     def test_oracle_golden(self, c, n_pairs, sigma):
