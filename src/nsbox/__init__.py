@@ -21,8 +21,6 @@ from .boxes import (
     chsh_variants,
     classify_locality,
     correlation,
-    deterministic_tables,
-    local_hull_membership,
     make_pr_box,
     make_tilted_box,
 )
@@ -57,11 +55,9 @@ from .coupling import (
 )
 from .macro import (
     BatchArrays,
-    MeanSquareReport,
     NoiseModel,
     Strategy,
     batch_lattice,
-    mean_square_check,
     parallelogram_residuals,
     sample_batches,
     write_batches_csv,

@@ -12,16 +12,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 NORM_TOL = 1e-12
 CHSH_LOCAL_TOL = 1e-12
-
-#: Outcome values in index order used by every pmf array in this package:
-#: index 0 is +1, index 1 is -1.
-OUTCOMES = (1, -1)
 
 
 class Party(enum.Enum):
@@ -94,14 +89,6 @@ class NoSignallingReport:
     ok: bool
     max_deviation: float
     worst_case: str
-
-
-@dataclass(frozen=True)
-class HullMembership:
-    """Result of the LP test for membership in the local (deterministic) hull."""
-
-    inside: bool
-    distance: float  # minimal sup-norm distance to a convex combination
 
 
 class BipartiteBox:
@@ -256,49 +243,10 @@ def classify_locality(table: CorrelationTable) -> Locality:
 
     For two settings and two uniform-marginal outcomes per party this
     inequality family (with |C| <= 1) is the complete facet description of
-    the local correlation set, so it matches hull membership among the 16
-    deterministic boxes; `local_hull_membership` is the independent check.
+    the local correlation set (Fine, PRL 48:291, 1982), so it matches hull
+    membership among the 16 deterministic boxes.  The tests check it against
+    a linear program over those vertices.
     """
     bound = max(abs(v) for v in chsh_variants(table))
     return Locality.LOCAL if bound <= 2.0 + CHSH_LOCAL_TOL else Locality.NONLOCAL
 
-
-def deterministic_tables() -> list[CorrelationTable]:
-    """Correlation tables of the 16 deterministic boxes."""
-    tables = []
-    for i_a, i_ap, j_b, j_bp in product(OUTCOMES, repeat=4):
-        tables.append(
-            CorrelationTable(i_a * j_b, i_a * j_bp, i_ap * j_b, i_ap * j_bp)
-        )
-    return tables
-
-
-def local_hull_membership(table: CorrelationTable) -> HullMembership:
-    """LP test: distance from the table to the hull of the 16 deterministic tables.
-
-    Solves min eps s.t. |V @ lam - t|_inf <= eps, lam >= 0, sum lam = 1,
-    where V's columns are the deterministic correlation tables.  The table is
-    a local-box correlation table iff the optimum is zero, within 1e-9.
-    """
-    from scipy.optimize import linprog  # imported here: it slows every CLI start
-
-    vertices = np.array([t.as_tuple() for t in deterministic_tables()]).T  # 4 x 16
-    target = np.array(table.as_tuple())
-    n = vertices.shape[1]
-    # variables: lam (16), eps (1)
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((8, n + 1))
-    a_ub[:4, :n] = vertices
-    a_ub[:4, -1] = -1.0
-    a_ub[4:, :n] = -vertices
-    a_ub[4:, -1] = -1.0
-    b_ub = np.concatenate([target, -target])
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, :n] = 1.0
-    bounds = [(0.0, None)] * n + [(0.0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"hull membership LP failed: {res.message}")
-    dist = float(res.fun)
-    return HullMembership(inside=dist <= 1e-9, distance=dist)

@@ -59,20 +59,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class MeanSquareReport:
-    """Estimates of <B^2> and <B'^2> against the 1/N law for uncorrelated pairs."""
-
-    expected: float
-    estimate_b2: float
-    estimate_bp2: float
-    se_b2: float
-    se_bp2: float
-    z_b2: float
-    z_bp2: float
-    count: int
-
-
-@dataclass(frozen=True)
 class BatchArrays:
     """Column view of many batches; rows align across all five arrays."""
 
@@ -228,7 +214,8 @@ def sample_batches(
     the units keep each batch's two noise uniforms, and their normal
     quantiles (`_ndtri`, bit for bit scipy's) are taken once, after the
     units: the tail's C-library logs hold the GIL.  A pmf that is
-    negative, not finite or off 1 by more than `CORR_TOL` is rejected.
+    negative, not finite or off 1 by more than `CORR_TOL` is rejected, and
+    so are a stream outside [0, 2**32) and a negative start.
     """
     if n_batches < 0:
         raise ValueError("n_batches must be nonnegative")
@@ -236,6 +223,11 @@ def sample_batches(
         raise ValueError(f"n_pairs must be a positive integer, got {n_pairs!r}")
     if not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    # the key word packs (stream << 32) | chunk: other values alias another stream
+    if not isinstance(stream, int) or not 0 <= stream < 2**32:
+        raise ValueError(f"stream must be a 32-bit unsigned integer, got {stream!r}")
+    if not isinstance(start, int) or start < 0:
+        raise ValueError(f"start must be a nonnegative integer, got {start!r}")
     pmf = coupling.flat
     if not (np.all(np.isfinite(pmf)) and np.all(pmf >= 0)):
         raise ValueError(f"coupling pmf must be finite and nonnegative, got {pmf.tolist()}")
@@ -284,39 +276,6 @@ def parallelogram_residuals(b_mean: np.ndarray, bp_mean: np.ndarray) -> np.ndarr
     b = np.asarray(b_mean, dtype=float)
     bp = np.asarray(bp_mean, dtype=float)
     return (b + bp) ** 2 + (b - bp) ** 2 - 2.0 * b**2 - 2.0 * bp**2
-
-
-def mean_square_check(arrays: BatchArrays, n_pairs: int) -> MeanSquareReport:
-    """Compare the estimated <B^2>, <B'^2> of the batches' noiseless means
-    with 1/N (i.i.d. pairs make the cross-terms vanish).  Needs at least 100
-    batches for the z-score to mean anything."""
-    count = len(arrays)
-    if count < 100:
-        raise ValueError(f"need at least 100 batches, got {count}")
-    b2 = arrays.b_mean**2
-    bp2 = arrays.bp_mean**2
-    expected = 1.0 / n_pairs
-    se_b2 = float(b2.std(ddof=1) / math.sqrt(count))
-    se_bp2 = float(bp2.std(ddof=1) / math.sqrt(count))
-    est_b2 = float(b2.mean())
-    est_bp2 = float(bp2.mean())
-
-    def z_score(estimate: float, se: float) -> float:
-        diff = estimate - expected
-        if se > 0:
-            return diff / se
-        return 0.0 if diff == 0 else math.copysign(math.inf, diff)
-
-    return MeanSquareReport(
-        expected=expected,
-        estimate_b2=est_b2,
-        estimate_bp2=est_bp2,
-        se_b2=se_b2,
-        se_bp2=se_bp2,
-        z_b2=z_score(est_b2, se_b2),
-        z_bp2=z_score(est_bp2, se_bp2),
-        count=count,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -147,14 +147,23 @@ def exact_laws(
     return lattice, law_a, batch_law(k_ap, n_pairs)[1]
 
 
+def _require_valid(coupling: TripleCoupling) -> None:
+    """ValueError unless the coupling is a pmf with uniform marginals within `CORR_TOL`."""
+    check = validate_coupling(coupling)
+    if not check.ok:
+        label = coupling.alice_setting.label
+        raise ValueError(f"coupling under {label} is defective: {check.residuals}")
+
+
 def batch_law(coupling: TripleCoupling, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact joint law of (B, B') for one batch from the coupling.
 
     Returns (batch_lattice(N), P): lattice[k] = (2k - N)/N and P[k, k'] is the
     probability that B and B' sit at lattice indices k and k' (k counts +1
     outcomes).  Works by summing the multinomial law of the four (j, j')
-    cell counts.
+    cell counts.  A defective coupling (`_require_valid`) is rejected.
     """
+    _require_valid(coupling)
     n = n_pairs
     q = coupling.pair_marginal().reshape(4)  # cells (+,+), (+,-), (-,+), (-,-)
     law = np.zeros((n + 1, n + 1))
@@ -422,9 +431,7 @@ def draw_arms(
                 "arm couplings must be under a then a', got "
                 f"{k_a.alice_setting.label} then {k_ap.alice_setting.label}"
             )
-        check = validate_coupling(coupling)
-        if not check.ok:
-            raise ValueError(f"coupling under {setting.label} is defective: {check.residuals}")
+        _require_valid(coupling)
     return tuple(
         sample_batches(coupling, n_pairs, n_batches, noise, seed, stream=STRATEGY_STREAM[strategy])
         for strategy, coupling in zip(ARMS, (k_a, k_ap))

@@ -1,0 +1,113 @@
+"""Slow independent checks that the tests compare the library against.
+
+`local_hull_membership` decides locality by a linear program over the 16
+deterministic tables, against `classify_locality`'s eight CHSH inequalities;
+`mean_square_check` tests the sampler's batch means against the 1/N law of
+<B^2>.  Neither runs outside the tests, so scipy is a test dependency only.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
+from scipy.optimize import linprog
+
+from nsbox.boxes import CorrelationTable
+from nsbox.macro import BatchArrays
+
+
+@dataclass(frozen=True)
+class HullMembership:
+    """Result of the LP test for membership in the local (deterministic) hull."""
+
+    inside: bool
+    distance: float  # minimal sup-norm distance to a convex combination
+
+
+def deterministic_tables() -> list[CorrelationTable]:
+    """Correlation tables of the 16 deterministic boxes."""
+    tables = []
+    for i_a, i_ap, j_b, j_bp in product((1, -1), repeat=4):
+        tables.append(
+            CorrelationTable(i_a * j_b, i_a * j_bp, i_ap * j_b, i_ap * j_bp)
+        )
+    return tables
+
+
+def local_hull_membership(table: CorrelationTable) -> HullMembership:
+    """LP test: distance from the table to the hull of the 16 deterministic tables.
+
+    Solves min eps s.t. |V @ lam - t|_inf <= eps, lam >= 0, sum lam = 1,
+    where V's columns are the deterministic correlation tables.  The table is
+    a local-box correlation table iff the optimum is zero, within 1e-9.
+    """
+    vertices = np.array([t.as_tuple() for t in deterministic_tables()]).T  # 4 x 16
+    target = np.array(table.as_tuple())
+    n = vertices.shape[1]
+    # variables: lam (16), eps (1)
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    a_ub = np.zeros((8, n + 1))
+    a_ub[:4, :n] = vertices
+    a_ub[:4, -1] = -1.0
+    a_ub[4:, :n] = -vertices
+    a_ub[4:, -1] = -1.0
+    b_ub = np.concatenate([target, -target])
+    a_eq = np.zeros((1, n + 1))
+    a_eq[0, :n] = 1.0
+    bounds = [(0.0, None)] * n + [(0.0, None)]
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
+    if not res.success:
+        raise RuntimeError(f"hull membership LP failed: {res.message}")
+    dist = float(res.fun)
+    return HullMembership(inside=dist <= 1e-9, distance=dist)
+
+
+@dataclass(frozen=True)
+class MeanSquareReport:
+    """Estimates of <B^2> and <B'^2> against the 1/N law for uncorrelated pairs."""
+
+    expected: float
+    estimate_b2: float
+    estimate_bp2: float
+    se_b2: float
+    se_bp2: float
+    z_b2: float
+    z_bp2: float
+    count: int
+
+
+def mean_square_check(arrays: BatchArrays, n_pairs: int) -> MeanSquareReport:
+    """Compare the estimated <B^2>, <B'^2> of the batches' noiseless means
+    with 1/N (i.i.d. pairs make the cross-terms vanish).  Needs at least 100
+    batches for the z-score to mean anything."""
+    count = len(arrays)
+    if count < 100:
+        raise ValueError(f"need at least 100 batches, got {count}")
+    b2 = arrays.b_mean**2
+    bp2 = arrays.bp_mean**2
+    expected = 1.0 / n_pairs
+    se_b2 = float(b2.std(ddof=1) / math.sqrt(count))
+    se_bp2 = float(bp2.std(ddof=1) / math.sqrt(count))
+    est_b2 = float(b2.mean())
+    est_bp2 = float(bp2.mean())
+
+    def z_score(estimate: float, se: float) -> float:
+        diff = estimate - expected
+        if se > 0:
+            return diff / se
+        return 0.0 if diff == 0 else math.copysign(math.inf, diff)
+
+    return MeanSquareReport(
+        expected=expected,
+        estimate_b2=est_b2,
+        estimate_bp2=est_bp2,
+        se_b2=se_b2,
+        se_bp2=se_bp2,
+        z_b2=z_score(est_b2, se_b2),
+        z_bp2=z_score(est_bp2, se_bp2),
+        count=count,
+    )

@@ -12,7 +12,6 @@ from nsbox.boxes import (
     CorrelationTable,
     Locality,
     classify_locality,
-    local_hull_membership,
 )
 from nsbox.causality import (
     TSIRELSON_BOUND,
@@ -38,6 +37,7 @@ from nsbox.signalling import (
     exact_tv_distance,
     run_protocol,
 )
+from oracles import local_hull_membership
 
 MIN_D = CouplingObjective.MIN_DISAGREE
 MAX_D = CouplingObjective.MAX_DISAGREE

@@ -20,11 +20,10 @@ from nsbox.boxes import (
     chsh_variants,
     classify_locality,
     correlation,
-    deterministic_tables,
-    local_hull_membership,
     make_pr_box,
     make_tilted_box,
 )
+from oracles import deterministic_tables, local_hull_membership
 
 SQRT2 = math.sqrt(2.0)
 

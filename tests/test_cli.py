@@ -16,6 +16,7 @@ import nsbox.signalling
 from nsbox.cli import main
 from nsbox.causality import frontier_grid
 from nsbox.signalling import report_from_json
+from test_readme import quick_tour_block
 
 Q = math.sqrt(2.0) / 2.0
 
@@ -812,26 +813,37 @@ class TestExport:
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    """Only the locality LP needs scipy; every CLI start would pay for its
-    import.  Neither the import nor a noisy run with a batch dump loads it."""
+    """numpy is the only runtime dependency: in a fresh interpreter where
+    `import scipy` fails, the README quick tour and one run of each README
+    command (a noisy simulate-signalling with a batch dump, and an export of
+    that run) all succeed."""
     src = str(Path(nsbox.cli.__file__).resolve().parents[1])
-    argv = [
-        "simulate-signalling", "--N", "16", "--reps", "256", "--sigma", "0.1", "--seed", "1",
-        "--out", str(tmp_path / "r.json"), "--dump-batches", str(tmp_path / "b.csv"),
+    runs, out = tmp_path / "runs", tmp_path / "csv"
+    runs.mkdir()
+    commands = [
+        ["simulate-signalling", "--N", "16", "--reps", "256", "--sigma", "0.1", "--seed", "1",
+         "--out", str(runs / "r.json"), "--dump-batches", str(runs / "b.csv")],
+        ["verify-bounds", "--table", "0.7071", "0.7071", "0.7071", "-0.7071", "--N", "1"],
+        ["scan-frontier", "--resolution", "101", "--out", str(tmp_path / "grid.csv"),
+         "--summary", str(tmp_path / "summary.json")],
+        ["couplings", "--C", "0.8", "--out", str(tmp_path / "couplings.json")],
+        ["export", "--run-dir", str(runs), "--out-dir", str(out)],
     ]
     code = "\n".join([
-        "import sys, nsbox.cli",
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
-        f"assert nsbox.cli.main({argv!r}) == 0",
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+        "import sys",
+        "sys.modules['scipy'] = None  # every import of scipy now raises ImportError",
+        "import nsbox.cli",
+        quick_tour_block(),
+        f"for argv in {commands!r}:",
+        "    assert nsbox.cli.main(argv) == 0, argv",
     ])
     result = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
     )
-    assert result.stdout.splitlines()[0] == "[]"
-    assert result.stdout.splitlines()[-1] == "[]"
-    assert len((tmp_path / "b.csv").read_text().splitlines()) == 1 + 2 * 256
+    assert result.returncode == 0, result.stderr
+    assert len((runs / "b.csv").read_text().splitlines()) == 1 + 2 * 256
+    assert (out / "hist_b.csv").exists()
 
 
 # sha256 of every artifact the commands in `artifacts` write, pinned so that

@@ -34,13 +34,13 @@ from nsbox.macro import (
     NoiseModel,
     Strategy,
     batch_lattice,
-    mean_square_check,
     parallelogram_residuals,
     sample_batches,
     write_batches_csv,
     _chunk_uniforms,
     _ndtri,
 )
+from oracles import mean_square_check
 
 PR_A, PR_AP = pr_limit_couplings()
 UNIFORM = extremal_coupling(0.0, 0.0, CouplingObjective.MIN_DISAGREE)
@@ -125,6 +125,18 @@ class TestSampling:
             NoiseModel(-0.1)
         with pytest.raises(ValueError):
             sample_batches(UNIFORM, 4, 10, NOISELESS, seed=2**64)
+
+    @pytest.mark.parametrize("stream, start, field", [
+        (-1, 0, "stream must be a 32-bit unsigned integer"),
+        (2**32, 0, "stream must be a 32-bit unsigned integer"),
+        (1, -1, "start must be a nonnegative integer"),
+    ])
+    def test_rejects_keys_outside_their_bits(self, stream, start, field):
+        # the key word is (stream << 32) | chunk: stream -1 drew stream 2**32 - 1's
+        # batches, and start -1 drew the same batch on streams 0 and 1
+        with pytest.raises(ValueError, match=field):
+            sample_batches(UNIFORM, 4, 1, NOISELESS, seed=5, stream=stream, start=start)
+        assert len(sample_batches(UNIFORM, 4, 1, NOISELESS, seed=5, stream=2**32 - 1)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nsbox.signalling
-from nsbox.boxes import A_PRIME, CorrelationTable
+from nsbox.boxes import A, A_PRIME, CorrelationTable
 from nsbox.coupling import (
     I_VALUES,
     J_VALUES,
@@ -204,6 +204,20 @@ class TestExactTv:
 
     def test_identical_couplings(self):
         assert exact_tv_distance(PR_A, PR_A, 8, NoiseModel(0.1)) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "pmf", [np.full(8, 0.25), np.array([0.6, -0.1, 0, 0, 0, 0, 0, 0.5])],
+        ids=["mass 2", "negative cell"],
+    )
+    def test_defective_coupling_rejected(self, pmf, sigma):
+        """Summed as laws, these couplings give a 'TV' of 7.5 and of 1.1257."""
+        bad = TripleCoupling(A, pmf.reshape(2, 2, 2))
+        k_ap = make_scalar_extremal_couplings(1.0)[1]
+        with pytest.raises(ValueError, match="coupling under a is defective"):
+            exact_tv_distance(bad, k_ap, 4, NoiseModel(sigma))
+        with pytest.raises(ValueError, match="coupling under a is defective"):
+            make_likelihood_detector(bad, k_ap, 4, NoiseModel(sigma))
 
     def test_monotone_in_noise(self):
         values = [
