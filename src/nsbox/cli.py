@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -222,28 +221,20 @@ def _resolve(args) -> Validator:
 # Atomic writers
 # ---------------------------------------------------------------------------
 
-def _umask() -> int:
-    """The process umask; reading it means setting it, so it is put back."""
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return mask
-
-
 @contextlib.contextmanager
 def _atomic_file(path: str) -> Iterator[TextIO]:
-    """A text handle on a temp file beside `path`, renamed onto it when the
-    block ends and removed if the block raises."""
+    """A text handle on a new hidden file beside `path`, created with the
+    mode the umask gives any new file, renamed onto `path` when the block
+    ends and removed if the block raises."""
     target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=str(target.parent), prefix=f".{target.name}.")
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             yield handle
-        # mkstemp creates the file 0600; give it the mode open() would have
-        os.chmod(tmp_name, 0o666 & ~_umask())
-        os.replace(tmp_name, target)
+        os.replace(tmp, target)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        tmp.unlink(missing_ok=True)
         raise
 
 

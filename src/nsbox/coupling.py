@@ -158,13 +158,11 @@ def make_scalar_extremal_couplings(c: float) -> tuple[TripleCoupling, TripleCoup
 
 def couplings_for_table(table: CorrelationTable) -> tuple[TripleCoupling, TripleCoupling]:
     """Variance-extremal couplings for a correlation table: minimal B+B'
-    spread under a, maximal under a' (the most signalling-hostile pair)."""
-    k_a = extremal_coupling(
-        table.c_ab, table.c_abp, CouplingObjective.MAX_DISAGREE, alice_setting=A
-    )
-    k_ap = extremal_coupling(
-        table.c_apb, table.c_apbp, CouplingObjective.MIN_DISAGREE, alice_setting=A_PRIME
-    )
+    spread under a, maximal under a' (the most signalling-hostile pair).
+    Entries the table allows up to `NORM_TOL` past +/-1 count as +/-1."""
+    c_ab, c_abp, c_apb, c_apbp = (min(1.0, max(-1.0, c)) for c in table.as_tuple())
+    k_a = extremal_coupling(c_ab, c_abp, CouplingObjective.MAX_DISAGREE, alice_setting=A)
+    k_ap = extremal_coupling(c_apb, c_apbp, CouplingObjective.MIN_DISAGREE, alice_setting=A_PRIME)
     return k_a, k_ap
 
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -33,8 +33,10 @@ CHUNK = 4096
 _UNIT_UNIFORMS = 2**18
 #: Draws of fewer uniforms than this stay on the calling thread.
 _PARALLEL_UNIFORMS = 2**20
-#: Row r marks the cells where i, j, j' (r = 0, 1, 2) take the outcome +1.
-_PLUS_ONE = (np.stack([I_VALUES, J_VALUES, JP_VALUES]) > 0).astype(np.int64)
+#: Row r turns a batch's pair counts in cells 0..k (k < 7) into its count of
+#: +1 outcomes of i, j, j' (r = 0, 1, 2): cell k's +1 marks minus cell k+1's.
+#: All N pairs add nothing, as cell 7 is (-, -, -).
+_PLUS_ONE_STEPS = -np.diff((np.stack([I_VALUES, J_VALUES, JP_VALUES]) > 0).astype(np.int64))
 _MAX_SEED = 2**64
 
 
@@ -180,16 +182,27 @@ def _fill_unit(out, noise_u, bounds, slot, n_pairs, seed, stream, unit) -> None:
     u = _chunk_uniforms(seed, stream, chunk_index, n_pairs + 2, offset, take)
     pairs = u[:, :n_pairs]
     below = [np.count_nonzero(pairs < bound, axis=1) for bound in bounds]
-    # pairs per batch in cells 0..k (the cdf is nondecreasing), then per cell
+    # pairs per batch in cells 0..k (the cdf is nondecreasing)
     at_most = np.stack(below)[slot]
-    counts = np.diff(at_most, axis=0, prepend=0, append=n_pairs)
     # a +/-1 mean is (2n - N) / N exactly, as the summed mean was
-    a, b, bp = (2 * (_PLUS_ONE @ counts) - n_pairs) / n_pairs
+    a, b, bp = (2 * (_PLUS_ONE_STEPS @ at_most) - n_pairs) / n_pairs
     rows = slice(first, first + take)
     out.a_mean[rows], out.b_mean[rows], out.bp_mean[rows] = a, b, bp
     out.noisy_b[rows], out.noisy_bp[rows] = b, bp
     if noise_u is not None:
         noise_u[rows] = u[:, n_pairs:]
+
+
+def _checked_int(value, name: str, what: str, low: int, high: float = math.inf) -> int:
+    """`value` as a Python int in [low, high), numpy integers included; a
+    ValueError asking for `what` if it is no integer or out of range."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or not low <= number < high:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return number
 
 
 def sample_batches(
@@ -219,15 +232,11 @@ def sample_batches(
     """
     if n_batches < 0:
         raise ValueError("n_batches must be nonnegative")
-    if not isinstance(n_pairs, int) or n_pairs < 1:
-        raise ValueError(f"n_pairs must be a positive integer, got {n_pairs!r}")
-    if not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    n_pairs = _checked_int(n_pairs, "n_pairs", "a positive integer", 1)
+    seed = _checked_int(seed, "seed", "a 64-bit unsigned integer", 0, _MAX_SEED)
     # the key word packs (stream << 32) | chunk: other values alias another stream
-    if not isinstance(stream, int) or not 0 <= stream < 2**32:
-        raise ValueError(f"stream must be a 32-bit unsigned integer, got {stream!r}")
-    if not isinstance(start, int) or start < 0:
-        raise ValueError(f"start must be a nonnegative integer, got {start!r}")
+    stream = _checked_int(stream, "stream", "a 32-bit unsigned integer", 0, 2**32)
+    start = _checked_int(start, "start", "a nonnegative integer", 0)
     pmf = coupling.flat
     if not (np.all(np.isfinite(pmf)) and np.all(pmf >= 0)):
         raise ValueError(f"coupling pmf must be finite and nonnegative, got {pmf.tolist()}")
@@ -239,7 +248,7 @@ def sample_batches(
     bounds, slot = np.unique(np.cumsum(pmf)[:7], return_inverse=True)
     out = BatchArrays(*(np.empty(n_batches) for _ in range(5)))
     noise_u = np.empty((n_batches, 2)) if noise.sigma > 0 else None
-    fill = partial(_fill_unit, out, noise_u, bounds, slot, n_pairs, seed, stream)
+    fill = lambda unit: _fill_unit(out, noise_u, bounds, slot, n_pairs, seed, stream, unit)
     units = list(_units(start, n_batches, n_pairs + 2))
     _parallel_map(fill, units, parallel=n_batches * (n_pairs + 2) >= _PARALLEL_UNIFORMS)
     if noise_u is not None:

@@ -12,7 +12,6 @@ the two observation laws.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import asdict, dataclass, replace
 from math import comb
@@ -283,33 +282,22 @@ def _simpson_block(block) -> float:
     return float(col @ weights)
 
 
-@functools.cache
 def _blas_threads() -> int | None:
-    """Threads of the OpenBLAS numpy loaded, read once per process through its
-    own entry point; None where no OpenBLAS is mapped or it has no such entry.
+    """Threads numpy's OpenBLAS runs now, asked at each call through its own
+    entry point as the dynamic linker finds it from numpy's linalg module;
+    None for another BLAS.
 
     A thread pool gains only over a one-thread BLAS: OpenBLAS's own spinning
-    threads compete with the pool's workers for the same cores.  A count
-    changed later in the process is not seen; that changes the speed of
-    `exact_tv_distance`, never its bits."""
-    try:
-        with open("/proc/self/maps") as handle:
-            libs = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
-    except OSError:
-        return None
-    import ctypes  # numpy has loaded it already
+    threads compete with the pool's workers for the same cores."""
+    import ctypes  # only calls large enough for the pool ask
 
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            query = getattr(lib, symbol, None)
-            if query is not None:
-                query.argtypes, query.restype = [], ctypes.c_int
-                return int(query())
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        query = getattr(lib, symbol, None)
+        if query is not None:
+            query.argtypes, query.restype = [], ctypes.c_int
+            return int(query())
     return None
 
 
@@ -535,7 +523,7 @@ def resource_sweep(
     direct `run_protocol` call.  Sampling cost thus grows with the number
     of distinct (N, sigma), not with |R| x |detectors|.
     """
-    if not (n_list and r_list and sigma_list and detectors):
+    if not all(len(values) for values in (n_list, r_list, sigma_list, detectors)):
         raise ValueError("sweep lists must be nonempty")
     k_a, k_ap = couplings_for_table(table)
     template = base_config or ProtocolConfig(

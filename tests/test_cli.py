@@ -196,6 +196,37 @@ class TestSimulateSignalling:
         for path in (out, dump):
             assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
+    def test_artifacts_written_without_reading_the_umask(self, tmp_path, monkeypatch):
+        # reading the umask means setting it, for every thread of the process
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        commands = [
+            ["simulate-signalling", "--N", "4", "--reps", "64", "--seed", "5",
+             "--out", str(runs / "r.json"), "--dump-batches", str(runs / "b.csv")],
+            ["verify-bounds", "--table", "0.5", "0.5", "0.5", "-0.5",
+             "--out", str(tmp_path / "bounds.json")],
+            ["couplings", "--C", "0.8", "--out", str(tmp_path / "couplings.json")],
+            ["scan-frontier", "--resolution", "21", "--out", str(tmp_path / "grid.csv"),
+             "--summary", str(tmp_path / "summary.json")],
+            ["export", "--run-dir", str(runs), "--out-dir", str(tmp_path / "csv")],
+        ]
+        for argv in commands:
+            assert run(argv) == 0, argv
+        # a write that raises leaves neither its target nor its hidden temp file
+        with pytest.raises(OSError, match="disk full"):
+            with nsbox.cli._atomic_file(str(tmp_path / "failed.json")) as handle:
+                handle.write("{}")
+                raise OSError("disk full")
+        written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        assert written == [
+            "bounds.json", "couplings.json", "csv", "csv/advantage_curve.csv",
+            "csv/hist_b.csv", "grid.csv", "runs", "runs/b.csv", "runs/r.json", "summary.json",
+        ]
+
     def test_failed_dump_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # the dump streams arm by arm into its temp file; the second arm fails
         csv_rows = nsbox.macro.csv_rows

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nsbox.boxes import A, A_PRIME, B
+from nsbox.boxes import A, A_PRIME, B, CorrelationTable
 from nsbox.coupling import (
     Combination,
     CouplingObjective,
@@ -17,6 +17,7 @@ from nsbox.coupling import (
     TripleCoupling,
     coupling_bounds,
     coupling_to_json,
+    couplings_for_table,
     extremal_coupling,
     make_scalar_extremal_couplings,
     per_pair_variance,
@@ -248,6 +249,23 @@ class TestExtremalCoupling:
             for c in np.linspace(0.0, 1.0, 21)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+
+class TestCouplingsForTable:
+    @pytest.mark.parametrize("past", [
+        (1 + 1e-13, 1, 1, -1), (1, 1, 1, -1 - 1e-13), (-1 - 1e-12, 1 + 1e-12, 1, -1),
+    ])
+    def test_entries_past_one_count_as_one(self, past):
+        # a table holds entries up to NORM_TOL past +/-1, so box correlations survive rounding
+        clamped = [max(-1, min(1, c)) for c in past]
+        for got, want in zip(couplings_for_table(CorrelationTable(*past)),
+                             couplings_for_table(CorrelationTable(*clamped))):
+            assert got.alice_setting == want.alice_setting
+            assert got.pmf.tobytes() == want.pmf.tobytes()
+
+    def test_extremal_coupling_stays_strict(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            extremal_coupling(1 + 1e-13, 1, MAX_D)
 
 
 class TestCouplingBounds:

@@ -138,6 +138,23 @@ class TestSampling:
             sample_batches(UNIFORM, 4, 1, NOISELESS, seed=5, stream=stream, start=start)
         assert len(sample_batches(UNIFORM, 4, 1, NOISELESS, seed=5, stream=2**32 - 1)) == 1
 
+    def test_numpy_integers_key_the_int_stream(self):
+        noise = NoiseModel(0.1)
+        want = sample_batches(UNIFORM, 4, 9, noise, seed=2**63 + 5, stream=1, start=3)
+        got = sample_batches(
+            UNIFORM, np.int64(4), 9, noise, seed=np.uint64(2**63 + 5), stream=np.uint32(1),
+            start=np.int64(3),
+        )
+        for field in ("a_mean", "b_mean", "bp_mean", "noisy_b", "noisy_bp"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+    @pytest.mark.parametrize("value", [4.0, "4", None, np.float64(4.0)], ids=repr)
+    @pytest.mark.parametrize("field", ["n_pairs", "seed", "stream", "start"])
+    def test_non_integers_rejected(self, field, value):
+        keys = {"n_pairs": 4, "seed": 5, "stream": 0, "start": 0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a"):
+            sample_batches(UNIFORM, keys.pop("n_pairs"), 1, NOISELESS, **keys)
+
 
 # ---------------------------------------------------------------------------
 # Determinism contract: golden values and the reference kernel

@@ -442,6 +442,42 @@ def forked_child_tv() -> dict:
     return {"serial": serial, "parent": parent, "child": got, "exitcode": child.exitcode}
 
 
+class TestBlasThreads:
+    """`_blas_threads` in a fresh interpreter started at a given BLAS thread count."""
+
+    def test_asked_at_each_call(self):
+        # a later count set through the library's own entry point is seen, and
+        # nothing under /proc is read
+        code = "\n".join([
+            "import builtins, ctypes, json, numpy as np",
+            "from nsbox.signalling import _blas_threads",
+            "def no_proc(path, *args, **kwargs):",
+            "    if str(path).startswith('/proc'):",
+            "        raise OSError('no /proc')",
+            "    return builtin_open(path, *args, **kwargs)",
+            "builtin_open, builtins.open = builtins.open, no_proc",
+            "first = _blas_threads()",
+            "lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)",
+            "setter = next(getattr(lib, s) for s in ('scipy_openblas_set_num_threads64_',"
+            " 'openblas_set_num_threads64_', 'openblas_set_num_threads') if hasattr(lib, s))",
+            "setter.argtypes, setter.restype = [ctypes.c_int], None",
+            "setter(2)",
+            "print(json.dumps([first, _blas_threads()]))",
+        ])
+        assert json.loads(run_fresh(code, blas_threads=1)) == [1, 2]
+
+    @pytest.mark.parametrize("blas_threads", [1, 2])
+    def test_reads_the_started_count(self, blas_threads):
+        code = "\n".join([
+            "import json, os",
+            "from nsbox.signalling import _blas_threads",
+            "print(json.dumps([_blas_threads(), len(os.sched_getaffinity(0))]))",
+        ])
+        threads, cores = json.loads(run_fresh(code, blas_threads))
+        # OpenBLAS caps its thread count at the cores it may run on
+        assert threads == min(blas_threads, cores)
+
+
 class TestExactTvPool:
     """The Simpson row blocks on a thread pool, each case in a fresh
     interpreter so that the BLAS thread count is the one asked for."""
@@ -908,6 +944,26 @@ class TestResourceSweep:
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
             resource_sweep(CorrelationTable(1, 1, 1, -1), [], [10], [0.1], seed=1)
+
+    def test_numpy_arrays_give_the_list_rows(self):
+        table = CorrelationTable(0.8, 0.8, 0.8, -0.8)
+        n, r, sigma, detectors = (
+            [4, 8], [64, 96], [0.0, 0.1], [Detector.COVARIANCE_SIGN, Detector.LIKELIHOOD]
+        )
+        want = resource_sweep(table, n, r, sigma, 2**63 + 3, detectors)
+        got = resource_sweep(table, *map(np.array, (n, r, sigma)), np.uint64(2**63 + 3),
+                             np.array(detectors))
+        assert len(got) == 16
+        assert [row.csv_line() for row in got] == [row.csv_line() for row in want]
+        with pytest.raises(ValueError, match="nonempty"):
+            resource_sweep(table, np.array(n), np.array([], int), np.array(sigma), seed=1)
+
+    def test_table_past_one_sweeps_as_its_clamped_table(self):
+        # CorrelationTable allows NORM_TOL past +/-1; the sweep reports the table's own C
+        past, clamped = CorrelationTable(1 + 1e-13, 1, 1, -1), CorrelationTable(1, 1, 1, -1)
+        got, want = (resource_sweep(t, [4], [64], [0.1], seed=3)[0] for t in (past, clamped))
+        assert got.c == 1 + 1e-13
+        assert got.report == want.report
 
     def test_rows_equal_direct_protocol_runs(self):
         # the sweep draws each (N, sigma) once and scores prefixes of it;
