@@ -4,10 +4,10 @@ Five commands: simulate-signalling, verify-bounds, scan-frontier, couplings,
 export.  Parameters come from an optional JSON config file (one section per
 command) with flags overriding file values; a field's name is its flag's
 argparse dest.  All randomized commands print the resolved seed.  Path
-fields must be strings, and an output path must name a file in an existing
-directory; both are checked before any compute, and output files are
-written atomically (temp file + rename), so failures never leave partial
-artifacts.
+fields must be strings, an output path must name a file in an existing
+directory, and no two output paths may name one file; all are checked
+before any compute, and output files are written atomically (temp file +
+rename), so failures never leave partial artifacts.
 
 Exit codes: 0 success; 1 verify-bounds found a table that satisfies the
 causality condition with some |CHSH| above 2 sqrt(2); 2 invalid
@@ -193,13 +193,19 @@ def _resolve(args) -> Validator:
     The subparser's dests are the command's fields, so they name both the
     section keys it allows and the flags that override them.  Path fields
     and output paths are checked here, before any compute: an output path
-    must not be a directory or end in a separator, and its directory must
-    exist.
+    must not be a directory or end in a separator, its directory must
+    exist, and two output fields must not name one file.
     """
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
     values = _load_config_section(args.config, args.command.replace("-", "_"))
     values.update((k, v) for k, v in flags.items() if v is not None)
     paths = {k: values[k] for k in _PATH_FIELDS if k in flags and values.get(k) is not None}
+    v = Validator(values, allowed=set(flags))
+    v.errors += [
+        f"field {k!r} must be a string, got {path!r}"
+        for k, path in paths.items() if not isinstance(path, str)
+    ]
+    seen: dict[str, str] = {}  # real path -> the first output field naming it
     for key in _OUTPUT_FIELDS:
         path = paths.get(key)
         if not (isinstance(path, str) and path):
@@ -209,11 +215,9 @@ def _resolve(args) -> Validator:
         # Path drops a trailing separator, so "new/" would write a file "new"
         if path.endswith(("/", os.sep)) or Path(path).is_dir():
             raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
-    v = Validator(values, allowed=set(flags))
-    v.errors += [
-        f"field {k!r} must be a string, got {path!r}"
-        for k, path in paths.items() if not isinstance(path, str)
-    ]
+        first = seen.setdefault(os.path.realpath(path), key)
+        if first != key:
+            v.errors.append(f"fields {first!r} and {key!r} name one file: {path}")
     return v
 
 
@@ -496,6 +500,11 @@ def cmd_export(args) -> int:
         write_sweep_csv(handle, rows)
 
     for batch_file in batch_files:
+        # batch files of one name in two directories would share a histogram
+        target = str(Path(out_dir) / f"hist_{batch_file.stem}.csv")
+        if target in written:
+            _warn_skipped(batch_file, f"{target} already written")
+            continue
         counts: dict[tuple[str, float], int] = {}
         try:
             with open(batch_file) as handle:
@@ -517,7 +526,6 @@ def cmd_export(args) -> int:
         except (OSError, ValueError, TypeError, csv.Error) as exc:
             _warn_skipped(batch_file, exc)
             continue
-        target = str(Path(out_dir) / f"hist_{batch_file.stem}.csv")
         rows = [[strategy, f"{value:.17g}", n] for (strategy, value), n in sorted(counts.items())]
         with _atomic_file(target) as handle:
             _write_csv(handle, ["strategy", "value", "count"], rows)

@@ -230,9 +230,8 @@ def sample_batches(
     negative, not finite or off 1 by more than `CORR_TOL` is rejected, and
     so are a stream outside [0, 2**32) and a negative start.
     """
-    if n_batches < 0:
-        raise ValueError("n_batches must be nonnegative")
     n_pairs = _checked_int(n_pairs, "n_pairs", "a positive integer", 1)
+    n_batches = _checked_int(n_batches, "n_batches", "a nonnegative integer", 0)
     seed = _checked_int(seed, "seed", "a 64-bit unsigned integer", 0, _MAX_SEED)
     # the key word packs (stream << 32) | chunk: other values alias another stream
     stream = _checked_int(stream, "stream", "a 32-bit unsigned integer", 0, 2**32)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass, replace
-from math import comb
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
@@ -22,8 +21,8 @@ import numpy as np
 from .boxes import A, A_PRIME, CorrelationTable
 from .coupling import TripleCoupling, couplings_for_table, validate_coupling
 from .macro import (
-    BatchArrays, NoiseModel, STRATEGY_STREAM, Strategy, _parallel_map, batch_lattice,
-    sample_batches,
+    BatchArrays, NoiseModel, STRATEGY_STREAM, Strategy, _checked_int, _parallel_map,
+    batch_lattice, sample_batches,
 )
 
 MAX_EXACT_PAIRS = 12
@@ -138,10 +137,6 @@ def exact_laws(
     k_a: TripleCoupling, k_ap: TripleCoupling, n_pairs: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lattice, law under a, law under a') from `batch_law`."""
-    if not 1 <= n_pairs <= MAX_EXACT_PAIRS:
-        raise ValueError(
-            f"exact enumeration supports 1 <= n_pairs <= {MAX_EXACT_PAIRS}, got {n_pairs}"
-        )
     lattice, law_a = batch_law(k_a, n_pairs)
     return lattice, law_a, batch_law(k_ap, n_pairs)[1]
 
@@ -159,29 +154,26 @@ def batch_law(coupling: TripleCoupling, n_pairs: int) -> tuple[np.ndarray, np.nd
 
     Returns (batch_lattice(N), P): lattice[k] = (2k - N)/N and P[k, k'] is the
     probability that B and B' sit at lattice indices k and k' (k counts +1
-    outcomes).  Works by summing the multinomial law of the four (j, j')
-    cell counts.  A defective coupling (`_require_valid`) is rejected.
+    outcomes).  The multinomial law of the four (j, j') cell counts n1..n4
+    is summed in one array pass: each weight is the int64 multinomial
+    coefficient times q1**n1 q2**n2 q3**n3 q4**n4, in that order, and the
+    weights add into P[n1 + n2, n1 + n3] in lexicographic (n1, n2, n3)
+    order.  N must be an integer in [1, `MAX_EXACT_PAIRS`], and a defective
+    coupling (`_require_valid`) is rejected.
     """
+    n = _checked_int(n_pairs, "n_pairs", f"an integer in [1, {MAX_EXACT_PAIRS}]", 1,
+                     MAX_EXACT_PAIRS + 1)
     _require_valid(coupling)
-    n = n_pairs
     q = coupling.pair_marginal().reshape(4)  # cells (+,+), (+,-), (-,+), (-,-)
+    counts = np.indices((n + 1,) * 3).reshape(3, -1)
+    n1, n2, n3 = counts[:, counts.sum(axis=0) <= n]  # lexicographic order
+    n4 = n - n1 - n2 - n3
+    factorial = np.cumprod(np.arange(n + 1, dtype=np.int64).clip(1))  # exact to N = 20
+    powers = np.array([[p**e for e in range(n + 1)] for p in q])  # the scalar ** a loop takes
+    weight = factorial[n] // (factorial[n1] * factorial[n2] * factorial[n3] * factorial[n4])
+    weight = weight.astype(float) * powers[0, n1] * powers[1, n2] * powers[2, n3] * powers[3, n4]
     law = np.zeros((n + 1, n + 1))
-    for n1 in range(n + 1):
-        c1 = comb(n, n1)
-        for n2 in range(n - n1 + 1):
-            c2 = comb(n - n1, n2)
-            for n3 in range(n - n1 - n2 + 1):
-                n4 = n - n1 - n2 - n3
-                weight = (
-                    c1
-                    * c2
-                    * comb(n - n1 - n2, n3)
-                    * q[0] ** n1
-                    * q[1] ** n2
-                    * q[2] ** n3
-                    * q[3] ** n4
-                )
-                law[n1 + n2, n1 + n3] += weight
+    np.add.at(law, (n1 + n2, n1 + n3), weight)  # repeated cells add in index order
     return batch_lattice(n), law
 
 

@@ -3,7 +3,9 @@
 `local_hull_membership` decides locality by a linear program over the 16
 deterministic tables, against `classify_locality`'s eight CHSH inequalities;
 `mean_square_check` tests the sampler's batch means against the 1/N law of
-<B^2>.  Neither runs outside the tests, so scipy is a test dependency only.
+<B^2>; `reference_batch_law` sums the exact batch law one cell-count triple
+at a time, against `batch_law`'s array sum.  None of them runs outside the
+tests, so scipy is a test dependency only.
 """
 
 from __future__ import annotations
@@ -11,12 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 
 import numpy as np
 from scipy.optimize import linprog
 
 from nsbox.boxes import CorrelationTable
-from nsbox.macro import BatchArrays
+from nsbox.coupling import TripleCoupling
+from nsbox.macro import BatchArrays, batch_lattice
 
 
 @dataclass(frozen=True)
@@ -111,3 +115,30 @@ def mean_square_check(arrays: BatchArrays, n_pairs: int) -> MeanSquareReport:
         z_bp2=z_score(est_bp2, se_bp2),
         count=count,
     )
+
+
+def reference_batch_law(coupling: TripleCoupling, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(batch_lattice(N), P) as `batch_law` returns them, by a scalar loop over
+    the (n1, n2, n3) cell counts in lexicographic order, each weight a product
+    of binomials and powers of the four (j, j') cell probabilities.  The
+    coupling is not validated."""
+    n = n_pairs
+    q = coupling.pair_marginal().reshape(4)  # cells (+,+), (+,-), (-,+), (-,-)
+    law = np.zeros((n + 1, n + 1))
+    for n1 in range(n + 1):
+        c1 = comb(n, n1)
+        for n2 in range(n - n1 + 1):
+            c2 = comb(n - n1, n2)
+            for n3 in range(n - n1 - n2 + 1):
+                n4 = n - n1 - n2 - n3
+                weight = (
+                    c1
+                    * c2
+                    * comb(n - n1 - n2, n3)
+                    * q[0] ** n1
+                    * q[1] ** n2
+                    * q[2] ** n3
+                    * q[3] ** n4
+                )
+                law[n1 + n2, n1 + n3] += weight
+    return batch_lattice(n), law

@@ -425,6 +425,33 @@ class TestSimulateSignalling:
         )
         assert list((tmp_path / "runs").iterdir()) == []
 
+    @pytest.mark.parametrize("source", ["flags", "config-and-flag", "symlinked-dir"])
+    def test_outputs_naming_one_file_rejected(self, tmp_path, monkeypatch, capsys, source):
+        """`--out r.json --dump-batches ./r.json` would replace the dump with
+        the report that names it: a config error, listed with the others,
+        before anything is drawn or written."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sample_batches was called")
+
+        patch_sample_batches(monkeypatch, no_draw)
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate-signalling", "--reps", "0", "--out", "r.json"]
+        if source == "flags":
+            argv += ["--dump-batches", "./r.json"]
+        elif source == "config-and-flag":
+            section = {"dump_batches": "./r.json"}
+            Path("cfg.json").write_text(json.dumps({"simulate_signalling": section}))
+            argv += ["--config", "cfg.json"]
+        else:
+            os.symlink(".", "here")
+            argv += ["--dump-batches", "here/r.json"]
+        before = sorted(os.listdir())
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: fields 'out' and 'dump_batches' name one file" in err
+        assert "error: field 'reps' must be >= 1" in err
+        assert sorted(os.listdir()) == before
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"
         code = run(
@@ -548,6 +575,26 @@ class TestScanFrontier:
         assert run(["scan-frontier", "--summary", BAD_OUTPUT[target](tmp_path, "s.json")]) == 3
         assert [p.name for p in tmp_path.iterdir()] == ["runs"]
         assert list((tmp_path / "runs").iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["flags", "config-and-flag"])
+    def test_outputs_naming_one_file_rejected(self, tmp_path, monkeypatch, capsys, source):
+        """`--out g.csv --summary g.csv` would lose the grid to the summary."""
+        def no_scan(*args, **kwargs):
+            raise AssertionError("frontier_scan was called")
+
+        monkeypatch.setattr(nsbox.cli, "frontier_scan", no_scan)
+        monkeypatch.chdir(tmp_path)
+        argv = ["scan-frontier", "--out", "g.csv"]
+        if source == "flags":
+            argv += ["--summary", "g.csv"]
+        else:
+            section = {"summary": str(tmp_path / "g.csv")}
+            Path("cfg.json").write_text(json.dumps({"scan_frontier": section}))
+            argv += ["--config", "cfg.json"]
+        before = sorted(os.listdir())
+        assert run(argv) == 2
+        assert "error: fields 'out' and 'summary' name one file" in capsys.readouterr().err
+        assert sorted(os.listdir()) == before
 
     def test_absent_flag_keeps_config_symmetric(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -811,6 +858,25 @@ class TestExport:
         assert reason in warnings[0]
         assert not (out_dir / "hist_batches_pr.csv").exists()
         assert (out_dir / "hist_batches_half.csv").exists()
+
+    def test_batch_files_of_one_name_keep_the_first_histogram(self, tmp_path, monkeypatch, capsys):
+        """runs/x/b.csv and runs/y/b.csv both map to hist_b.csv: the later
+        one is skipped with a warning instead of overwriting the first."""
+        monkeypatch.chdir(tmp_path)
+        for sub, c in (("x", "1.0"), ("y", "0.5")):
+            Path("runs", sub).mkdir(parents=True)
+            run(["simulate-signalling", "--C", c, "--N", "4", "--reps", "64", "--group-size",
+                 "8", "--seed", "5", "--out", f"runs/{sub}.json", "--dump-batches",
+                 f"runs/{sub}/b.csv"])
+        first, _ = reference_histogram(Path("runs/x/b.csv"))
+        assert first != reference_histogram(Path("runs/y/b.csv"))[0]
+        capsys.readouterr()
+        assert run(["export", "--run-dir", "runs", "--out-dir", "csv"]) == 0
+        out, err = capsys.readouterr()
+        assert Path("csv/hist_b.csv").read_text() == first
+        skipped, target = Path("runs/y/b.csv"), Path("csv/hist_b.csv")
+        assert err == f"warning: skipped {skipped}: {target} already written\n"
+        assert out.count("wrote csv/hist_b.csv") == 1
 
     @pytest.mark.parametrize("case", sorted(BATCH_CSV_EDITS))
     def test_histogram_matches_dict_reader(self, tmp_path, capsys, case):

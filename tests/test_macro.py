@@ -149,11 +149,11 @@ class TestSampling:
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
     @pytest.mark.parametrize("value", [4.0, "4", None, np.float64(4.0)], ids=repr)
-    @pytest.mark.parametrize("field", ["n_pairs", "seed", "stream", "start"])
+    @pytest.mark.parametrize("field", ["n_pairs", "n_batches", "seed", "stream", "start"])
     def test_non_integers_rejected(self, field, value):
-        keys = {"n_pairs": 4, "seed": 5, "stream": 0, "start": 0, field: value}
+        keys = {"n_pairs": 4, "n_batches": 1, "seed": 5, "stream": 0, "start": 0, field: value}
         with pytest.raises(ValueError, match=f"{field} must be a"):
-            sample_batches(UNIFORM, keys.pop("n_pairs"), 1, NOISELESS, **keys)
+            sample_batches(UNIFORM, noise=NOISELESS, **keys)
 
 
 # ---------------------------------------------------------------------------

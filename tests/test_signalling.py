@@ -58,6 +58,7 @@ from nsbox.signalling import (
     wilson_interval,
     write_sweep_csv,
 )
+from oracles import reference_batch_law
 
 PR_A, PR_AP = pr_limit_couplings()
 NOISELESS = NoiseModel(0.0)
@@ -87,6 +88,45 @@ class TestBatchLaw:
         for k in (k_a, k_ap):
             _, law = batch_law(k, 9)
             assert law.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def assert_reference_bytes(couplings):
+        for n_pairs in range(1, 13):
+            for k in couplings:
+                lattice, law = batch_law(k, n_pairs)
+                ref_lattice, ref_law = reference_batch_law(k, n_pairs)
+                assert lattice.tobytes() == ref_lattice.tobytes()
+                assert law.tobytes() == ref_law.tobytes(), (k.flat.tolist(), n_pairs)
+
+    @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, math.sqrt(2) / 2, 0.75, 1.0])
+    def test_scalar_pairs_match_the_loop_bit_for_bit(self, c):
+        self.assert_reference_bytes(make_scalar_extremal_couplings(c))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    def test_table_couplings_match_the_loop_bit_for_bit(self, entries):
+        self.assert_reference_bytes(couplings_for_table(CorrelationTable(*entries)))
+
+    def test_numpy_integer_gives_the_int_law(self):
+        k = make_scalar_extremal_couplings(0.75)[1]
+        for n_pairs in (1, 7, 12):
+            got, want = batch_law(k, np.int64(n_pairs)), batch_law(k, n_pairs)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("n_pairs", [0, 13, 2.5, "4", None], ids=repr)
+    def test_pair_count_outside_the_exact_range_rejected(self, n_pairs):
+        """One check, in `batch_law`, serves every exact-law caller, and a
+        non-integer N is a ValueError there, not a TypeError."""
+        k_a, k_ap = make_scalar_extremal_couplings(1.0)
+        calls = (
+            lambda: batch_law(k_a, n_pairs),
+            lambda: exact_tv_distance(k_a, k_ap, n_pairs, NOISELESS),
+            lambda: exact_tv_distance(k_a, k_ap, n_pairs, NoiseModel(0.1)),
+            lambda: make_likelihood_detector(k_a, k_ap, n_pairs, NOISELESS),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"n_pairs must be an integer in \[1, 12\]"):
+                call()
 
 
 def reference_tv_simpson(
