@@ -506,6 +506,9 @@ def cmd_export(args) -> int:
             _warn_skipped(batch_file, f"{target} already written")
             continue
         counts: dict[tuple[str, float], int] = {}
+        # each (strategy, B, B') text is parsed at its first row, so a bad
+        # field raises there, as a parse of every row would
+        keys: dict[tuple, tuple[str, float]] = {}
         try:
             with open(batch_file) as handle:
                 reader = csv.reader(handle)
@@ -518,7 +521,11 @@ def cmd_export(args) -> int:
                     strategy = row[at["strategy"]]
                     if strategy is None:
                         raise ValueError(f"line {reader.line_num} has no field 'strategy'")
-                    key = (strategy, round(float(row[at["B"]]) + float(row[at["Bprime"]]), 12))
+                    text = (strategy, row[at["B"]], row[at["Bprime"]] if "Bprime" in at else None)
+                    key = keys.get(text)
+                    if key is None:  # a bad B is reported before a missing Bprime column
+                        b = float(text[1])
+                        key = keys[text] = (strategy, round(b + float(row[at["Bprime"]]), 12))
                     counts[key] = counts.get(key, 0) + 1
         except KeyError as exc:
             _warn_skipped(batch_file, f"missing column {exc}")

@@ -300,6 +300,14 @@ def csv_rows(template: str, columns: Sequence[np.ndarray]) -> str:
     return "".join(template % row for row in zip(*(column.tolist() for column in columns)))
 
 
+def _formatted(column: np.ndarray) -> np.ndarray:
+    """``"%.17g" % x`` of each float of the column, formatted once per bit pattern."""
+    bits = np.asarray(column, dtype=np.float64).view(np.int64)
+    patterns, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(["%.17g" % x for x in patterns.view(np.float64).tolist()], dtype=object)
+    return texts[inverse]
+
+
 def write_batches_csv(
     stream: TextIO,
     arms: Iterable[tuple[Strategy, BatchArrays]],
@@ -307,13 +315,15 @@ def write_batches_csv(
     seed: int,
 ) -> None:
     """Batch dump of every (strategy, arrays) arm in order under one header,
-    floating-point fields at 17 significant digits.  Rows are formatted
-    `_CSV_SLICE` at a time, so the text never sits in memory whole."""
+    floating-point fields at 17 significant digits.  The noiseless means sit
+    on the lattice, so each of their distinct bit patterns is formatted once
+    (-0.0 stays "-0").  Rows are formatted `_CSV_SLICE` at a time, so the
+    text never sits in memory whole."""
     stream.write(BATCH_CSV_HEADER + "\n")
     for strategy, arrays in arms:
         index = np.arange(len(arrays))
-        columns = (index, arrays.a_mean, arrays.b_mean, arrays.bp_mean, arrays.noisy_b,
-                   arrays.noisy_bp)
-        template = f"%d,{strategy.value},{n_pairs},{'%.17g,' * 5}{seed}\n"
+        means = [_formatted(column) for column in (arrays.a_mean, arrays.b_mean, arrays.bp_mean)]
+        columns = (index, *means, arrays.noisy_b, arrays.noisy_bp)
+        template = f"%d,{strategy.value},{n_pairs},%s,%s,%s,%.17g,%.17g,{seed}\n"
         for lo in range(0, len(arrays), _CSV_SLICE):
             stream.write(csv_rows(template, [column[lo:lo + _CSV_SLICE] for column in columns]))

@@ -12,6 +12,7 @@ the two observation laws.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence, TextIO
@@ -149,6 +150,24 @@ def _require_valid(coupling: TripleCoupling) -> None:
         raise ValueError(f"coupling under {label} is defective: {check.residuals}")
 
 
+@functools.lru_cache(maxsize=MAX_EXACT_PAIRS)
+def _law_terms(n: int) -> tuple[np.ndarray, ...]:
+    """The coupling-free terms of N's batch law, read-only: the cell counts
+    n1, n2, n3, n4 of every triple with n1 + n2 + n3 <= N in lexicographic
+    order, the int64 multinomial coefficients as floats, and each triple's
+    flat lattice cell (n1 + n2)(N + 1) + (n1 + n3)."""
+    counts = np.indices((n + 1,) * 3).reshape(3, -1)
+    n1, n2, n3 = counts[:, counts.sum(axis=0) <= n]  # lexicographic order
+    n4 = n - n1 - n2 - n3
+    factorial = np.cumprod(np.arange(n + 1, dtype=np.int64).clip(1))  # exact to N = 20
+    multinomial = factorial[n] // (factorial[n1] * factorial[n2] * factorial[n3] * factorial[n4])
+    cell = (n1 + n2) * (n + 1) + (n1 + n3)
+    terms = (n1, n2, n3, n4, multinomial.astype(float), cell)
+    for array in terms:
+        array.flags.writeable = False
+    return terms
+
+
 def batch_law(coupling: TripleCoupling, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact joint law of (B, B') for one batch from the coupling.
 
@@ -158,22 +177,20 @@ def batch_law(coupling: TripleCoupling, n_pairs: int) -> tuple[np.ndarray, np.nd
     is summed in one array pass: each weight is the int64 multinomial
     coefficient times q1**n1 q2**n2 q3**n3 q4**n4, in that order, and the
     weights add into P[n1 + n2, n1 + n3] in lexicographic (n1, n2, n3)
-    order.  N must be an integer in [1, `MAX_EXACT_PAIRS`], and a defective
-    coupling (`_require_valid`) is rejected.
+    order.  The counts, coefficients and cells depend on N alone and come
+    from `_law_terms`, built at the first call for each N.  N must be an
+    integer in [1, `MAX_EXACT_PAIRS`], and a defective coupling
+    (`_require_valid`) is rejected.
     """
     n = _checked_int(n_pairs, "n_pairs", f"an integer in [1, {MAX_EXACT_PAIRS}]", 1,
                      MAX_EXACT_PAIRS + 1)
     _require_valid(coupling)
+    n1, n2, n3, n4, multinomial, cell = _law_terms(n)
     q = coupling.pair_marginal().reshape(4)  # cells (+,+), (+,-), (-,+), (-,-)
-    counts = np.indices((n + 1,) * 3).reshape(3, -1)
-    n1, n2, n3 = counts[:, counts.sum(axis=0) <= n]  # lexicographic order
-    n4 = n - n1 - n2 - n3
-    factorial = np.cumprod(np.arange(n + 1, dtype=np.int64).clip(1))  # exact to N = 20
     powers = np.array([[p**e for e in range(n + 1)] for p in q])  # the scalar ** a loop takes
-    weight = factorial[n] // (factorial[n1] * factorial[n2] * factorial[n3] * factorial[n4])
-    weight = weight.astype(float) * powers[0, n1] * powers[1, n2] * powers[2, n3] * powers[3, n4]
-    law = np.zeros((n + 1, n + 1))
-    np.add.at(law, (n1 + n2, n1 + n3), weight)  # repeated cells add in index order
+    weight = multinomial * powers[0, n1] * powers[1, n2] * powers[2, n3] * powers[3, n4]
+    # bincount adds repeated cells in index order, as a loop would
+    law = np.bincount(cell, weights=weight, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
     return batch_lattice(n), law
 
 

@@ -4,16 +4,20 @@
 deterministic tables, against `classify_locality`'s eight CHSH inequalities;
 `mean_square_check` tests the sampler's batch means against the 1/N law of
 <B^2>; `reference_batch_law` sums the exact batch law one cell-count triple
-at a time, against `batch_law`'s array sum.  None of them runs outside the
-tests, so scipy is a test dependency only.
+at a time, against `batch_law`'s array sum; `reference_histogram` counts
+export's B + B' histogram one row at a time, against its per-text parse.
+None of them runs outside the tests, so scipy is a test dependency only.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
@@ -142,3 +146,27 @@ def reference_batch_law(coupling: TripleCoupling, n_pairs: int) -> tuple[np.ndar
                 )
                 law[n1 + n2, n1 + n3] += weight
     return batch_lattice(n), law
+
+
+def reference_histogram(batch_file: Path) -> tuple[str | None, str]:
+    """export's B + B' histogram of one batch CSV through csv.DictReader,
+    parsing every row's floats: the histogram CSV text, or None when the
+    file is skipped, and stderr."""
+    counts: dict[tuple[str, float], int] = {}
+    try:
+        with open(batch_file) as handle:
+            reader = csv.DictReader(handle)
+            for row in reader:
+                if row["strategy"] is None:
+                    raise ValueError(f"line {reader.line_num} has no field 'strategy'")
+                key = (row["strategy"], round(float(row["B"]) + float(row["Bprime"]), 12))
+                counts[key] = counts.get(key, 0) + 1
+    except KeyError as exc:
+        return None, f"warning: skipped {batch_file}: missing column {exc}\n"
+    except (OSError, ValueError, TypeError, csv.Error) as exc:
+        return None, f"warning: skipped {batch_file}: {exc}\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["strategy", "value", "count"])
+    writer.writerows([s, f"{value:.17g}", n] for (s, value), n in sorted(counts.items()))
+    return buffer.getvalue(), ""

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -6,9 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nsbox.cli
 import nsbox.macro
@@ -16,6 +20,7 @@ import nsbox.signalling
 from nsbox.cli import main
 from nsbox.causality import frontier_grid
 from nsbox.signalling import report_from_json
+from oracles import reference_histogram
 from test_readme import quick_tour_block
 
 Q = math.sqrt(2.0) / 2.0
@@ -40,26 +45,6 @@ def reference_grid_csv(grid) -> str:
         for row in zip(*(column.tolist() for column in grid.values()))
     )
     return buffer.getvalue()
-
-
-def reference_histogram(batch_file: Path) -> tuple[str | None, str]:
-    """export's B + B' histogram of one batch CSV through csv.DictReader:
-    the histogram CSV text, or None when the file is skipped, and stderr."""
-    counts: dict[tuple[str, float], int] = {}
-    try:
-        with open(batch_file) as handle:
-            for row in csv.DictReader(handle):
-                key = (row["strategy"], round(float(row["B"]) + float(row["Bprime"]), 12))
-                counts[key] = counts.get(key, 0) + 1
-    except KeyError as exc:
-        return None, f"warning: skipped {batch_file}: missing column {exc}\n"
-    except (OSError, ValueError, TypeError) as exc:
-        return None, f"warning: skipped {batch_file}: {exc}\n"
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["strategy", "value", "count"])
-    writer.writerows([s, f"{value:.17g}", n] for (s, value), n in sorted(counts.items()))
-    return buffer.getvalue(), ""
 
 
 def _csv_text(rows) -> str:
@@ -725,6 +710,22 @@ class TestCouplings:
         assert set(rows[0]) == {"arm", "i", "j", "jp", "probability"}
 
 
+#: Field texts of hand-made batch CSVs: repeats, both zeros, and an infinity
+#: (a NaN sum is pinned on its own in `test_nan_sums_add_up_per_text_pair`).
+HIST_FIELDS = ["0", "-0", "0.5", "-0.5", "0.25", "-0.75", "1", "-1", "1e-300", "0.1", "inf"]
+HIST_STRATEGIES = ["always_a", "always_aprime", 'odd,"name']
+
+
+@pytest.fixture(scope="module")
+def stored_report(tmp_path_factory):
+    """The text of one simulate-signalling report whose batch CSV is b.csv."""
+    run_dir = tmp_path_factory.mktemp("stored")
+    run(["simulate-signalling", "--N", "4", "--reps", "16", "--group-size", "8", "--seed", "2",
+         "--out", str(run_dir / "r.json"), "--dump-batches", str(run_dir / "b.csv")])
+    report = json.loads((run_dir / "r.json").read_text())
+    return json.dumps({**report, "batches_csv": "b.csv"})
+
+
 class TestExport:
     def _make_run(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -895,6 +896,72 @@ class TestExport:
         assert capsys.readouterr().err == want_err
         hist = out_dir / "hist_b.csv"
         assert (hist.read_text() if hist.exists() else None) == want_hist
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(HIST_STRATEGIES), st.sampled_from(HIST_FIELDS),
+                      st.sampled_from(HIST_FIELDS)),
+            max_size=40,
+        ),
+        header=st.sampled_from([("strategy", "B", "Bprime"), ("Bprime", "strategy", "B"),
+                                ("strategy", "B"), ("B", "Bprime")]),
+        bad=st.none() | st.tuples(st.integers(0, 39), st.sampled_from(["B", "Bprime"]),
+                                  st.sampled_from(["x", "", "1e"])),
+        short=st.none() | st.tuples(st.integers(0, 39), st.integers(0, 2)),
+    )
+    def test_histogram_matches_the_per_row_parse(self, stored_report, rows, header, bad, short):
+        """Rows that repeat a (strategy, B, B') text count as the per-row
+        parse counts them, and the first bad field, short row or missing
+        column is reported as it reports it."""
+        rows = [dict(zip(("strategy", "B", "Bprime"), row)) for row in rows]
+        if bad is not None and bad[0] < len(rows):
+            rows[bad[0]][bad[1]] = bad[2]
+        rows = [[row[name] for name in header] for row in rows]
+        if short is not None and short[0] < len(rows):
+            del rows[short[0]][short[1]:]
+        with tempfile.TemporaryDirectory() as tmp:
+            run_dir, out_dir = Path(tmp, "run"), Path(tmp, "out")
+            run_dir.mkdir()
+            (run_dir / "r.json").write_text(stored_report)
+            batches = run_dir / "b.csv"
+            batches.write_text(_csv_text([header, *rows]))
+            want_hist, want_err = reference_histogram(batches)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert run(["export", "--run-dir", str(run_dir), "--out-dir", str(out_dir)]) == 0
+            hist = out_dir / "hist_b.csv"
+            assert (hist.read_text() if hist.exists() else None) == want_hist
+            assert err.getvalue() == want_err
+
+    def test_first_bad_row_is_the_one_reported(self, tmp_path, capsys):
+        """A bad float on line 3 is reported, not the row without a strategy
+        on line 5, even though line 4 repeats line 2's good texts."""
+        run_dir = self._make_run(tmp_path)
+        batches = run_dir / "batches_pr.csv"
+        batches.write_text("B,Bprime,strategy\n0.5,0.5,always_a\nx,0.5,always_a\n"
+                           "0.5,0.5,always_a\n0.5,0.5\n")
+        capsys.readouterr()
+        assert run(["export", "--run-dir", str(run_dir), "--out-dir", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: skipped {batches}: could not convert string to float: 'x'\n"
+        )
+        assert not (tmp_path / "o" / "hist_batches_pr.csv").exists()
+
+    def test_nan_sums_add_up_per_text_pair(self, tmp_path):
+        """B + B' is NaN for 'nan' or inf - inf; such rows count once per
+        (strategy, B, B') text, where a NaN key made per row would never
+        compare equal to another."""
+        run_dir = self._make_run(tmp_path)
+        (run_dir / "batches_pr.csv").write_text(
+            "strategy,B,Bprime\nalways_a,nan,0\nalways_a,inf,-inf\nalways_a,nan,0\n"
+            "always_a,0.5,0\nalways_a,inf,-inf\nalways_a,nan,0\n"
+        )
+        assert run(["export", "--run-dir", str(run_dir), "--out-dir", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "hist_batches_pr.csv") as handle:
+            rows = sorted(tuple(row.values()) for row in csv.DictReader(handle))
+        assert rows == [("always_a", "0.5", "1"), ("always_a", "nan", "2"),
+                        ("always_a", "nan", "3")]
 
     def test_empty_run_dir(self, tmp_path, capsys):
         empty = tmp_path / "empty"

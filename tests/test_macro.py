@@ -613,6 +613,19 @@ class TestCsvDump:
         reference_write_batches_csv(want, [(strategy, arrays)], n_pairs, seed)
         assert got.getvalue() == want.getvalue()
 
+    def test_signed_zeros_of_one_column_keep_their_signs(self):
+        """The means are formatted once per bit pattern, and 0.0 == -0.0 are
+        two patterns: each row keeps its own "0" or "-0"."""
+        zeros = np.array([0.0, -0.0, -0.0, 0.0, 0.5, -0.0])
+        arrays = BatchArrays(zeros, -zeros, zeros[::-1].copy(), zeros, -zeros)
+        got, want = io.StringIO(), io.StringIO()
+        write_batches_csv(got, [(Strategy.ALWAYS_A, arrays)], 2, 3)
+        reference_write_batches_csv(want, [(Strategy.ALWAYS_A, arrays)], 2, 3)
+        assert got.getvalue() == want.getvalue()
+        assert [line.split(",")[3] for line in got.getvalue().splitlines()[1:]] == [
+            "0", "-0", "-0", "0", "0.5", "-0"
+        ]
+
     @pytest.mark.parametrize("n_batches", [0, 1, 5, 6, 7])
     def test_arms_in_slices_match_csv_writer(self, n_batches, monkeypatch):
         # one header, then each arm in order, its rows written 3 at a time

@@ -32,6 +32,7 @@ from nsbox.coupling import (
 )
 from nsbox.macro import NoiseModel, Strategy, sample_batches
 from nsbox.signalling import (
+    MAX_EXACT_PAIRS,
     NO_SIGNALLING_WIDTH,
     Detector,
     ProtocolConfig,
@@ -127,6 +128,54 @@ class TestBatchLaw:
         for call in calls:
             with pytest.raises(ValueError, match=r"n_pairs must be an integer in \[1, 12\]"):
                 call()
+
+    def test_table_reuse_across_pair_counts_and_couplings(self):
+        """Each N's terms are built once and reused; the coupling's powers
+        are not, so a new coupling at a cached N gets its own law."""
+        k_a, k_ap = make_scalar_extremal_couplings(0.75)
+        t_a, t_ap = couplings_for_table(CorrelationTable(0.9, 0.3, -0.2, 0.6))
+        nsbox.signalling._law_terms.cache_clear()
+        for n_pairs, k in [(12, k_a), (5, k_ap), (12, t_ap), (1, t_a), (12, k_ap)]:
+            got, want = batch_law(k, n_pairs), reference_batch_law(k, n_pairs)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], n_pairs
+        info = nsbox.signalling._law_terms.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 3, 3)
+
+    def test_threads_at_two_pair_counts_get_the_loop_bytes(self):
+        k = couplings_for_table(CorrelationTable(0.9, 0.3, -0.2, 0.6))[0]
+        want = {n: reference_batch_law(k, n)[1].tobytes() for n in (8, 12)}
+        nsbox.signalling._law_terms.cache_clear()
+        start = threading.Barrier(2)
+        got = {}
+
+        def run(n_pairs):
+            start.wait()
+            got[n_pairs] = [batch_law(k, n_pairs)[1].tobytes() for _ in range(20)]
+
+        threads = [threading.Thread(target=run, args=(n,)) for n in (8, 12)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert got == {n: [law] * 20 for n, law in want.items()}
+
+    def test_cached_terms_are_read_only(self):
+        for array in nsbox.signalling._law_terms(6):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_cache_holds_one_entry_per_valid_pair_count(self):
+        law_terms = nsbox.signalling._law_terms
+        assert law_terms.cache_info().maxsize == MAX_EXACT_PAIRS
+        law_terms.cache_clear()
+        k = make_scalar_extremal_couplings(0.75)[0]
+        for n_pairs in (0, 13, 2.5, "4"):
+            with pytest.raises(ValueError):
+                batch_law(k, n_pairs)
+        assert law_terms.cache_info().currsize == 0
+        batch_law(k, np.int64(4))
+        batch_law(k, 4)
+        assert law_terms.cache_info().currsize == 1
 
 
 def reference_tv_simpson(
