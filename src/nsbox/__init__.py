@@ -1,28 +1,17 @@
-"""No-signalling boxes, extremal counterfactual couplings, and macroscopic
-signalling simulations, together with the variance-bound chain that pins the
-maximal CHSH value compatible with causality in the classical limit."""
+"""Two-party correlation tables, extremal counterfactual couplings, and
+macroscopic signalling simulations, together with the variance-bound chain
+that pins the maximal CHSH value compatible with causality in the classical
+limit."""
 
 from .boxes import (
     A,
     A_PRIME,
-    B,
-    B_PRIME,
-    BipartiteBox,
-    Choice,
+    AliceSetting,
     CorrelationTable,
     Locality,
-    NoSignallingReport,
-    Party,
-    Setting,
-    box_correlations,
-    box_from_correlations,
-    check_no_signalling,
     chsh,
     chsh_variants,
     classify_locality,
-    correlation,
-    make_pr_box,
-    make_tilted_box,
 )
 from .causality import (
     TSIRELSON_BOUND,

@@ -556,7 +556,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsbox",
-        description="No-signalling boxes, extremal couplings, and macroscopic signalling",
+        description="Correlation tables, extremal couplings, and macroscopic signalling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,7 +2,7 @@
 
 A coupling is an 8-point pmf over (i, j, j') in {+1,-1}^3 with uniform
 one-variable marginals and prescribed correlations E[ij] and E[ij'].  The
-correlation between j and j' is not fixed by the box; its feasible range,
+correlation between j and j' is not fixed by the table; its feasible range,
 and hence the feasible range of Var(b +/- b'), follows in closed form.  Given
 i, the pair (j, j') is two Bernoulli variables with fixed marginals, whose
 joint law is extremal at a Frechet bound.  The extremal couplings are built
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boxes import A, A_PRIME, CorrelationTable, Party, Setting
+from .boxes import A, A_PRIME, AliceSetting, CorrelationTable
 
 CORR_TOL = 1e-9
 
@@ -48,9 +48,8 @@ class TripleCoupling:
 
     __slots__ = ("alice_setting", "pmf")
 
-    def __init__(self, alice_setting: Setting, pmf: np.ndarray) -> None:
-        if alice_setting.party is not Party.ALICE:
-            raise ValueError(f"coupling needs an Alice setting, got {alice_setting.label}")
+    def __init__(self, alice_setting: AliceSetting, pmf: np.ndarray) -> None:
+        alice_setting = AliceSetting(alice_setting)
         arr = np.asarray(pmf, dtype=float)
         if arr.shape != (2, 2, 2):
             raise ValueError(f"pmf must have shape (2, 2, 2), got {arr.shape}")
@@ -102,7 +101,7 @@ def extremal_coupling(
     c_xb: float,
     c_xbp: float,
     objective: CouplingObjective,
-    alice_setting: Setting = A,
+    alice_setting: AliceSetting = A,
 ) -> TripleCoupling:
     """The coupling achieving the exact optimum of P(b != b') for the targets.
 
@@ -148,8 +147,10 @@ def make_scalar_extremal_couplings(c: float) -> tuple[TripleCoupling, TripleCoup
 
     Under a (targets C, C): maximal disagreement, so Var(b + b') is minimal;
     under a' (targets C, -C): maximal agreement, so Var(b + b') is maximal.
-    If even these extremes cannot match the two variances, the strategies
-    remain statistically distinguishable.
+    For C >= 1/2 these extremes come closest to matching the two variances,
+    and above 1/2 they cannot, so the strategies remain statistically
+    distinguishable.  Below 1/2 the extremes cross and signal although
+    couplings that match exist (see `couplings_for_table`).
     """
     if not math.isfinite(c) or not 0.0 <= c <= 1.0:
         raise ValueError(f"correlation strength must lie in [0, 1], got {c!r}")
@@ -158,7 +159,13 @@ def make_scalar_extremal_couplings(c: float) -> tuple[TripleCoupling, TripleCoup
 
 def couplings_for_table(table: CorrelationTable) -> tuple[TripleCoupling, TripleCoupling]:
     """Variance-extremal couplings for a correlation table: minimal B+B'
-    spread under a, maximal under a' (the most signalling-hostile pair).
+    spread under a, maximal under a', so E[jj'] takes the bottom of its range
+    under a and the top of its range under a'.  That is the least-signalling
+    pair only when |C(a,b) + C(a,b')| + |C(a',b) - C(a',b')| >= 2, as on the
+    tilted family from C = 1/2 up, where the a range sits above the a' one.
+    Otherwise the pair signals more than it must; where the ranges overlap,
+    as below C = 1/2, one common E[jj'] would not signal at all (the
+    least-signalling couplings item of ROADMAP.md).
     Entries the table allows up to `NORM_TOL` past +/-1 count as +/-1."""
     c_ab, c_abp, c_apb, c_apbp = (min(1.0, max(-1.0, c)) for c in table.as_tuple())
     k_a = extremal_coupling(c_ab, c_abp, CouplingObjective.MAX_DISAGREE, alice_setting=A)
@@ -201,7 +208,7 @@ def coupling_to_json(coupling: TripleCoupling) -> dict:
     """JSON form: Alice setting label plus the 8 probabilities in cell order
     (i, j, j') lexicographic with +1 before -1."""
     return {
-        "alice_setting": coupling.alice_setting.label,
+        "alice_setting": coupling.alice_setting.value,
         "pmf": coupling.flat.tolist(),
     }
 

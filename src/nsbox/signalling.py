@@ -34,6 +34,7 @@ TV_BLOCK, TV_TILE = 512, 256  # Simpson grid rows x columns per product
 TV_SEPARATED = 1.0 / 40.0
 _PARALLEL_BLOCKS = 12  # fewer Simpson row blocks than this stay on the calling thread
 WILSON_Z = 1.959963984540054  # two-sided 95%
+SIGNALLING_TAIL = 0.025  # largest chance tail that reads SIGNALLING
 NO_SIGNALLING_WIDTH = 0.02  # CI width needed to call NO_SIGNALLING
 
 
@@ -110,6 +111,29 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (min(p, max(0.0, center - half)), max(p, min(1.0, center + half)))
 
 
+def chance_tail(successes: int, trials: int) -> float:
+    """P(X >= successes) for X ~ Binomial(trials, 1/2): the chance of at least
+    this many correct guesses when the two laws are identical.
+
+    Past the mode the terms fall monotonically, so they are summed from the
+    first, whose log comes from `math.lgamma`, until one no longer moves the
+    sum; at or below the mode the tail is one minus the mirrored upper tail.
+    """
+    if successes > trials:
+        return 0.0
+    if 2 * successes <= trials:
+        return 1.0 - chance_tail(trials - successes + 1, trials)
+    log_first = (math.lgamma(trials + 1) - math.lgamma(successes + 1)
+                 - math.lgamma(trials - successes + 1) - trials * math.log(2.0))
+    total = term = 1.0  # in units of the first term
+    for k in range(successes, trials):
+        term *= (trials - k) / (k + 1)
+        if total + term == total:
+            break
+        total += term
+    return math.exp(log_first) * total
+
+
 def suggested_repetitions(advantage: float) -> float | None:
     """Hoeffding-style trial count to resolve the bit at 95% confidence (delta = 0.05)."""
     if advantage <= 0.5:
@@ -146,7 +170,7 @@ def _require_valid(coupling: TripleCoupling) -> None:
     """ValueError unless the coupling is a pmf with uniform marginals within `CORR_TOL`."""
     check = validate_coupling(coupling)
     if not check.ok:
-        label = coupling.alice_setting.label
+        label = coupling.alice_setting.value
         raise ValueError(f"coupling under {label} is defective: {check.residuals}")
 
 
@@ -426,7 +450,7 @@ def draw_arms(
         if coupling.alice_setting != setting:
             raise ValueError(
                 "arm couplings must be under a then a', got "
-                f"{k_a.alice_setting.label} then {k_ap.alice_setting.label}"
+                f"{k_a.alice_setting.value} then {k_ap.alice_setting.value}"
             )
         _require_valid(coupling)
     return tuple(
@@ -445,6 +469,9 @@ def score_arms(
     are fine, since batch b of a draw does not depend on the draw's length.
 
     Each arm is scored whole, as (groups, g) arrays, by one detector kernel.
+    The verdict is SIGNALLING when the exact `chance_tail` of the correct
+    count is at most `SIGNALLING_TAIL`, and NO_SIGNALLING when the Wilson
+    interval holds 1/2 and is narrower than `NO_SIGNALLING_WIDTH`.
     """
     if cfg.detector is Detector.LIKELIHOOD:
         likelihood = make_likelihood_detector(k_a, k_ap, cfg.n_pairs, cfg.noise)
@@ -469,7 +496,7 @@ def score_arms(
     # no trials: the interval is [0, 1], too wide for any verdict but INCONCLUSIVE
     advantage = correct / trials if trials else 0.5
     ci_low, ci_high = wilson_interval(correct, trials)
-    if ci_low > 0.5:
+    if chance_tail(correct, trials) <= SIGNALLING_TAIL:
         verdict = Verdict.SIGNALLING
     elif ci_low <= 0.5 <= ci_high and (ci_high - ci_low) < NO_SIGNALLING_WIDTH:
         verdict = Verdict.NO_SIGNALLING

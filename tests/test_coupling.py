@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nsbox.boxes import A, A_PRIME, B, CorrelationTable
+from nsbox.boxes import A, A_PRIME, CorrelationTable
 from nsbox.coupling import (
     Combination,
     CouplingObjective,
@@ -355,7 +355,10 @@ class TestValidateCoupling:
 
     def test_wrong_party_rejected(self):
         with pytest.raises(ValueError):
-            TripleCoupling(B, np.full((2, 2, 2), 0.125))
+            TripleCoupling("b", np.full((2, 2, 2), 0.125))
+
+    def test_label_gives_the_member(self):
+        assert TripleCoupling("a'", np.full((2, 2, 2), 0.125)).alice_setting is A_PRIME
 
 
 class TestPerPairVariance:
@@ -379,9 +382,10 @@ class TestPerPairVariance:
 
 class TestSerialization:
     def test_lexicographic_order(self):
-        under_a, _ = pr_limit_couplings()
+        under_a, under_ap = pr_limit_couplings()
         data = coupling_to_json(under_a)
         assert data["alice_setting"] == "a"
+        assert coupling_to_json(under_ap)["alice_setting"] == "a'"
         # cells (+1,+1,+1) and (-1,-1,-1) are first and last
         assert data["pmf"][0] == 0.5
         assert data["pmf"][7] == 0.5

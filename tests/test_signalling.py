@@ -11,6 +11,7 @@ import threading
 import weakref
 from collections import namedtuple
 from dataclasses import replace
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binomtest
 
 import nsbox.signalling
 from nsbox.boxes import A, A_PRIME, CorrelationTable
@@ -34,6 +36,7 @@ from nsbox.macro import NoiseModel, Strategy, sample_batches
 from nsbox.signalling import (
     MAX_EXACT_PAIRS,
     NO_SIGNALLING_WIDTH,
+    SIGNALLING_TAIL,
     Detector,
     ProtocolConfig,
     SWEEP_CSV_HEADER,
@@ -45,6 +48,7 @@ from nsbox.signalling import (
     _tv_simpsons,
     advantage_ceiling,
     batch_law,
+    chance_tail,
     couplings_for_table,
     covariance_guess_a,
     draw_arms,
@@ -685,6 +689,47 @@ class TestAdvantageHelpers:
         assert value == pytest.approx(math.log(20) / (2 * 0.01), rel=1e-12)
 
 
+class TestVerdictRule:
+    def test_four_of_four_is_not_signalling(self):
+        """At identical laws 4 of 4 correct has chance 1/16, though the
+        Wilson interval of 4 of 4 excludes 1/2."""
+        k_a, k_ap = make_scalar_extremal_couplings(0.5)
+        cfg = ProtocolConfig(n_pairs=4, repetitions=64, noise=NoiseModel(0.1))
+        report = run_protocol(k_a, k_ap, cfg, seed=2)
+        assert (report.n_trials, report.advantage) == (4, 1.0)
+        assert report.ci_low > 0.5
+        assert chance_tail(4, 4) == 1 / 16
+        assert report.verdict is Verdict.INCONCLUSIVE
+
+    def test_false_alarm_rate_at_most_the_level(self):
+        """The exact chance, at identical laws, that n trials read SIGNALLING."""
+        for n in range(201):
+            rate = sum(
+                Fraction(comb(n, k), 2**n)
+                for k in range(n + 1)
+                if chance_tail(k, n) <= SIGNALLING_TAIL
+            )
+            assert rate <= Fraction(1, 40), n
+
+    def test_tail_edges(self):
+        for n in range(201):
+            assert chance_tail(0, n) == 1.0, n
+            assert chance_tail(n + 1, n) == 0.0, n
+            assert chance_tail(n, n) == pytest.approx(0.5**n, rel=1e-12), n
+
+    def test_tail_falls_as_correct_rises(self):
+        for n in (1, 2, 7, 40, 333, 4096):
+            tails = [chance_tail(k, n) for k in range(n + 2)]
+            assert all(hi >= lo for hi, lo in zip(tails, tails[1:])), n
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 16, 40, 64, 101, 625, 1250, 4096])
+    def test_verdict_matches_binomtest(self, n):
+        for k in range(n + 1):
+            pvalue = binomtest(k, n, 0.5, alternative="greater").pvalue
+            assert chance_tail(k, n) == pytest.approx(pvalue, rel=1e-9, abs=1e-300), k
+            assert (chance_tail(k, n) <= SIGNALLING_TAIL) == (pvalue <= 0.025), k
+
+
 class TestDetectors:
     def test_covariance_sign_noiseless_groups(self):
         arrays = sample_batches(PR_A, 10, 64, NOISELESS, seed=4, stream=0)
@@ -1161,7 +1206,8 @@ def reference_group_guesses(arrays, cfg, guess_fn, collect_survivors):
 
 def reference_score_arms(k_a, k_ap, arms, cfg):
     """The original scorer: one `Row` per batch, one detector
-    call (and one `np.cov`) per group.  `score_arms` must match it exactly."""
+    call (and one `np.cov`) per group, and the verdict from scipy's exact
+    binomial test.  `score_arms` must match it exactly."""
     if cfg.detector is Detector.COVARIANCE_SIGN:
         guess_fn, collect = reference_covariance_sign, False
     elif cfg.detector is Detector.POSTSELECT_EXTREMES:
@@ -1184,7 +1230,7 @@ def reference_score_arms(k_a, k_ap, arms, cfg):
         return SignallingReport(0.5, 0.0, 1.0, 0, Verdict.INCONCLUSIVE, 0, None)
     advantage = correct / trials
     ci_low, ci_high = wilson_interval(correct, trials)
-    if ci_low > 0.5:
+    if binomtest(correct, trials, 0.5, alternative="greater").pvalue <= 0.025:
         verdict = Verdict.SIGNALLING
     elif ci_low <= 0.5 <= ci_high and (ci_high - ci_low) < NO_SIGNALLING_WIDTH:
         verdict = Verdict.NO_SIGNALLING
