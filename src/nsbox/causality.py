@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .boxes import CorrelationTable, chsh, chsh_variants
 
 CAUSALITY_TOL = 1e-12
@@ -191,6 +189,8 @@ def _golden_max(f, lo: float, hi: float):
 
 def _best_y(x, rhs: float):
     """Largest feasible y = C(a',b)-C(a',b') beside x (scalar or array)."""
+    import numpy as np
+
     return np.minimum(2.0, np.sqrt(np.maximum(rhs - x * x, 0.0)))
 
 
@@ -211,6 +211,8 @@ def frontier_grid(
     C over [0, 1] for tables (C, C, C, -C), their CHSH 4C, the causality
     left side 8C^2 and whether it is at most rhs.
     """
+    import numpy as np
+
     _check_frontier_args(resolution, rhs)
     if symmetric:
         c = np.linspace(0.0, 1.0, resolution)
@@ -247,6 +249,8 @@ def frontier_scan(
             resolution=resolution,
             critical_c=critical,
         )
+
+    import numpy as np
 
     grid = frontier_grid(resolution, False, rhs)
     k = int(np.argmax(grid["chsh"]))

@@ -9,6 +9,11 @@ directory, and no two output paths may name one file; all are checked
 before any compute, and output files are written atomically (temp file +
 rename), so failures never leave partial artifacts.
 
+Each command imports only the modules it runs: verify-bounds and export
+load no numpy, scan-frontier loads numpy for its grid but not the sampler,
+and simulate-signalling and couplings import the coupling, sampling and
+protocol modules inside their command functions.
+
 Exit codes: 0 success; 1 verify-bounds found a table that satisfies the
 causality condition with some |CHSH| above 2 sqrt(2); 2 invalid
 configuration (every bad field is listed); 3 I/O failure.
@@ -38,30 +43,7 @@ from .causality import (
     variance_lower_bound_a,
     variance_lower_bound_ap,
 )
-from .coupling import (
-    I_VALUES,
-    J_VALUES,
-    JP_VALUES,
-    CouplingObjective,
-    coupling_bounds,
-    coupling_to_json,
-    extremal_coupling,
-    make_scalar_extremal_couplings,
-    validate_coupling,
-)
-from .macro import NoiseModel, csv_rows, write_batches_csv
-from .signalling import (
-    ARMS,
-    Detector,
-    ProtocolConfig,
-    SweepRow,
-    draw_arms,
-    protocol_batches,
-    report_from_json,
-    report_to_json,
-    score_arms,
-    write_sweep_csv,
-)
+from .records import Detector, SweepRow, csv_rows, report_from_json, write_sweep_csv
 
 SCHEMA_VERSION = "1"
 
@@ -274,6 +256,12 @@ def _envelope(args, **fields) -> dict:
 
 
 def cmd_simulate_signalling(args) -> int:
+    from .coupling import make_scalar_extremal_couplings
+    from .macro import NoiseModel, write_batches_csv
+    from .signalling import (
+        ARMS, ProtocolConfig, draw_arms, protocol_batches, report_to_json, score_arms,
+    )
+
     v = _resolve(args)
     fmt = v.choice("format", {"json", "csv"}, default="json")
     c = v.number("C", default=1.0, minimum=0.0, maximum=1.0)
@@ -404,6 +392,11 @@ def cmd_scan_frontier(args) -> int:
 
 
 def cmd_couplings(args) -> int:
+    from .coupling import (
+        I_VALUES, J_VALUES, JP_VALUES, CouplingObjective, coupling_bounds, coupling_to_json,
+        extremal_coupling, make_scalar_extremal_couplings, validate_coupling,
+    )
+
     v = _resolve(args)
     fmt = v.choice("format", {"json", "csv"}, default="json")
     payload = _envelope(args)
@@ -479,15 +472,20 @@ def cmd_export(args) -> int:
     for path in sorted(Path(run_dir).glob("*.json")):
         try:
             data = json.loads(path.read_text())
-            rows.append(_sweep_row(data))
+            row = _sweep_row(data)
+            batches = data.get("batches_csv")
+            if batches is not None and not isinstance(batches, str):
+                raise TypeError(f"batches_csv must be a path, got {batches!r}")
             # a relative path is relative to the report; an absolute one stays
-            batches = data.get("batches_csv") and path.parent / data["batches_csv"]
+            batches = batches and path.parent / batches
         except KeyError as exc:
             _warn_skipped(path, f"missing field {exc}")
             continue
         except (OSError, ValueError, TypeError) as exc:
             _warn_skipped(path, exc)
             continue
+        # a report gives its row and its batch file, or neither
+        rows.append(row)
         if batches and batches not in batch_files:
             batch_files.append(batches)
     if not rows:

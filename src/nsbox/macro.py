@@ -27,6 +27,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .coupling import CORR_TOL, I_VALUES, J_VALUES, JP_VALUES, TripleCoupling
+from .records import csv_rows
 
 CHUNK = 4096
 #: A unit of a draw holds at most this many uniforms: 2 MB, cache-sized.
@@ -293,11 +294,6 @@ def parallelogram_residuals(b_mean: np.ndarray, bp_mean: np.ndarray) -> np.ndarr
 BATCH_CSV_HEADER = "batch_index,strategy,N,A,B,Bprime,noisyB,noisyBprime,seed"
 #: Rows of the batch dump formatted per write: about 0.5 MB of text.
 _CSV_SLICE = 4096
-
-
-def csv_rows(template: str, columns: Sequence[np.ndarray]) -> str:
-    """``template % row`` for each row of the columns, for fields csv.writer never quotes."""
-    return "".join(template % row for row in zip(*(column.tolist() for column in columns)))
 
 
 def _formatted(column: np.ndarray) -> np.ndarray:

@@ -11,11 +11,10 @@ the two observation laws.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .macro import (
     BatchArrays, NoiseModel, STRATEGY_STREAM, Strategy, _checked_int, _parallel_map,
     batch_lattice, sample_batches,
 )
+from .records import Detector, SignallingReport, SweepRow, Verdict
 
 MAX_EXACT_PAIRS = 12
 TV_BLOCK, TV_TILE = 512, 256  # Simpson grid rows x columns per product
@@ -36,18 +36,6 @@ _PARALLEL_BLOCKS = 12  # fewer Simpson row blocks than this stay on the calling 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 SIGNALLING_TAIL = 0.025  # largest chance tail that reads SIGNALLING
 NO_SIGNALLING_WIDTH = 0.02  # CI width needed to call NO_SIGNALLING
-
-
-class Detector(enum.Enum):
-    COVARIANCE_SIGN = "cov"
-    POSTSELECT_EXTREMES = "postselect"
-    LIKELIHOOD = "lr"
-
-
-class Verdict(enum.Enum):
-    SIGNALLING = "signalling"
-    NO_SIGNALLING = "no_signalling"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -78,21 +66,6 @@ class ProtocolConfig:
             raise ValueError(
                 f"likelihood detector enumerates exact laws, needs n_pairs <= {MAX_EXACT_PAIRS}"
             )
-
-
-@dataclass(frozen=True)
-class SignallingReport:
-    advantage: float
-    ci_low: float
-    ci_high: float
-    n_used: int
-    verdict: Verdict
-    n_trials: int
-    suggested_repetitions: float | None
-
-    def __post_init__(self) -> None:
-        if not self.ci_low <= self.advantage <= self.ci_high:
-            raise ValueError("confidence interval must contain the advantage")
 
 
 # ---------------------------------------------------------------------------
@@ -517,30 +490,6 @@ def score_arms(
 # Resource sweep
 # ---------------------------------------------------------------------------
 
-SWEEP_CSV_HEADER = "C,N,R,sigma,detector,advantage,ci_low,ci_high,n_used,verdict"
-SWEEP_CSV_ROW = "%.17g,%s,%s,%.17g,%s,%.17g,%.17g,%.17g,%s,%s\n"
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    c: float
-    n_pairs: int
-    repetitions: int
-    sigma: float
-    detector: Detector
-    report: SignallingReport
-
-    def csv_line(self) -> str:
-        r = self.report
-        return SWEEP_CSV_ROW % (self.c, self.n_pairs, self.repetitions, self.sigma,
-                                self.detector.value, r.advantage, r.ci_low, r.ci_high,
-                                r.n_used, r.verdict.value)
-
-    def csv_fields(self) -> list[str]:
-        """The fields of `csv_line`, none of which holds a comma."""
-        return self.csv_line()[:-1].split(",")
-
-
 def resource_sweep(
     table: CorrelationTable,
     n_list: Sequence[int],
@@ -599,30 +548,10 @@ def resource_sweep(
     return rows
 
 
-def write_sweep_csv(stream: TextIO, rows: Sequence[SweepRow]) -> None:
-    """One line per row; csv.writer would quote none of the fields."""
-    stream.write(SWEEP_CSV_HEADER + "\n" + "".join(row.csv_line() for row in rows))
-
-
 # ---------------------------------------------------------------------------
 # Report serialization
 # ---------------------------------------------------------------------------
 
 def report_to_json(report: SignallingReport) -> dict:
+    """The report as JSON fields; `records.report_from_json` reads it back."""
     return {**asdict(report), "verdict": report.verdict.value}
-
-
-def report_from_json(data: dict) -> SignallingReport:
-    return SignallingReport(
-        advantage=float(data["advantage"]),
-        ci_low=float(data["ci_low"]),
-        ci_high=float(data["ci_high"]),
-        n_used=int(data["n_used"]),
-        verdict=Verdict(data["verdict"]),
-        n_trials=int(data["n_trials"]),
-        suggested_repetitions=(
-            None
-            if data.get("suggested_repetitions") is None
-            else float(data["suggested_repetitions"])
-        ),
-    )

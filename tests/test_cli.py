@@ -19,7 +19,7 @@ import nsbox.macro
 import nsbox.signalling
 from nsbox.cli import main
 from nsbox.causality import frontier_grid
-from nsbox.signalling import report_from_json
+from nsbox.records import report_from_json
 from oracles import reference_histogram
 from test_readme import quick_tour_block
 
@@ -817,6 +817,43 @@ class TestExport:
         with open(out_dir / "advantage_curve.csv") as handle:
             assert len(list(csv.DictReader(handle))) == 2
 
+    @pytest.mark.parametrize("batches_csv", [5, 0, True, False, ["b.csv"]],
+                             ids=["int", "zero", "true", "false", "list"])
+    def test_report_with_a_non_string_batch_path_is_skipped_whole(
+        self, tmp_path, capsys, batches_csv
+    ):
+        """Such a report gives neither its curve row nor a histogram; the
+        good report beside it gives both."""
+        run_dir = self._make_run(tmp_path)
+        bad = run_dir / "pr.json"
+        bad.write_text(json.dumps({**json.loads(bad.read_text()), "batches_csv": batches_csv}))
+        capsys.readouterr()
+        out_dir = tmp_path / "export"
+        assert run(["export", "--run-dir", str(run_dir), "--out-dir", str(out_dir)]) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1
+        reason = f"batches_csv must be a path, got {batches_csv!r}"
+        assert warnings[0] == f"warning: skipped {bad}: {reason}"
+        with open(out_dir / "advantage_curve.csv") as handle:
+            assert [float(r["C"]) for r in csv.DictReader(handle)] == [0.5]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "advantage_curve.csv", "hist_batches_half.csv",
+        ]
+
+    def test_lone_report_with_a_non_string_batch_path_is_config_error(
+        self, tmp_path, capsys, stored_report
+    ):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        bad = run_dir / "r.json"
+        bad.write_text(json.dumps({**json.loads(stored_report), "batches_csv": 5}))
+        out_dir = tmp_path / "o"
+        assert run(["export", "--run-dir", str(run_dir), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"warning: skipped {bad}: batches_csv must be a path, got 5\n")
+        assert "no signalling artifacts" in err
+        assert not out_dir.exists()
+
     def test_only_unusable_reports_is_config_error(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
@@ -976,12 +1013,24 @@ class TestExport:
         assert code == 2
 
 
+def fresh_modules(code: str, cwd: Path) -> set[str]:
+    """The modules a fresh interpreter holds after it runs `code` in `cwd`,
+    with nsbox imported from this checkout."""
+    src = str(Path(nsbox.cli.__file__).resolve().parents[1])
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     """numpy is the only runtime dependency: in a fresh interpreter where
     `import scipy` fails, the README quick tour and one run of each README
     command (a noisy simulate-signalling with a batch dump, and an export of
     that run) all succeed."""
-    src = str(Path(nsbox.cli.__file__).resolve().parents[1])
     runs, out = tmp_path / "runs", tmp_path / "csv"
     runs.mkdir()
     commands = [
@@ -1001,13 +1050,45 @@ def test_cli_import_loads_no_scipy(tmp_path):
         f"for argv in {commands!r}:",
         "    assert nsbox.cli.main(argv) == 0, argv",
     ])
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-    )
-    assert result.returncode == 0, result.stderr
+    fresh_modules(code, tmp_path)
     assert len((runs / "b.csv").read_text().splitlines()) == 1 + 2 * 256
     assert (out / "hist_b.csv").exists()
+
+
+def test_package_import_loads_no_numpy(tmp_path):
+    """The namespace is lazy, and the table, CHSH, causality and record
+    names live in modules that import no numpy."""
+    code = ("import nsbox\n"
+            "table = nsbox.CorrelationTable(0.5, 0.5, 0.5, -0.5)\n"
+            "assert nsbox.causality_condition(table).ok and nsbox.chsh(table) == 2.0\n"
+            "assert nsbox.Verdict.SIGNALLING.value == 'signalling'")
+    modules = fresh_modules(code, tmp_path)
+    assert "nsbox" in modules
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["verify-bounds", "--table", "0.7071", "0.7071", "0.7071", "-0.7071", "--N", "1"],
+         {"numpy"}),
+        (["export", "--run-dir", "runs", "--out-dir", "csv"], {"numpy"}),
+        (["scan-frontier", "--resolution", "101", "--out", "grid.csv"],
+         {"nsbox.macro", "nsbox.signalling"}),
+    ],
+    ids=["verify-bounds", "export", "scan-frontier"],
+)
+def test_command_loads_only_what_it_runs(tmp_path, argv, absent):
+    """verify-bounds and export run without numpy, export over a stored
+    report with its batch CSV; scan-frontier runs without the sampler."""
+    (tmp_path / "runs").mkdir()
+    run(["simulate-signalling", "--N", "4", "--reps", "16", "--group-size", "8", "--seed", "2",
+         "--out", str(tmp_path / "runs/r.json"), "--dump-batches", str(tmp_path / "runs/b.csv")])
+    modules = fresh_modules(f"from nsbox.cli import main\nassert main({argv!r}) == 0", tmp_path)
+    assert "nsbox.cli" in modules
+    assert not modules & absent
+    if argv[0] == "export":
+        assert (tmp_path / "csv/hist_b.csv").exists()
 
 
 # sha256 of every artifact the commands in `artifacts` write, pinned so that

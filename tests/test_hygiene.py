@@ -2,9 +2,12 @@
 scipy (numpy is its only runtime dependency); no linter runs on this package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import nsbox
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(
@@ -55,3 +58,79 @@ def test_finds_imported_packages():
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_library_imports_no_scipy(path):
     assert "scipy" not in imported_packages(path.read_text(encoding="utf-8"))
+
+
+#: Every name the package namespace exports, by the module that defines it.
+PACKAGE_EXPORTS = {
+    "boxes": ("A", "A_PRIME", "AliceSetting", "CorrelationTable", "Locality", "chsh",
+              "chsh_variants", "classify_locality"),
+    "causality": ("TSIRELSON_BOUND", "CausalityCheck", "FrontierReport", "VarianceBudget",
+                  "VectorAdditionModel", "budget_from_table", "causality_condition",
+                  "critical_c_scalar", "frontier_scan", "tsirelson_check",
+                  "variance_lower_bound_a", "variance_lower_bound_ap", "vector_addition_model"),
+    "coupling": ("Combination", "CouplingBounds", "CouplingObjective", "CouplingValidation",
+                 "TripleCoupling", "coupling_bounds", "coupling_to_json", "couplings_for_table",
+                 "extremal_coupling", "make_scalar_extremal_couplings", "per_pair_variance",
+                 "pr_limit_couplings", "validate_coupling"),
+    "macro": ("BatchArrays", "NoiseModel", "Strategy", "batch_lattice", "parallelogram_residuals",
+              "sample_batches", "write_batches_csv"),
+    "records": ("Detector", "SignallingReport", "SweepRow", "Verdict", "write_sweep_csv"),
+    "signalling": ("ProtocolConfig", "advantage_ceiling", "batch_law", "exact_tv_distance",
+                   "make_likelihood_detector", "optimal_advantage", "resource_sweep",
+                   "run_protocol", "wilson_interval"),
+}
+#: Modules that import no numpy when they load, and so neither may a module
+#: they import then.
+NUMPY_FREE = ("__init__.py", "boxes.py", "causality.py", "cli.py", "records.py")
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE_EXPORTS))
+def test_package_names_resolve_to_their_modules(module):
+    defining = importlib.import_module(f"nsbox.{module}")
+    for name in PACKAGE_EXPORTS[module]:
+        assert getattr(nsbox, name) is getattr(defining, name), name
+
+
+def test_package_dir_lists_every_export():
+    exported = {name for names in PACKAGE_EXPORTS.values() for name in names}
+    assert exported <= set(dir(nsbox))
+    assert exported == set(nsbox.__all__)
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'nsbox' has no attribute 'np'"):
+        getattr(nsbox, "np")
+    assert not hasattr(nsbox, "not_a_name")
+
+
+def load_time_imports(source: str) -> set[str]:
+    """Every module an import outside a function body names: the top-level
+    package of an absolute import, and ".name" for a relative one."""
+    names = set()
+    nodes = list(ast.parse(source).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        nodes.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:  # from . import m
+            names.update("." * node.level + a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + node.module.split(".")[0])
+    return names
+
+
+def test_finds_load_time_imports():
+    source = ("import a.b\nif c:\n    from . import d\nclass E:\n    from .f import g\n"
+              "def h():\n    import numpy\n")
+    assert load_time_imports(source) == {"a", ".d", ".f"}
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_numpy_free_module_imports_no_numpy_when_it_loads(name):
+    imports = load_time_imports((ROOT / "src/nsbox" / name).read_text(encoding="utf-8"))
+    assert "numpy" not in imports
+    relative = {module[1:] + ".py" for module in imports if module.startswith(".")}
+    assert relative <= set(NUMPY_FREE)

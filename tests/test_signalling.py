@@ -39,7 +39,6 @@ from nsbox.signalling import (
     SIGNALLING_TAIL,
     Detector,
     ProtocolConfig,
-    SWEEP_CSV_HEADER,
     TV_BLOCK,
     TV_SEPARATED,
     SignallingReport,
@@ -61,8 +60,8 @@ from nsbox.signalling import (
     score_arms,
     suggested_repetitions,
     wilson_interval,
-    write_sweep_csv,
 )
+from nsbox.records import SWEEP_CSV_HEADER, write_sweep_csv
 from oracles import reference_batch_law
 
 PR_A, PR_AP = pr_limit_couplings()
