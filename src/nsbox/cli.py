@@ -9,10 +9,10 @@ directory, and no two output paths may name one file; all are checked
 before any compute, and output files are written atomically (temp file +
 rename), so failures never leave partial artifacts.
 
-Each command imports only the modules it runs: verify-bounds and export
-load no numpy, scan-frontier loads numpy for its grid but not the sampler,
-and simulate-signalling and couplings import the coupling, sampling and
-protocol modules inside their command functions.
+Each command imports only the modules it runs: verify-bounds, export and
+couplings load no numpy, scan-frontier loads numpy for its grid but not the
+sampler, and simulate-signalling imports the coupling, sampling and
+protocol modules inside its command function.
 
 Exit codes: 0 success; 1 verify-bounds found a table that satisfies the
 causality condition with some |CHSH| above 2 sqrt(2); 2 invalid

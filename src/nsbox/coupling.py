@@ -6,17 +6,17 @@ correlation between j and j' is not fixed by the table; its feasible range,
 and hence the feasible range of Var(b +/- b'), follows in closed form.  Given
 i, the pair (j, j') is two Bernoulli variables with fixed marginals, whose
 joint law is extremal at a Frechet bound.  The extremal couplings are built
-from that bound in rational arithmetic, so no solver tolerance enters.
+from that bound in rational arithmetic, so no solver tolerance enters.  The
+cells are Python floats: building and checking a coupling loads no numpy.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .boxes import A, A_PRIME, AliceSetting, CorrelationTable
 
@@ -24,9 +24,9 @@ CORR_TOL = 1e-9
 
 # Flat cell order: index = 4*bi + 2*bj + bk with bit 0 meaning outcome +1,
 # i.e. (i, j, j') runs lexicographically with +1 before -1.
-I_VALUES = np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=float)
-J_VALUES = np.array([1, 1, -1, -1, 1, 1, -1, -1], dtype=float)
-JP_VALUES = np.array([1, -1, 1, -1, 1, -1, 1, -1], dtype=float)
+I_VALUES = (1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0)
+J_VALUES = (1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0)
+JP_VALUES = (1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
 
 
 class CouplingObjective(enum.Enum):
@@ -40,37 +40,52 @@ class Combination(enum.Enum):
 
 
 class TripleCoupling:
-    """Joint pmf over (i, j, j') as a (2, 2, 2) array; index 0 is outcome +1.
-
-    Construction only fixes shape and finiteness so that defective couplings
+    """Joint pmf over (i, j, j'): `cells` holds 8 Python floats in flat cell
+    order, `pmf` a read-only (2, 2, 2) array (index 0 is outcome +1) built at
+    first use.  Construction takes any (2, 2, 2) nesting of numbers, ndarrays
+    included, and only fixes shape and finiteness so that defective couplings
     can be built and fed to `validate_coupling`.
     """
 
-    __slots__ = ("alice_setting", "pmf")
+    __slots__ = ("alice_setting", "cells", "_pmf")
 
-    def __init__(self, alice_setting: AliceSetting, pmf: np.ndarray) -> None:
+    def __init__(self, alice_setting: AliceSetting, pmf) -> None:
         alice_setting = AliceSetting(alice_setting)
-        arr = np.asarray(pmf, dtype=float)
-        if arr.shape != (2, 2, 2):
-            raise ValueError(f"pmf must have shape (2, 2, 2), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        nested = pmf.tolist() if hasattr(pmf, "tolist") else pmf
+        try:
+            shaped = [[len(row) for row in plane] for plane in nested] == [[2, 2], [2, 2]]
+            cells = tuple(float(x) for plane in nested for row in plane for x in row)
+        except TypeError:
+            shaped = False
+        if not shaped:
+            raise ValueError("pmf must be a (2, 2, 2) nesting of numbers")
+        if not all(map(math.isfinite, cells)):
             raise ValueError("pmf entries must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "alice_setting", alice_setting)
-        object.__setattr__(self, "pmf", arr)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_pmf", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TripleCoupling is immutable")
 
     @property
-    def flat(self) -> np.ndarray:
+    def pmf(self):
+        if self._pmf is None:
+            import numpy as np
+
+            flat = np.array(self.cells)
+            flat.flags.writeable = False
+            object.__setattr__(self, "_pmf", flat.reshape(2, 2, 2))
+        return self._pmf
+
+    @property
+    def flat(self):
         return self.pmf.reshape(8)
 
-    def expectation(self, values: np.ndarray) -> float:
-        return float(self.flat @ values)
+    def expectation(self, values) -> float:
+        return math.fsum(map(operator.mul, self.cells, values))
 
-    def pair_marginal(self) -> np.ndarray:
+    def pair_marginal(self):
         """The (j, j') marginal as a (2, 2) array (index 0 is +1)."""
         return self.pmf.sum(axis=0)
 
@@ -112,15 +127,16 @@ def extremal_coupling(
     end, so the optimum is unique.  Cells are exact rationals rounded once.
     """
     _check_targets(c_xb, c_xbp)
-    cells = []
+    planes = []
     for s in (1, -1):
         p, q = (1 + s * Fraction(c_xb)) / 2, (1 + s * Fraction(c_xbp)) / 2
         if objective is CouplingObjective.MIN_DISAGREE:
             r = min(p, q)
         else:
             r = max(Fraction(0), p + q - 1)
-        cells += [r, p - r, q - r, 1 - p - q + r]
-    return TripleCoupling(alice_setting, np.array([float(v / 2) for v in cells]).reshape(2, 2, 2))
+        cells = [float(v / 2) for v in (r, p - r, q - r, 1 - p - q + r)]
+        planes.append((cells[:2], cells[2:]))
+    return TripleCoupling(alice_setting, planes)
 
 
 def coupling_bounds(c_xb: float, c_xbp: float) -> CouplingBounds:
@@ -158,19 +174,23 @@ def make_scalar_extremal_couplings(c: float) -> tuple[TripleCoupling, TripleCoup
 
 
 def couplings_for_table(table: CorrelationTable) -> tuple[TripleCoupling, TripleCoupling]:
-    """Variance-extremal couplings for a correlation table: minimal B+B'
-    spread under a, maximal under a', so E[jj'] takes the bottom of its range
-    under a and the top of its range under a'.  That is the least-signalling
-    pair only when |C(a,b) + C(a,b')| + |C(a',b) - C(a',b')| >= 2, as on the
-    tilted family from C = 1/2 up, where the a range sits above the a' one.
-    Otherwise the pair signals more than it must; where the ranges overlap,
-    as below C = 1/2, one common E[jj'] would not signal at all (the
-    least-signalling couplings item of ROADMAP.md).
+    """Variance-extremal couplings for a correlation table: E[jj'] takes one
+    end of its feasible range under each Alice setting.  When
+    |C(a,b) + C(a,b')| + |C(a',b) - C(a',b')| >= 2, as on the tilted family
+    from C = 1/2 up, the a range sits above the a' one, and the closest ends
+    are a's bottom (minimal B+B' spread) and a''s top.  When
+    |C(a,b) - C(a,b')| + |C(a',b) + C(a',b')| >= 2 the a range sits below
+    and the two swap, so relabelling b' flips the j' axis of both couplings.
+    Where the ranges overlap, as below C = 1/2, a takes its bottom and a' its
+    top, and the pair signals more than it must: one common E[jj'] would not
+    signal at all (the least-signalling couplings item of ROADMAP.md).
     Entries the table allows up to `NORM_TOL` past +/-1 count as +/-1."""
     c_ab, c_abp, c_apb, c_apbp = (min(1.0, max(-1.0, c)) for c in table.as_tuple())
-    k_a = extremal_coupling(c_ab, c_abp, CouplingObjective.MAX_DISAGREE, alice_setting=A)
-    k_ap = extremal_coupling(c_apb, c_apbp, CouplingObjective.MIN_DISAGREE, alice_setting=A_PRIME)
-    return k_a, k_ap
+    objectives = [CouplingObjective.MAX_DISAGREE, CouplingObjective.MIN_DISAGREE]
+    if abs(c_ab - c_abp) + abs(c_apb + c_apbp) >= 2.0:
+        objectives.reverse()
+    return (extremal_coupling(c_ab, c_abp, objectives[0], alice_setting=A),
+            extremal_coupling(c_apb, c_apbp, objectives[1], alice_setting=A_PRIME))
 
 
 def validate_coupling(
@@ -181,17 +201,18 @@ def validate_coupling(
     Every constraint's absolute residual is reported; ok means all within
     `CORR_TOL`.  Without targets, the correlations are not checked.
     """
-    flat = coupling.flat
+    cells = coupling.cells
     residuals = {
-        "normalization": abs(float(flat.sum()) - 1.0),
-        "nonnegativity": max(0.0, float(-flat.min())),
+        "normalization": abs(math.fsum(cells) - 1.0),
+        "nonnegativity": max(0.0, -min(cells)),
         "marginal_i": abs(coupling.expectation(I_VALUES)) / 2.0,
         "marginal_j": abs(coupling.expectation(J_VALUES)) / 2.0,
         "marginal_jp": abs(coupling.expectation(JP_VALUES)) / 2.0,
     }
     if targets is not None:
-        residuals["corr_ij"] = abs(coupling.expectation(I_VALUES * J_VALUES) - targets[0])
-        residuals["corr_ijp"] = abs(coupling.expectation(I_VALUES * JP_VALUES) - targets[1])
+        ij, ijp = map(operator.mul, I_VALUES, J_VALUES), map(operator.mul, I_VALUES, JP_VALUES)
+        residuals["corr_ij"] = abs(coupling.expectation(ij) - targets[0])
+        residuals["corr_ijp"] = abs(coupling.expectation(ijp) - targets[1])
     ok = all(r <= CORR_TOL for r in residuals.values())
     return CouplingValidation(ok=ok, residuals=residuals)
 
@@ -199,9 +220,9 @@ def validate_coupling(
 def per_pair_variance(coupling: TripleCoupling, combination: Combination) -> float:
     """Var(b + b') or Var(b - b') under the coupling, with scalar +/-1 values."""
     sign = 1.0 if combination is Combination.SUM else -1.0
-    values = J_VALUES + sign * JP_VALUES
+    values = [j + sign * jp for j, jp in zip(J_VALUES, JP_VALUES)]
     mean = coupling.expectation(values)
-    return coupling.expectation(values**2) - mean**2
+    return coupling.expectation([v * v for v in values]) - mean**2
 
 
 def coupling_to_json(coupling: TripleCoupling) -> dict:
@@ -209,7 +230,7 @@ def coupling_to_json(coupling: TripleCoupling) -> dict:
     (i, j, j') lexicographic with +1 before -1."""
     return {
         "alice_setting": coupling.alice_setting.value,
-        "pmf": coupling.flat.tolist(),
+        "pmf": list(coupling.cells),
     }
 
 

@@ -149,17 +149,19 @@ def _require_valid(coupling: TripleCoupling) -> None:
 
 @functools.lru_cache(maxsize=MAX_EXACT_PAIRS)
 def _law_terms(n: int) -> tuple[np.ndarray, ...]:
-    """The coupling-free terms of N's batch law, read-only: the cell counts
-    n1, n2, n3, n4 of every triple with n1 + n2 + n3 <= N in lexicographic
-    order, the int64 multinomial coefficients as floats, and each triple's
-    flat lattice cell (n1 + n2)(N + 1) + (n1 + n3)."""
+    """The coupling-free terms of N's batch law, read-only: for every triple
+    n1 + n2 + n3 <= N in lexicographic order, its int64 multinomial as a
+    float, the flat indices of q1**n1 .. q4**n4 in the 4 x (N + 1) power
+    table, and its flat lattice cell (n1 + n2)(N + 1) + (n1 + n3); then
+    `batch_lattice(N)`."""
     counts = np.indices((n + 1,) * 3).reshape(3, -1)
     n1, n2, n3 = counts[:, counts.sum(axis=0) <= n]  # lexicographic order
     n4 = n - n1 - n2 - n3
     factorial = np.cumprod(np.arange(n + 1, dtype=np.int64).clip(1))  # exact to N = 20
     multinomial = factorial[n] // (factorial[n1] * factorial[n2] * factorial[n3] * factorial[n4])
+    power_index = np.stack([n1, n2, n3, n4]) + (n + 1) * np.arange(4).reshape(4, 1)
     cell = (n1 + n2) * (n + 1) + (n1 + n3)
-    terms = (n1, n2, n3, n4, multinomial.astype(float), cell)
+    terms = (multinomial.astype(float), power_index, cell, batch_lattice(n))
     for array in terms:
         array.flags.writeable = False
     return terms
@@ -170,25 +172,28 @@ def batch_law(coupling: TripleCoupling, n_pairs: int) -> tuple[np.ndarray, np.nd
 
     Returns (batch_lattice(N), P): lattice[k] = (2k - N)/N and P[k, k'] is the
     probability that B and B' sit at lattice indices k and k' (k counts +1
-    outcomes).  The multinomial law of the four (j, j') cell counts n1..n4
-    is summed in one array pass: each weight is the int64 multinomial
-    coefficient times q1**n1 q2**n2 q3**n3 q4**n4, in that order, and the
-    weights add into P[n1 + n2, n1 + n3] in lexicographic (n1, n2, n3)
-    order.  The counts, coefficients and cells depend on N alone and come
-    from `_law_terms`, built at the first call for each N.  N must be an
-    integer in [1, `MAX_EXACT_PAIRS`], and a defective coupling
-    (`_require_valid`) is rejected.
+    outcomes); the lattice is shared and read-only.  The multinomial law of
+    the four (j, j') cell counts n1..n4 is summed in one array pass: each
+    weight is the int64 multinomial coefficient times q1**n1 q2**n2 q3**n3
+    q4**n4, in that order, and the weights add into P[n1 + n2, n1 + n3] in
+    lexicographic (n1, n2, n3) order.  q and its powers are Python floats
+    (float ** calls C pow, as a numpy scalar does).  All else depends on N
+    alone and comes from `_law_terms`, built at the first call for each N.
+    N must be an integer in [1, `MAX_EXACT_PAIRS`], and a defective
+    coupling (`_require_valid`) is rejected.
     """
     n = _checked_int(n_pairs, "n_pairs", f"an integer in [1, {MAX_EXACT_PAIRS}]", 1,
                      MAX_EXACT_PAIRS + 1)
     _require_valid(coupling)
-    n1, n2, n3, n4, multinomial, cell = _law_terms(n)
-    q = coupling.pair_marginal().reshape(4)  # cells (+,+), (+,-), (-,+), (-,-)
-    powers = np.array([[p**e for e in range(n + 1)] for p in q])  # the scalar ** a loop takes
-    weight = multinomial * powers[0, n1] * powers[1, n2] * powers[2, n3] * powers[3, n4]
+    multinomial, power_index, cell, lattice = _law_terms(n)
+    q = [a + b for a, b in zip(coupling.cells[:4], coupling.cells[4:])]  # (+,+) .. (-,-)
+    factors = np.array([p**e for p in q for e in range(n + 1)])[power_index]
+    weight = multinomial * factors[0]
+    for factor in factors[1:]:
+        weight *= factor
     # bincount adds repeated cells in index order, as a loop would
     law = np.bincount(cell, weights=weight, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
-    return batch_lattice(n), law
+    return lattice, law
 
 
 def exact_tv_distance(

@@ -1067,6 +1067,19 @@ def test_package_import_loads_no_numpy(tmp_path):
     assert "numpy" not in modules
 
 
+def test_coupling_construction_loads_no_numpy(tmp_path):
+    """A coupling is eight Python floats: building and validating one, and
+    its JSON form, need no numpy."""
+    code = ("import nsbox\n"
+            "k_a, k_ap = nsbox.make_scalar_extremal_couplings(0.8)\n"
+            "assert nsbox.validate_coupling(k_a, (0.8, 0.8)).ok\n"
+            "assert nsbox.validate_coupling(k_ap, (0.8, -0.8)).ok\n"
+            "assert len(nsbox.coupling_to_json(k_a)['pmf']) == 8")
+    modules = fresh_modules(code, tmp_path)
+    assert "nsbox.coupling" in modules
+    assert "numpy" not in modules
+
+
 @pytest.mark.parametrize(
     "argv, absent",
     [
@@ -1075,12 +1088,14 @@ def test_package_import_loads_no_numpy(tmp_path):
         (["export", "--run-dir", "runs", "--out-dir", "csv"], {"numpy"}),
         (["scan-frontier", "--resolution", "101", "--out", "grid.csv"],
          {"nsbox.macro", "nsbox.signalling"}),
+        (["couplings", "--C", "0.8"], {"numpy"}),
+        (["couplings", "--targets", "0.3", "-0.2"], {"numpy"}),
     ],
-    ids=["verify-bounds", "export", "scan-frontier"],
+    ids=["verify-bounds", "export", "scan-frontier", "couplings-C", "couplings-targets"],
 )
 def test_command_loads_only_what_it_runs(tmp_path, argv, absent):
-    """verify-bounds and export run without numpy, export over a stored
-    report with its batch CSV; scan-frontier runs without the sampler."""
+    """verify-bounds, export and couplings run without numpy, export over a
+    stored report with its batch CSV; scan-frontier runs without the sampler."""
     (tmp_path / "runs").mkdir()
     run(["simulate-signalling", "--N", "4", "--reps", "16", "--group-size", "8", "--seed", "2",
          "--out", str(tmp_path / "runs/r.json"), "--dump-batches", str(tmp_path / "runs/b.csv")])

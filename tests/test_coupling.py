@@ -4,11 +4,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsbox.boxes import A, A_PRIME, CorrelationTable
 from nsbox.coupling import (
+    CORR_TOL,
     Combination,
     CouplingObjective,
     I_VALUES,
@@ -24,6 +25,8 @@ from nsbox.coupling import (
     pr_limit_couplings,
     validate_coupling,
 )
+
+I_VALUES, J_VALUES, JP_VALUES = map(np.array, (I_VALUES, J_VALUES, JP_VALUES))  # tuples in nsbox
 
 MIN_D = CouplingObjective.MIN_DISAGREE
 MAX_D = CouplingObjective.MAX_DISAGREE
@@ -263,6 +266,16 @@ class TestCouplingsForTable:
             assert got.alice_setting == want.alice_setting
             assert got.pmf.tobytes() == want.pmf.tobytes()
 
+    @pytest.mark.parametrize("c", [0.5, 0.55, 0.8, 1.0])
+    def test_relabelling_b_prime_flips_the_jp_axis(self, c):
+        """(C, -C, C, C) is the tilted table with b' relabelled: each of its
+        couplings is the tilted one with the j' axis reversed, bit for bit."""
+        tilted = couplings_for_table(CorrelationTable(c, c, c, -c))
+        relabelled = couplings_for_table(CorrelationTable(c, -c, c, c))
+        for got, want in zip(relabelled, tilted):
+            assert got.alice_setting == want.alice_setting
+            assert got.pmf.tobytes() == want.pmf[:, :, ::-1].tobytes()
+
     def test_extremal_coupling_stays_strict(self):
         with pytest.raises(ValueError, match="must lie in"):
             extremal_coupling(1 + 1e-13, 1, MAX_D)
@@ -359,6 +372,106 @@ class TestValidateCoupling:
 
     def test_label_gives_the_member(self):
         assert TripleCoupling("a'", np.full((2, 2, 2), 0.125)).alice_setting is A_PRIME
+
+
+def numpy_validation_ok(k: TripleCoupling, targets=None) -> bool:
+    """`validate_coupling(k, targets).ok` as numpy computes it: a pairwise
+    sum, an array minimum and dot products over the flat pmf."""
+    flat = k.flat
+    residuals = [abs(float(flat.sum()) - 1.0), max(0.0, float(-flat.min()))]
+    residuals += [abs(float(flat @ values)) / 2.0 for values in (I_VALUES, J_VALUES, JP_VALUES)]
+    if targets is not None:
+        residuals += [abs(float(flat @ (I_VALUES * values)) - target)
+                      for values, target in zip((J_VALUES, JP_VALUES), targets)]
+    return all(r <= CORR_TOL for r in residuals)
+
+
+#: The defective pmfs `run_protocol` must reject (test_signalling.py).
+DEFECTIVE_PMFS = {
+    "mass deficit 0.3": 0.7 * extremal_coupling(1.0, -1.0, MIN_D).flat,
+    "negative cells": (1 + 1.5 * I_VALUES * J_VALUES * JP_VALUES) / 8,
+    "non-uniform marginal": np.array([0.55, 0, 0, 0, 0, 0, 0, 0.45]),
+}
+
+
+class TestTripleCoupling:
+    """The cells are eight Python floats; the arrays are views built on demand."""
+
+    PMF = extremal_coupling(0.3, -0.7, MAX_D).pmf
+
+    def test_arrays_lists_and_tuples_give_the_same_cells(self):
+        nested = self.PMF.tolist()
+        tuples = tuple(tuple(tuple(row) for row in plane) for plane in nested)
+        for form in (self.PMF, self.PMF.copy(), nested, tuples):
+            k = TripleCoupling(A, form)
+            assert k.pmf.tobytes() == self.PMF.tobytes()
+            assert k.cells == tuple(self.PMF.reshape(8).tolist())
+            assert all(type(p) is float for p in k.cells)
+
+    def test_input_array_is_copied(self):
+        source = np.full((2, 2, 2), 0.125)
+        k = TripleCoupling(A, source)
+        source[0, 0, 0] = 0.5
+        assert k.cells == (0.125,) * 8
+
+    @pytest.mark.parametrize("pmf", [
+        np.full(8, 0.125),
+        np.full((2, 2, 2, 1), 0.125),
+        np.full((2, 4), 0.25),
+        np.full((4, 2, 1), 0.125),
+        [[[0.125, 0.125], [0.125]], [[0.125, 0.125], [0.125, 0.125]]],
+        [[[0.125, 0.125], [0.125, 0.125]], [[0.125, 0.125]]],
+        [[[0.125, 0.125, 0.0], [0.125, 0.125]], [[0.125, 0.125], [0.125, 0.125]]],
+        [[[0.125, [0.125]], [0.125, 0.125]], [[0.125, 0.125], [0.125, 0.125]]],
+        [[0.25, 0.25], [0.25, 0.25]],
+        0.125,
+        None,
+    ], ids=["flat", "4-d", "2x4", "4x2x1", "short-row", "short-plane", "long-row",
+            "deep-cell", "2x2", "scalar", "none"])
+    def test_wrong_shape_rejected(self, pmf):
+        with pytest.raises(ValueError, match=r"\(2, 2, 2\)"):
+            TripleCoupling(A, pmf)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        pmf = np.full((2, 2, 2), 0.125)
+        pmf[1, 0, 1] = bad
+        for form in (pmf, pmf.tolist()):
+            with pytest.raises(ValueError, match="finite"):
+                TripleCoupling(A, form)
+
+    def test_arrays_are_read_only(self):
+        k = TripleCoupling(A, self.PMF)
+        for array in (k.pmf, k.flat, k.pmf.base):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        with pytest.raises(AttributeError, match="immutable"):
+            k.cells = (0.125,) * 8
+        assert k.pmf is k.pmf
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(unit_floats, min_size=4, max_size=4),
+        st.integers(0, 7),
+        st.sampled_from([0.0, 5e-10, -5e-10, 1.5e-9, -3e-9]),
+    )
+    def test_validation_agrees_with_numpy_on_tables(self, entries, cell, shift):
+        """Shifts of a cell straddle `CORR_TOL` without landing on it."""
+        table = CorrelationTable(*entries)
+        targets = (table.as_tuple()[:2], table.as_tuple()[2:])
+        for k, t in zip(couplings_for_table(table), targets):
+            cells = list(k.cells)
+            cells[cell] += shift
+            shifted = TripleCoupling(k.alice_setting, np.array(cells).reshape(2, 2, 2))
+            for coupling in (k, shifted):
+                assert validate_coupling(coupling).ok == numpy_validation_ok(coupling)
+                assert validate_coupling(coupling, t).ok == numpy_validation_ok(coupling, t)
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTIVE_PMFS))
+    def test_validation_agrees_with_numpy_on_defects(self, defect):
+        k = TripleCoupling(A, DEFECTIVE_PMFS[defect].reshape(2, 2, 2))
+        assert not numpy_validation_ok(k)
+        assert not validate_coupling(k).ok
 
 
 class TestPerPairVariance:

@@ -81,7 +81,7 @@ PACKAGE_EXPORTS = {
 }
 #: Modules that import no numpy when they load, and so neither may a module
 #: they import then.
-NUMPY_FREE = ("__init__.py", "boxes.py", "causality.py", "cli.py", "records.py")
+NUMPY_FREE = ("__init__.py", "boxes.py", "causality.py", "cli.py", "coupling.py", "records.py")
 
 
 @pytest.mark.parametrize("module", sorted(PACKAGE_EXPORTS))

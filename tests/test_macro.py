@@ -42,6 +42,8 @@ from nsbox.macro import (
 )
 from oracles import mean_square_check
 
+I_VALUES, J_VALUES, JP_VALUES = map(np.array, (I_VALUES, J_VALUES, JP_VALUES))  # tuples in nsbox
+
 PR_A, PR_AP = pr_limit_couplings()
 UNIFORM = extremal_coupling(0.0, 0.0, CouplingObjective.MIN_DISAGREE)
 NOISELESS = NoiseModel(0.0)
@@ -385,7 +387,7 @@ class TestDeterminismContract:
     def test_rejects_non_finite_mass(self):
         # TripleCoupling refuses NaN, so plant one behind its back
         coupling = TripleCoupling(A, np.full((2, 2, 2), 0.125))
-        object.__setattr__(coupling, "pmf", np.full((2, 2, 2), np.nan))
+        object.__setattr__(coupling, "cells", (math.nan,) * 8)
         with pytest.raises(ValueError, match="finite"):
             sample_batches(coupling, 4, 10, NOISELESS, seed=1)
 

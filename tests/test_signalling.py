@@ -64,6 +64,8 @@ from nsbox.signalling import (
 from nsbox.records import SWEEP_CSV_HEADER, write_sweep_csv
 from oracles import reference_batch_law
 
+I_VALUES, J_VALUES, JP_VALUES = map(np.array, (I_VALUES, J_VALUES, JP_VALUES))  # tuples in nsbox
+
 PR_A, PR_AP = pr_limit_couplings()
 NOISELESS = NoiseModel(0.0)
 
@@ -1307,6 +1309,17 @@ class TestCouplingsForTable:
         k_a, k_ap = couplings_for_table(CorrelationTable(c_ab, c_abp, c_apb, c_apbp))
         assert validate_coupling(k_a, (c_ab, c_abp)).ok
         assert validate_coupling(k_ap, (c_apb, c_apbp)).ok
+
+    @pytest.mark.parametrize("n_pairs, tv", [(4, 0.351), (12, 0.390)])
+    def test_relabelling_b_prime_keeps_the_signal(self, n_pairs, tv):
+        """Bob's noise-free TV on the tilted table at C = 0.8 and on the same
+        table with b' relabelled, which read 0.625 and 0.774 before its
+        couplings took the closest ends of the E[jj'] ranges."""
+        tilted = couplings_for_table(CorrelationTable(0.8, 0.8, 0.8, -0.8))
+        relabelled = couplings_for_table(CorrelationTable(0.8, -0.8, 0.8, 0.8))
+        got = exact_tv_distance(*relabelled, n_pairs, NOISELESS)
+        assert got == exact_tv_distance(*tilted, n_pairs, NOISELESS)
+        assert got == pytest.approx(tv, abs=5e-4)
 
     def test_matches_scalar_construction_for_tilted(self):
         k_a, k_ap = couplings_for_table(CorrelationTable(0.6, 0.6, 0.6, -0.6))
