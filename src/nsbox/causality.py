@@ -16,6 +16,7 @@ from which |CHSH| <= 2 sqrt(2) follows via |x + y| <= sqrt(2x^2 + 2y^2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -187,41 +188,56 @@ def _golden_max(f, lo: float, hi: float):
     return x, f(x)
 
 
-def _best_y(x, rhs: float):
-    """Largest feasible y = C(a',b)-C(a',b') beside x (scalar or array)."""
-    import numpy as np
-
-    return np.minimum(2.0, np.sqrt(np.maximum(rhs - x * x, 0.0)))
+def _best_y(x: float, rhs: float) -> float:
+    """Largest feasible y = C(a',b)-C(a',b') beside x."""
+    return min(2.0, math.sqrt(max(rhs - x * x, 0.0)))
 
 
 def _check_frontier_args(resolution: int, rhs: float) -> None:
     if resolution < 10:
         raise ValueError(f"resolution must be at least 10, got {resolution}")
+    if not math.isfinite(rhs):
+        raise ValueError(f"rhs must be finite, got {rhs!r}")
     if rhs <= 0:
         raise ValueError("rhs must be positive")
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """`numpy.linspace(lo, hi, n)` in floats: i * step + lo, the last point hi."""
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
+
+
+@functools.lru_cache(maxsize=1)
+def _grid(resolution: int, symmetric: bool, rhs: float) -> tuple[tuple[str, tuple], ...]:
+    """`frontier_grid`'s (name, column) pairs, built once for the last arguments."""
+    if symmetric:
+        c = _linspace(0.0, 1.0, resolution)
+        lhs = [8.0 * v * v for v in c]
+        columns = {"C": c, "chsh": [4 * v for v in c], "causality_lhs": lhs,
+                   "feasible": [v <= rhs for v in lhs]}
+    else:
+        x_max = min(2.0, math.sqrt(rhs))
+        x = _linspace(-x_max, x_max, resolution)
+        y = [_best_y(v, rhs) for v in x]
+        columns = {"x": x, "y": y, "chsh": [u + v for u, v in zip(x, y)],
+                   "causality_margin": [rhs - u * u - v * v for u, v in zip(x, y)]}
+    return tuple((name, tuple(column)) for name, column in columns.items())
+
+
 def frontier_grid(
     resolution: int, symmetric: bool = False, rhs: float = 4.0
-) -> dict[str, np.ndarray]:
-    """The grid `frontier_scan` searches, as named columns.
+) -> dict[str, list]:
+    """The grid `frontier_scan` searches, as named lists of floats.
 
     General mode: x = C(a,b)+C(a,b') over [-x_max, x_max], the best feasible
     y, their CHSH x + y and the margin rhs - x^2 - y^2.  Symmetric mode:
     C over [0, 1] for tables (C, C, C, -C), their CHSH 4C, the causality
-    left side 8C^2 and whether it is at most rhs.
+    left side 8C^2 and whether it is at most rhs (bools).  The values are
+    bit for bit those of the same expressions over `numpy.linspace`.
     """
-    import numpy as np
-
     _check_frontier_args(resolution, rhs)
-    if symmetric:
-        c = np.linspace(0.0, 1.0, resolution)
-        lhs = 8.0 * c * c
-        return {"C": c, "chsh": 4 * c, "causality_lhs": lhs, "feasible": lhs <= rhs}
-    x_max = min(2.0, math.sqrt(rhs))
-    x = np.linspace(-x_max, x_max, resolution)
-    y = _best_y(x, rhs)
-    return {"x": x, "y": y, "chsh": x + y, "causality_margin": rhs - x * x - y * y}
+    return {name: list(column) for name, column in _grid(resolution, symmetric, rhs)}
 
 
 def frontier_scan(
@@ -233,8 +249,8 @@ def frontier_scan(
     y = C(a',b)-C(a',b'), then refines by golden section; symmetric mode
     restricts to tables (C, C, C, -C) and reports the largest feasible C.
     """
+    _check_frontier_args(resolution, rhs)
     if symmetric:
-        _check_frontier_args(resolution, rhs)
         # largest C in [0, 1] with 8 C^2 <= rhs, by the grid's `feasible`
         # predicate: the rounded root, or one ulp below
         critical = min(1.0, math.sqrt(rhs / 8.0))
@@ -250,17 +266,14 @@ def frontier_scan(
             critical_c=critical,
         )
 
-    import numpy as np
-
-    grid = frontier_grid(resolution, False, rhs)
-    k = int(np.argmax(grid["chsh"]))
-    lo = grid["x"][max(0, k - 1)]
-    hi = grid["x"][min(resolution - 1, k + 1)]
-    x_star, value = _golden_max(lambda x: x + _best_y(x, rhs), float(lo), float(hi))
-    y_star = float(_best_y(x_star, rhs))
+    grid = dict(_grid(resolution, False, rhs))
+    k = grid["chsh"].index(max(grid["chsh"]))  # the first maximum, as numpy.argmax
+    lo, hi = grid["x"][max(0, k - 1)], grid["x"][min(resolution - 1, k + 1)]
+    x_star, value = _golden_max(lambda x: x + _best_y(x, rhs), lo, hi)
+    y_star = _best_y(x_star, rhs)
     table = CorrelationTable(x_star / 2.0, x_star / 2.0, y_star / 2.0, -y_star / 2.0)
     return FrontierReport(
-        max_chsh=float(value),
+        max_chsh=value,
         argmax_table=table,
         mode="general",
         rhs=rhs,

@@ -9,10 +9,10 @@ directory, and no two output paths may name one file; all are checked
 before any compute, and output files are written atomically (temp file +
 rename), so failures never leave partial artifacts.
 
-Each command imports only the modules it runs: verify-bounds, export and
-couplings load no numpy, scan-frontier loads numpy for its grid but not the
-sampler, and simulate-signalling imports the coupling, sampling and
-protocol modules inside its command function.
+Each command imports only the modules it runs: verify-bounds, export,
+couplings and scan-frontier (its grid in Python floats) load no numpy, and
+simulate-signalling imports the coupling, sampling and protocol modules
+inside its command function.
 
 Exit codes: 0 success; 1 verify-bounds found a table that satisfies the
 causality condition with some |CHSH| above 2 sqrt(2); 2 invalid
@@ -381,7 +381,7 @@ def cmd_scan_frontier(args) -> int:
     def grid_csv(handle: TextIO) -> None:
         grid = frontier_grid(resolution, symmetric, rhs)
         # floats at 17 significant digits, booleans spelled as in JSON (lower-cased)
-        template = ",".join("%s" if c.dtype == bool else "%.17g" for c in grid.values()) + "\n"
+        template = ",".join("%s" if type(c[0]) is bool else "%.17g" for c in grid.values()) + "\n"
         handle.write(",".join(grid) + "\n" + csv_rows(template, grid.values()).lower())
 
     _write_out(v, fmt, summary, grid_csv)

@@ -47,7 +47,7 @@ class TripleCoupling:
     can be built and fed to `validate_coupling`.
     """
 
-    __slots__ = ("alice_setting", "cells", "_pmf")
+    __slots__ = ("alice_setting", "cells", "_pmf", "_validation")
 
     def __init__(self, alice_setting: AliceSetting, pmf) -> None:
         alice_setting = AliceSetting(alice_setting)
@@ -64,6 +64,7 @@ class TripleCoupling:
         object.__setattr__(self, "alice_setting", alice_setting)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "_pmf", None)
+        object.__setattr__(self, "_validation", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TripleCoupling is immutable")
@@ -77,6 +78,13 @@ class TripleCoupling:
             flat.flags.writeable = False
             object.__setattr__(self, "_pmf", flat.reshape(2, 2, 2))
         return self._pmf
+
+    @property
+    def validation(self) -> CouplingValidation:
+        """`validate_coupling(self)`, run at first use: the cells cannot change."""
+        if self._validation is None:
+            object.__setattr__(self, "_validation", validate_coupling(self))
+        return self._validation
 
     @property
     def flat(self):

@@ -322,4 +322,4 @@ def write_batches_csv(
         columns = (index, *means, arrays.noisy_b, arrays.noisy_bp)
         template = f"%d,{strategy.value},{n_pairs},%s,%s,%s,%.17g,%.17g,{seed}\n"
         for lo in range(0, len(arrays), _CSV_SLICE):
-            stream.write(csv_rows(template, [column[lo:lo + _CSV_SLICE] for column in columns]))
+            stream.write(csv_rows(template, [c[lo:lo + _CSV_SLICE].tolist() for c in columns]))

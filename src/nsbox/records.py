@@ -90,6 +90,6 @@ def write_sweep_csv(stream: TextIO, rows: Sequence[SweepRow]) -> None:
 
 
 def csv_rows(template: str, columns: Sequence) -> str:
-    """``template % row`` for each row of the columns (numpy arrays or
-    anything else with ``tolist``), for fields csv.writer never quotes."""
-    return "".join(template % row for row in zip(*(column.tolist() for column in columns)))
+    """``template % row`` for each row of the columns (sequences of Python
+    values), for fields csv.writer never quotes."""
+    return "".join(template % row for row in zip(*columns))

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boxes import A, A_PRIME, CorrelationTable
-from .coupling import TripleCoupling, couplings_for_table, validate_coupling
+from .coupling import TripleCoupling, couplings_for_table
 from .macro import (
     BatchArrays, NoiseModel, STRATEGY_STREAM, Strategy, _checked_int, _parallel_map,
     batch_lattice, sample_batches,
@@ -141,7 +141,7 @@ def exact_laws(
 
 def _require_valid(coupling: TripleCoupling) -> None:
     """ValueError unless the coupling is a pmf with uniform marginals within `CORR_TOL`."""
-    check = validate_coupling(coupling)
+    check = coupling.validation
     if not check.ok:
         label = coupling.alice_setting.value
         raise ValueError(f"coupling under {label} is defective: {check.residuals}")

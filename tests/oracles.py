@@ -5,8 +5,9 @@ deterministic tables, against `classify_locality`'s eight CHSH inequalities;
 `mean_square_check` tests the sampler's batch means against the 1/N law of
 <B^2>; `reference_batch_law` sums the exact batch law one cell-count triple
 at a time, against `batch_law`'s array sum; `reference_histogram` counts
-export's B + B' histogram one row at a time, against its per-text parse.
-None of them runs outside the tests, so scipy is a test dependency only.
+export's B + B' histogram one row at a time, against its per-text parse;
+`reference_frontier_scan` scans the general frontier in numpy arrays and
+scalars, against `frontier_scan`'s float arithmetic.  None of them runs outside the tests, so scipy is a test dependency only.
 """
 
 from __future__ import annotations
@@ -170,3 +171,38 @@ def reference_histogram(batch_file: Path) -> tuple[str | None, str]:
     writer.writerow(["strategy", "value", "count"])
     writer.writerows([s, f"{value:.17g}", n] for (s, value), n in sorted(counts.items()))
     return buffer.getvalue(), ""
+
+
+def reference_frontier_scan(resolution: int, rhs: float) -> tuple[float, tuple[float, ...]]:
+    """(max CHSH, argmax table) of the general frontier scan in numpy: the
+    `np.linspace` grid of x, its best feasible y, the first argmax of x + y,
+    then a golden section over the argmax's two neighbours with every value a
+    numpy scalar."""
+
+    def best_y(x):
+        return np.minimum(2.0, np.sqrt(np.maximum(rhs - x * x, 0.0)))
+
+    def f(x):
+        return x + best_y(x)
+
+    x_max = min(2.0, math.sqrt(rhs))
+    grid = np.linspace(-x_max, x_max, resolution)
+    k = int(np.argmax(f(grid)))
+    a, b = float(grid[max(0, k - 1)]), float(grid[min(resolution - 1, k + 1)])
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+        if b - a < 1e-14:
+            break
+    x = (a + b) / 2.0
+    y = float(best_y(x))
+    return float(f(x)), (x / 2.0, x / 2.0, y / 2.0, -y / 2.0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nsbox.causality
 from nsbox.boxes import CorrelationTable, chsh, chsh_variants
 from nsbox.causality import (
     TSIRELSON_BOUND,
@@ -26,6 +27,7 @@ from nsbox.coupling import (
     per_pair_variance,
 )
 from nsbox.macro import NoiseModel, sample_batches
+from oracles import reference_frontier_scan
 
 Q = math.sqrt(2.0) / 2.0
 PR_TABLE = CorrelationTable(1, 1, 1, -1)
@@ -356,6 +358,40 @@ class TestSymmetricClosedForm:
         with pytest.raises(ValueError):
             frontier_scan(10, symmetric=True, rhs=0.0)
 
+    @pytest.mark.parametrize("rhs", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rhs: frontier_scan(101, symmetric=True, rhs=rhs),
+            lambda rhs: frontier_scan(101, rhs=rhs),
+            lambda rhs: frontier_grid(11, rhs=rhs),
+            lambda rhs: frontier_grid(11, symmetric=True, rhs=rhs),
+        ],
+        ids=["scan-symmetric", "scan-general", "grid-general", "grid-symmetric"],
+    )
+    def test_non_finite_rhs_rejected(self, call, rhs):
+        # a NaN rhs once called the PR box feasible in symmetric mode
+        with pytest.raises(ValueError, match="rhs must be finite"):
+            call(rhs)
+
+
+def numpy_grid(resolution, symmetric, rhs):
+    """`frontier_grid`'s columns as numpy computes them over `np.linspace`."""
+    if symmetric:
+        c = np.linspace(0.0, 1.0, resolution)
+        lhs = 8.0 * c * c
+        return {"C": c, "chsh": 4 * c, "causality_lhs": lhs, "feasible": lhs <= rhs}
+    x_max = min(2.0, math.sqrt(rhs))
+    x = np.linspace(-x_max, x_max, resolution)
+    y = np.minimum(2.0, np.sqrt(np.maximum(rhs - x * x, 0.0)))
+    return {"x": x, "y": y, "chsh": x + y, "causality_margin": rhs - x * x - y * y}
+
+
+def bits(column):
+    """Each value of a column through `float.hex` (bools as they are), so
+    that -0.0 and the last bit count."""
+    return [v if isinstance(v, bool) else float(v).hex() for v in column]
+
 
 def reference_best_y(x, rhs):
     """The scalar y of the row-by-row scan that `frontier_grid` vectorises."""
@@ -373,7 +409,7 @@ class TestFrontierGrid:
             y = reference_best_y(x, rhs)
             rows.append((x, y, x + y, rhs - x * x - y * y))
         assert list(grid) == ["x", "y", "chsh", "causality_margin"]
-        assert list(zip(*(column.tolist() for column in grid.values()))) == rows
+        assert list(zip(*(list(column) for column in grid.values()))) == rows
 
     @pytest.mark.parametrize("resolution", [10, 101, 10_001])
     @pytest.mark.parametrize("rhs", [4.0, 2.5, 9.0, 0.3])
@@ -384,7 +420,7 @@ class TestFrontierGrid:
             lhs = 8.0 * c * c
             rows.append((c, 4 * c, lhs, lhs <= rhs))
         assert list(grid) == ["C", "chsh", "causality_lhs", "feasible"]
-        assert list(zip(*(column.tolist() for column in grid.values()))) == rows
+        assert list(zip(*(list(column) for column in grid.values()))) == rows
 
     @pytest.mark.parametrize("resolution", [10, 101, 10_001])
     @pytest.mark.parametrize("rhs", [4.0, 2.5, 9.0, 0.3])
@@ -399,3 +435,50 @@ class TestFrontierGrid:
         x_star = 2.0 * report.argmax_table.c_ab
         assert lo <= x_star <= hi
         assert report.max_chsh == x_star + reference_best_y(x_star, rhs)
+
+    @given(
+        st.integers(min_value=10, max_value=20_001),
+        st.floats(min_value=0.0, max_value=16.0, exclude_min=True),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(resolution=10_001, rhs=4.0, symmetric=False)
+    @example(resolution=57, rhs=0.3, symmetric=True)
+    @example(resolution=10, rhs=5e-324, symmetric=False)
+    def test_columns_match_numpy_bit_for_bit(self, resolution, rhs, symmetric):
+        grid = frontier_grid(resolution, symmetric, rhs)
+        expected = numpy_grid(resolution, symmetric, rhs)
+        assert list(grid) == list(expected)
+        for name, column in grid.items():
+            assert all(type(v) is (bool if name == "feasible" else float) for v in column)
+            assert bits(column) == bits(expected[name].tolist()), name
+
+    @given(
+        st.integers(min_value=10, max_value=20_001),
+        st.floats(min_value=0.0, max_value=16.0, exclude_min=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(resolution=10_001, rhs=4.0)
+    @example(resolution=10_001, rhs=8.0)
+    @example(resolution=10, rhs=9.0)
+    def test_scan_matches_numpy_reference(self, resolution, rhs):
+        report = frontier_scan(resolution, rhs=rhs)
+        max_chsh, table = reference_frontier_scan(resolution, rhs)
+        assert type(report.max_chsh) is float
+        assert report.max_chsh.hex() == max_chsh.hex()
+        assert bits(report.argmax_table.as_tuple()) == bits(table)
+
+    def test_grid_built_once_for_scan_and_csv(self, monkeypatch):
+        nsbox.causality._grid.cache_clear()
+        builds = []
+        linspace = nsbox.causality._linspace
+        monkeypatch.setattr(
+            nsbox.causality, "_linspace", lambda *args: builds.append(args) or linspace(*args)
+        )
+        frontier_scan(101, rhs=2.5)
+        first = frontier_grid(101, rhs=2.5)
+        first["x"].clear()  # the caller's lists are its own
+        assert frontier_grid(101, rhs=2.5)["x"] == linspace(-math.sqrt(2.5), math.sqrt(2.5), 101)
+        assert len(builds) == 1
+        frontier_grid(101, symmetric=True, rhs=2.5)
+        assert len(builds) == 2

@@ -42,7 +42,7 @@ def reference_grid_csv(grid) -> str:
     writer.writerow(list(grid))
     writer.writerows(
         [f"{x:.17g}" if isinstance(x, float) else str(x).lower() for x in row]
-        for row in zip(*(column.tolist() for column in grid.values()))
+        for row in zip(*(list(column) for column in grid.values()))
     )
     return buffer.getvalue()
 
@@ -1086,16 +1086,20 @@ def test_coupling_construction_loads_no_numpy(tmp_path):
         (["verify-bounds", "--table", "0.7071", "0.7071", "0.7071", "-0.7071", "--N", "1"],
          {"numpy"}),
         (["export", "--run-dir", "runs", "--out-dir", "csv"], {"numpy"}),
-        (["scan-frontier", "--resolution", "101", "--out", "grid.csv"],
-         {"nsbox.macro", "nsbox.signalling"}),
+        (["scan-frontier", "--resolution", "101", "--out", "grid.csv"], {"numpy"}),
+        (["scan-frontier", "--resolution", "57", "--rhs", "0.3", "--symmetric",
+          "--out", "grid_sym.csv"], {"numpy"}),
+        (["scan-frontier", "--resolution", "101", "--format", "json", "--out", "scan.json",
+          "--summary", "summary.json"], {"numpy"}),
         (["couplings", "--C", "0.8"], {"numpy"}),
         (["couplings", "--targets", "0.3", "-0.2"], {"numpy"}),
     ],
-    ids=["verify-bounds", "export", "scan-frontier", "couplings-C", "couplings-targets"],
+    ids=["verify-bounds", "export", "scan-frontier", "scan-frontier-symmetric",
+         "scan-frontier-json", "couplings-C", "couplings-targets"],
 )
 def test_command_loads_only_what_it_runs(tmp_path, argv, absent):
-    """verify-bounds, export and couplings run without numpy, export over a
-    stored report with its batch CSV; scan-frontier runs without the sampler."""
+    """Every command but simulate-signalling runs without numpy: export over a
+    stored report with its batch CSV, scan-frontier in both modes."""
     (tmp_path / "runs").mkdir()
     run(["simulate-signalling", "--N", "4", "--reps", "16", "--group-size", "8", "--seed", "2",
          "--out", str(tmp_path / "runs/r.json"), "--dump-batches", str(tmp_path / "runs/b.csv")])

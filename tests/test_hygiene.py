@@ -128,6 +128,17 @@ def test_finds_load_time_imports():
     assert load_time_imports(source) == {"a", ".d", ".f"}
 
 
+@pytest.mark.parametrize("name", ["boxes.py", "causality.py", "records.py"])
+def test_module_imports_no_numpy_anywhere(name):
+    """Not even inside a function: the frontier scan runs in Python floats."""
+    tree = ast.parse((ROOT / "src/nsbox" / name).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "numpy" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "numpy"
+
+
 @pytest.mark.parametrize("name", NUMPY_FREE)
 def test_numpy_free_module_imports_no_numpy_when_it_loads(name):
     imports = load_time_imports((ROOT / "src/nsbox" / name).read_text(encoding="utf-8"))

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
+import nsbox.coupling
 import nsbox.signalling
 from nsbox.boxes import A, A_PRIME, CorrelationTable
 from nsbox.coupling import (
@@ -118,6 +119,28 @@ class TestBatchLaw:
         for n_pairs in (1, 7, 12):
             got, want = batch_law(k, np.int64(n_pairs)), batch_law(k, n_pairs)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_coupling_validated_once(self, monkeypatch):
+        # a coupling cannot change, so its verdict is kept at first use
+        runs = []
+        monkeypatch.setattr(
+            nsbox.coupling, "validate_coupling",
+            lambda k: runs.append(k) or validate_coupling(k),
+        )
+        k = make_scalar_extremal_couplings(0.75)[0]
+        laws = [batch_law(k, 6)[1].tobytes() for _ in range(3)]
+        assert runs == [k]
+        assert laws == [batch_law(make_scalar_extremal_couplings(0.75)[0], 6)[1].tobytes()] * 3
+
+    def test_defective_coupling_raises_on_every_call(self):
+        bad = TripleCoupling(A, np.full((2, 2, 2), 0.25))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match="coupling under a is defective") as error:
+                batch_law(bad, 4)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        assert "'normalization': 1.0" in messages[0]
 
     @pytest.mark.parametrize("n_pairs", [0, 13, 2.5, "4", None], ids=repr)
     def test_pair_count_outside_the_exact_range_rejected(self, n_pairs):
