@@ -17,26 +17,22 @@ _MODULES = {
         "chsh_variants", "classify_locality",
     ),
     "causality": (
-        "TSIRELSON_BOUND", "CausalityCheck", "FrontierReport", "VarianceBudget",
-        "VectorAdditionModel", "budget_from_table", "causality_condition", "critical_c_scalar",
+        "TSIRELSON_BOUND", "CausalityCheck", "FrontierReport", "causality_condition",
         "frontier_scan", "tsirelson_check", "variance_lower_bound_a", "variance_lower_bound_ap",
-        "vector_addition_model",
     ),
     "coupling": (
-        "Combination", "CouplingBounds", "CouplingObjective", "CouplingValidation",
-        "TripleCoupling", "coupling_bounds", "coupling_to_json", "extremal_coupling",
-        "couplings_for_table", "make_scalar_extremal_couplings", "per_pair_variance",
-        "pr_limit_couplings", "validate_coupling",
+        "CouplingBounds", "CouplingObjective", "CouplingValidation", "TripleCoupling",
+        "coupling_bounds", "coupling_to_json", "extremal_coupling", "couplings_for_table",
+        "make_scalar_extremal_couplings", "validate_coupling",
     ),
     "macro": (
-        "BatchArrays", "NoiseModel", "Strategy", "batch_lattice", "parallelogram_residuals",
-        "sample_batches", "write_batches_csv",
+        "BatchArrays", "NoiseModel", "Strategy", "batch_lattice", "sample_batches",
+        "write_batches_csv",
     ),
     "records": ("Detector", "SignallingReport", "SweepRow", "Verdict", "write_sweep_csv"),
     "signalling": (
         "ProtocolConfig", "advantage_ceiling", "batch_law", "exact_tv_distance",
-        "make_likelihood_detector", "optimal_advantage", "resource_sweep", "run_protocol",
-        "wilson_interval",
+        "make_likelihood_detector", "resource_sweep", "run_protocol", "wilson_interval",
     ),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names}

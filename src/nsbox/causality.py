@@ -12,6 +12,12 @@ variances to the correlations, yielding the quadratic constraint
     [C(a,b) + C(a,b')]^2 + [C(a',b) - C(a',b')]^2 <= 4
 
 from which |CHSH| <= 2 sqrt(2) follows via |x + y| <= sqrt(2x^2 + 2y^2).
+
+This module holds the condition, its two lower bounds, the Tsirelson check
+and the frontier scan.  The rest of the chain runs in no command and lives
+with the test oracles (`tests/oracles.py`): the parallelogram residuals,
+the per-pair variances, the scalar-addition critical point C = 1/2, and
+the vector-addition model that meets both bounds with equality.
 """
 
 from __future__ import annotations
@@ -31,48 +37,6 @@ class CausalityCheck:
     ok: bool
     lhs: float
     margin: float  # 4 - lhs
-
-
-@dataclass(frozen=True)
-class VarianceBudget:
-    """The two strategy-extremal variances against the 4/N total."""
-
-    n_pairs: int
-    delta_a_sum_sq: float  # [Delta_a(B+B')]^2
-    delta_ap_diff_sq: float  # [Delta_a'(B-B')]^2
-
-    def __post_init__(self) -> None:
-        if self.n_pairs < 1:
-            raise ValueError("n_pairs must be positive")
-
-    @property
-    def total(self) -> float:
-        return 4.0 / self.n_pairs
-
-    @property
-    def residual(self) -> float:
-        return self.total - (self.delta_a_sum_sq + self.delta_ap_diff_sq)
-
-
-@dataclass(frozen=True)
-class VectorAdditionModel:
-    """Composite per-pair observables c and c' taking two symmetric values.
-
-    c is perfectly correlated with a and takes values +/-|C(a,b)+C(a,b')|;
-    c' likewise with a' and +/-|C(a',b)-C(a',b')|.  With these, the binomial
-    lower bounds on the B +/- B' spreads are met with equality.
-    """
-
-    c_values: tuple[float, float]
-    cp_values: tuple[float, float]
-
-    @property
-    def c_magnitude(self) -> float:
-        return self.c_values[0]
-
-    @property
-    def cp_magnitude(self) -> float:
-        return self.cp_values[0]
 
 
 @dataclass(frozen=True)
@@ -132,34 +96,6 @@ def causality_condition(table: CorrelationTable) -> CausalityCheck:
 def tsirelson_check(table: CorrelationTable) -> bool:
     """Every |CHSH| within 2 sqrt(2); implied whenever the causality condition holds."""
     return max(map(abs, chsh_variants(table))) <= TSIRELSON_BOUND + CAUSALITY_TOL
-
-
-def critical_c_scalar() -> float:
-    """Critical strength for scalar-addition couplings: 4C = 4(1-C) gives 1/2.
-
-    Below the quantum point sqrt(2)/2: confining b + b' to {0, +/-2} cannot
-    reach the full causality frontier.
-    """
-    return 0.5
-
-
-def vector_addition_model(table: CorrelationTable) -> VectorAdditionModel:
-    """Composite observables meeting both binomial bounds with equality."""
-    x, y = _binding_terms(table)
-    return VectorAdditionModel(c_values=(x, -x), cp_values=(y, -y))
-
-
-# ---------------------------------------------------------------------------
-# Variance budgets
-# ---------------------------------------------------------------------------
-
-def budget_from_table(table: CorrelationTable, n_pairs: int) -> VarianceBudget:
-    """The saturating budget of the vector-addition model (both bounds squared)."""
-    return VarianceBudget(
-        n_pairs=n_pairs,
-        delta_a_sum_sq=variance_lower_bound_a(table, n_pairs) ** 2,
-        delta_ap_diff_sq=variance_lower_bound_ap(table, n_pairs) ** 2,
-    )
 
 
 # ---------------------------------------------------------------------------

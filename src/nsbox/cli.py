@@ -35,7 +35,6 @@ from typing import Iterator, TextIO
 
 from .boxes import CorrelationTable, chsh
 from .causality import (
-    budget_from_table,
     causality_condition,
     frontier_grid,
     frontier_scan,
@@ -333,7 +332,6 @@ def cmd_verify_bounds(args) -> int:
 
     check = causality_condition(table)
     tsirelson_ok = tsirelson_check(table)
-    budget = budget_from_table(table, n_pairs)
     payload = _envelope(
         args,
         table=table.as_dict(),
@@ -343,7 +341,7 @@ def cmd_verify_bounds(args) -> int:
         tsirelson_ok=tsirelson_ok,
         lower_bound_a=variance_lower_bound_a(table, n_pairs),
         lower_bound_ap=variance_lower_bound_ap(table, n_pairs),
-        budget_total=budget.total,
+        budget_total=4.0 / n_pairs,  # Var(B+B') + Var(B-B') for batches of N
     )
 
     # the paper's implication, checked against the independently computed

@@ -34,11 +34,6 @@ class CouplingObjective(enum.Enum):
     MAX_DISAGREE = "max_disagree"
 
 
-class Combination(enum.Enum):
-    SUM = "sum"
-    DIFFERENCE = "difference"
-
-
 class TripleCoupling:
     """Joint pmf over (i, j, j'): `cells` holds 8 Python floats in flat cell
     order, `pmf` a read-only (2, 2, 2) array (index 0 is outcome +1) built at
@@ -225,14 +220,6 @@ def validate_coupling(
     return CouplingValidation(ok=ok, residuals=residuals)
 
 
-def per_pair_variance(coupling: TripleCoupling, combination: Combination) -> float:
-    """Var(b + b') or Var(b - b') under the coupling, with scalar +/-1 values."""
-    sign = 1.0 if combination is Combination.SUM else -1.0
-    values = [j + sign * jp for j, jp in zip(J_VALUES, JP_VALUES)]
-    mean = coupling.expectation(values)
-    return coupling.expectation([v * v for v in values]) - mean**2
-
-
 def coupling_to_json(coupling: TripleCoupling) -> dict:
     """JSON form: Alice setting label plus the 8 probabilities in cell order
     (i, j, j') lexicographic with +1 before -1."""
@@ -240,8 +227,3 @@ def coupling_to_json(coupling: TripleCoupling) -> dict:
         "alice_setting": coupling.alice_setting.value,
         "pmf": list(coupling.cells),
     }
-
-
-def pr_limit_couplings() -> tuple[TripleCoupling, TripleCoupling]:
-    """Scalar extremal couplings at C = 1: b = b' = a under a, b = -b' = a' under a'."""
-    return make_scalar_extremal_couplings(1.0)

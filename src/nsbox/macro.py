@@ -280,13 +280,6 @@ def batch_lattice(n_pairs: int) -> np.ndarray:
     return np.array([(2 * k - n_pairs) / n_pairs for k in range(n_pairs + 1)])
 
 
-def parallelogram_residuals(b_mean: np.ndarray, bp_mean: np.ndarray) -> np.ndarray:
-    """(B+B')^2 + (B-B')^2 - 2B^2 - 2B'^2, zero up to rounding for any reals."""
-    b = np.asarray(b_mean, dtype=float)
-    bp = np.asarray(bp_mean, dtype=float)
-    return (b + bp) ** 2 + (b - bp) ** 2 - 2.0 * b**2 - 2.0 * bp**2
-
-
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------

@@ -48,16 +48,14 @@ class ProtocolConfig:
     group_size: int = 32  # batches per decision
 
     def __post_init__(self) -> None:
-        if self.n_pairs < 1:
-            raise ValueError("n_pairs must be positive")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be positive")
+        # the counts are stored as Python ints, numpy integers included
+        for name in ("n_pairs", "repetitions", "group_size"):
+            count = _checked_int(getattr(self, name), name, "a positive integer", 1)
+            object.__setattr__(self, name, count)
         if not 0.0 < self.postselect_threshold <= 1.0:
             raise ValueError(
                 f"postselect_threshold must lie in (0, 1], got {self.postselect_threshold}"
             )
-        if self.group_size < 1:
-            raise ValueError("group_size must be positive")
         if self.detector is Detector.COVARIANCE_SIGN and self.group_size < 2:
             raise ValueError("the covariance detector needs groups of at least 2 batches")
         if self.repetitions < self.group_size:
@@ -114,17 +112,15 @@ def suggested_repetitions(advantage: float) -> float | None:
     return math.log(1.0 / 0.05) / (2.0 * (advantage - 0.5) ** 2)
 
 
-def optimal_advantage(tv: float) -> float:
-    """Best single-shot guessing probability for equiprobable hypotheses."""
-    if not 0.0 <= tv <= 1.0 + 1e-12:
-        raise ValueError(f"total variation must lie in [0, 1], got {tv}")
-    return (1.0 + min(tv, 1.0)) / 2.0
-
-
 def advantage_ceiling(tv_single: float, group_size: int) -> float:
     """Upper bound on the per-group advantage: TV is subadditive over i.i.d.
-    batches, so a group of g batches carries at most min(1, g*TV)."""
-    return optimal_advantage(min(1.0, group_size * tv_single))
+    batches, so a group of g batches carries at most tv = min(1, g*TV), and
+    the best guess between two equiprobable laws at that distance is right
+    with probability (1 + tv) / 2."""
+    tv = min(1.0, group_size * tv_single)
+    if tv < 0.0:
+        raise ValueError(f"total variation must lie in [0, 1], got {tv}")
+    return (1.0 + tv) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +513,11 @@ def resource_sweep(
         raise ValueError("sweep lists must be nonempty")
     k_a, k_ap = couplings_for_table(table)
     template = base_config or ProtocolConfig(
-        n_pairs=max(n_list), repetitions=max(r_list), noise=NoiseModel(0.0)
+        n_pairs=n_list[0], repetitions=r_list[0], noise=NoiseModel(0.0)
     )
-    rows = []
-    for n_pairs in n_list:
-        # every config of this N is checked before anything is drawn
-        configs = [
+    # every config of every N is checked before anything is drawn
+    grid = [
+        [
             replace(
                 template,
                 n_pairs=n_pairs,
@@ -534,6 +529,10 @@ def resource_sweep(
             for sigma in sigma_list
             for detector in detectors
         ]
+        for n_pairs in n_list
+    ]
+    rows = []
+    for n_pairs, configs in zip(n_list, grid):
         n_batches = max(protocol_batches(cfg) for cfg in configs)
         arms = {
             sigma: draw_arms(k_a, k_ap, n_pairs, n_batches, NoiseModel(sigma), seed)

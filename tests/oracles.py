@@ -1,18 +1,34 @@
-"""Slow independent checks that the tests compare the library against.
+"""Slow independent checks, and the analytic half of the argument, that the
+tests compare the library against.  None of them runs outside the tests, so
+scipy is a test dependency only.
 
-`local_hull_membership` decides locality by a linear program over the 16
-deterministic tables, against `classify_locality`'s eight CHSH inequalities;
-`mean_square_check` tests the sampler's batch means against the 1/N law of
-<B^2>; `reference_batch_law` sums the exact batch law one cell-count triple
-at a time, against `batch_law`'s array sum; `reference_histogram` counts
-export's B + B' histogram one row at a time, against its per-text parse;
-`reference_frontier_scan` scans the general frontier in numpy arrays and
-scalars, against `frontier_scan`'s float arithmetic.  None of them runs outside the tests, so scipy is a test dependency only.
+Independent checks:
+- `local_hull_membership` decides locality by a linear program over the 16
+  `deterministic_tables`, against `classify_locality`'s eight CHSH
+  inequalities;
+- `mean_square_check` tests the sampler's batch means against the 1/N law
+  of <B^2>;
+- `reference_batch_law` sums the exact batch law one cell-count triple at a
+  time, against `batch_law`'s array sum;
+- `reference_histogram` counts export's B + B' histogram one row at a time,
+  against its per-text parse;
+- `reference_frontier_scan` scans the general frontier in numpy arrays and
+  scalars, against `frontier_scan`'s float arithmetic.
+
+The analytic half, which no command runs:
+- `parallelogram_residuals`, the pointwise identity behind the 4/N budget;
+- `per_pair_variance` of b + b' or b - b' (`Combination`) under a coupling;
+- `pr_limit_couplings`, the scalar extremal couplings at C = 1;
+- `critical_c_scalar`, the scalar-addition critical point C = 1/2;
+- `vector_addition_model` (`VectorAdditionModel`), the composite
+  observables that meet both binomial lower bounds with equality, and
+  `budget_from_table` (`VarianceBudget`), the 4/N budget they saturate.
 """
 
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import math
 from dataclasses import dataclass
@@ -24,7 +40,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from nsbox.boxes import CorrelationTable
-from nsbox.coupling import TripleCoupling
+from nsbox.causality import _binding_terms, variance_lower_bound_a, variance_lower_bound_ap
+from nsbox.coupling import J_VALUES, JP_VALUES, TripleCoupling, make_scalar_extremal_couplings
 from nsbox.macro import BatchArrays, batch_lattice
 
 
@@ -206,3 +223,98 @@ def reference_frontier_scan(resolution: int, rhs: float) -> tuple[float, tuple[f
     x = (a + b) / 2.0
     y = float(best_y(x))
     return float(f(x)), (x / 2.0, x / 2.0, y / 2.0, -y / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# The analytic half of the argument
+# ---------------------------------------------------------------------------
+
+def parallelogram_residuals(b_mean: np.ndarray, bp_mean: np.ndarray) -> np.ndarray:
+    """(B+B')^2 + (B-B')^2 - 2B^2 - 2B'^2, zero up to rounding for any reals."""
+    b = np.asarray(b_mean, dtype=float)
+    bp = np.asarray(bp_mean, dtype=float)
+    return (b + bp) ** 2 + (b - bp) ** 2 - 2.0 * b**2 - 2.0 * bp**2
+
+
+class Combination(enum.Enum):
+    SUM = "sum"
+    DIFFERENCE = "difference"
+
+
+def per_pair_variance(coupling: TripleCoupling, combination: Combination) -> float:
+    """Var(b + b') or Var(b - b') under the coupling, with scalar +/-1 values."""
+    sign = 1.0 if combination is Combination.SUM else -1.0
+    values = [j + sign * jp for j, jp in zip(J_VALUES, JP_VALUES)]
+    mean = coupling.expectation(values)
+    return coupling.expectation([v * v for v in values]) - mean**2
+
+
+def pr_limit_couplings() -> tuple[TripleCoupling, TripleCoupling]:
+    """Scalar extremal couplings at C = 1: b = b' = a under a, b = -b' = a' under a'."""
+    return make_scalar_extremal_couplings(1.0)
+
+
+def critical_c_scalar() -> float:
+    """Critical strength for scalar-addition couplings: 4C = 4(1-C) gives 1/2.
+
+    Below the quantum point sqrt(2)/2: confining b + b' to {0, +/-2} cannot
+    reach the full causality frontier.
+    """
+    return 0.5
+
+
+@dataclass(frozen=True)
+class VectorAdditionModel:
+    """Composite per-pair observables c and c' taking two symmetric values.
+
+    c is perfectly correlated with a and takes values +/-|C(a,b)+C(a,b')|;
+    c' likewise with a' and +/-|C(a',b)-C(a',b')|.  With these, the binomial
+    lower bounds on the B +/- B' spreads are met with equality.
+    """
+
+    c_values: tuple[float, float]
+    cp_values: tuple[float, float]
+
+    @property
+    def c_magnitude(self) -> float:
+        return self.c_values[0]
+
+    @property
+    def cp_magnitude(self) -> float:
+        return self.cp_values[0]
+
+
+def vector_addition_model(table: CorrelationTable) -> VectorAdditionModel:
+    """Composite observables meeting both binomial bounds with equality."""
+    x, y = _binding_terms(table)
+    return VectorAdditionModel(c_values=(x, -x), cp_values=(y, -y))
+
+
+@dataclass(frozen=True)
+class VarianceBudget:
+    """The two strategy-extremal variances against the 4/N total."""
+
+    n_pairs: int
+    delta_a_sum_sq: float  # [Delta_a(B+B')]^2
+    delta_ap_diff_sq: float  # [Delta_a'(B-B')]^2
+
+    def __post_init__(self) -> None:
+        if self.n_pairs < 1:
+            raise ValueError("n_pairs must be positive")
+
+    @property
+    def total(self) -> float:
+        return 4.0 / self.n_pairs
+
+    @property
+    def residual(self) -> float:
+        return self.total - (self.delta_a_sum_sq + self.delta_ap_diff_sq)
+
+
+def budget_from_table(table: CorrelationTable, n_pairs: int) -> VarianceBudget:
+    """The saturating budget of the vector-addition model (both bounds squared)."""
+    return VarianceBudget(
+        n_pairs=n_pairs,
+        delta_a_sum_sq=variance_lower_bound_a(table, n_pairs) ** 2,
+        delta_ap_diff_sq=variance_lower_bound_ap(table, n_pairs) ** 2,
+    )

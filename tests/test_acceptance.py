@@ -15,19 +15,15 @@ from nsbox.boxes import (
 )
 from nsbox.causality import (
     TSIRELSON_BOUND,
-    critical_c_scalar,
     frontier_scan,
 )
 from nsbox.coupling import (
-    Combination,
     CouplingObjective,
     coupling_bounds,
     extremal_coupling,
     make_scalar_extremal_couplings,
-    per_pair_variance,
-    pr_limit_couplings,
 )
-from nsbox.macro import NoiseModel, parallelogram_residuals, sample_batches
+from nsbox.macro import NoiseModel, sample_batches
 from nsbox.signalling import (
     Detector,
     ProtocolConfig,
@@ -37,7 +33,14 @@ from nsbox.signalling import (
     exact_tv_distance,
     run_protocol,
 )
-from oracles import local_hull_membership
+from oracles import (
+    Combination,
+    critical_c_scalar,
+    local_hull_membership,
+    parallelogram_residuals,
+    per_pair_variance,
+    pr_limit_couplings,
+)
 
 MIN_D = CouplingObjective.MIN_DISAGREE
 MAX_D = CouplingObjective.MAX_DISAGREE

@@ -9,25 +9,24 @@ import nsbox.causality
 from nsbox.boxes import CorrelationTable, chsh, chsh_variants
 from nsbox.causality import (
     TSIRELSON_BOUND,
-    VarianceBudget,
-    budget_from_table,
     causality_condition,
-    critical_c_scalar,
     frontier_grid,
     frontier_scan,
     tsirelson_check,
     variance_lower_bound_a,
     variance_lower_bound_ap,
+)
+from nsbox.coupling import coupling_bounds, make_scalar_extremal_couplings
+from nsbox.macro import NoiseModel, sample_batches
+from oracles import (
+    Combination,
+    VarianceBudget,
+    budget_from_table,
+    critical_c_scalar,
+    per_pair_variance,
+    reference_frontier_scan,
     vector_addition_model,
 )
-from nsbox.coupling import (
-    Combination,
-    coupling_bounds,
-    make_scalar_extremal_couplings,
-    per_pair_variance,
-)
-from nsbox.macro import NoiseModel, sample_batches
-from oracles import reference_frontier_scan
 
 Q = math.sqrt(2.0) / 2.0
 PR_TABLE = CorrelationTable(1, 1, 1, -1)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from nsbox.boxes import A, A_PRIME, CorrelationTable
 from nsbox.coupling import (
     CORR_TOL,
-    Combination,
     CouplingObjective,
     I_VALUES,
     J_VALUES,
@@ -21,10 +20,9 @@ from nsbox.coupling import (
     couplings_for_table,
     extremal_coupling,
     make_scalar_extremal_couplings,
-    per_pair_variance,
-    pr_limit_couplings,
     validate_coupling,
 )
+from oracles import Combination, per_pair_variance, pr_limit_couplings
 
 I_VALUES, J_VALUES, JP_VALUES = map(np.array, (I_VALUES, J_VALUES, JP_VALUES))  # tuples in nsbox
 

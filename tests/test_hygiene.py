@@ -3,6 +3,7 @@ scipy (numpy is its only runtime dependency); no linter runs on this package."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -64,20 +65,18 @@ def test_library_imports_no_scipy(path):
 PACKAGE_EXPORTS = {
     "boxes": ("A", "A_PRIME", "AliceSetting", "CorrelationTable", "Locality", "chsh",
               "chsh_variants", "classify_locality"),
-    "causality": ("TSIRELSON_BOUND", "CausalityCheck", "FrontierReport", "VarianceBudget",
-                  "VectorAdditionModel", "budget_from_table", "causality_condition",
-                  "critical_c_scalar", "frontier_scan", "tsirelson_check",
-                  "variance_lower_bound_a", "variance_lower_bound_ap", "vector_addition_model"),
-    "coupling": ("Combination", "CouplingBounds", "CouplingObjective", "CouplingValidation",
-                 "TripleCoupling", "coupling_bounds", "coupling_to_json", "couplings_for_table",
-                 "extremal_coupling", "make_scalar_extremal_couplings", "per_pair_variance",
-                 "pr_limit_couplings", "validate_coupling"),
-    "macro": ("BatchArrays", "NoiseModel", "Strategy", "batch_lattice", "parallelogram_residuals",
-              "sample_batches", "write_batches_csv"),
+    "causality": ("TSIRELSON_BOUND", "CausalityCheck", "FrontierReport", "causality_condition",
+                  "frontier_scan", "tsirelson_check", "variance_lower_bound_a",
+                  "variance_lower_bound_ap"),
+    "coupling": ("CouplingBounds", "CouplingObjective", "CouplingValidation", "TripleCoupling",
+                 "coupling_bounds", "coupling_to_json", "couplings_for_table",
+                 "extremal_coupling", "make_scalar_extremal_couplings", "validate_coupling"),
+    "macro": ("BatchArrays", "NoiseModel", "Strategy", "batch_lattice", "sample_batches",
+              "write_batches_csv"),
     "records": ("Detector", "SignallingReport", "SweepRow", "Verdict", "write_sweep_csv"),
     "signalling": ("ProtocolConfig", "advantage_ceiling", "batch_law", "exact_tv_distance",
-                   "make_likelihood_detector", "optimal_advantage", "resource_sweep",
-                   "run_protocol", "wilson_interval"),
+                   "make_likelihood_detector", "resource_sweep", "run_protocol",
+                   "wilson_interval"),
 }
 #: Modules that import no numpy when they load, and so neither may a module
 #: they import then.
@@ -95,6 +94,23 @@ def test_package_dir_lists_every_export():
     exported = {name for names in PACKAGE_EXPORTS.values() for name in names}
     assert exported <= set(dir(nsbox))
     assert exported == set(nsbox.__all__)
+
+
+def test_every_export_is_used_outside_the_tests():
+    """Each exported name appears in src/ beyond its definition, in a
+    perfbench module or in the README: a name that only tests reach is an
+    oracle and lives in tests/oracles.py."""
+    library = "".join(p.read_text(encoding="utf-8") for p in LIBRARY if p.name != "__init__.py")
+    elsewhere = "".join(
+        p.read_text(encoding="utf-8") for p in [*ROOT.glob("perfbench/*.py"), ROOT / "README.md"]
+    )
+
+    def uses(name: str, text: str) -> int:
+        return len(re.findall(rf"\b{name}\b", text))
+
+    # the definition is one use in the library
+    test_only = [n for n in nsbox.__all__ if uses(n, library) < 2 and not uses(n, elsewhere)]
+    assert test_only == []
 
 
 def test_unknown_package_name_raises_attribute_error():

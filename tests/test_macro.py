@@ -24,7 +24,6 @@ from nsbox.coupling import (
     CouplingObjective,
     TripleCoupling,
     extremal_coupling,
-    pr_limit_couplings,
 )
 from nsbox.macro import (
     BATCH_CSV_HEADER,
@@ -34,13 +33,12 @@ from nsbox.macro import (
     NoiseModel,
     Strategy,
     batch_lattice,
-    parallelogram_residuals,
     sample_batches,
     write_batches_csv,
     _chunk_uniforms,
     _ndtri,
 )
-from oracles import mean_square_check
+from oracles import mean_square_check, parallelogram_residuals, pr_limit_couplings
 
 I_VALUES, J_VALUES, JP_VALUES = map(np.array, (I_VALUES, J_VALUES, JP_VALUES))  # tuples in nsbox
 

@@ -30,7 +30,6 @@ from nsbox.coupling import (
     JP_VALUES,
     TripleCoupling,
     make_scalar_extremal_couplings,
-    pr_limit_couplings,
     validate_coupling,
 )
 from nsbox.macro import NoiseModel, Strategy, sample_batches
@@ -54,7 +53,6 @@ from nsbox.signalling import (
     draw_arms,
     exact_tv_distance,
     make_likelihood_detector,
-    optimal_advantage,
     postselect_guess_a,
     resource_sweep,
     run_protocol,
@@ -63,7 +61,7 @@ from nsbox.signalling import (
     wilson_interval,
 )
 from nsbox.records import SWEEP_CSV_HEADER, write_sweep_csv
-from oracles import reference_batch_law
+from oracles import pr_limit_couplings, reference_batch_law
 
 I_VALUES, J_VALUES, JP_VALUES = map(np.array, (I_VALUES, J_VALUES, JP_VALUES))  # tuples in nsbox
 
@@ -691,15 +689,16 @@ class TestTvConcurrency:
 
 class TestAdvantageHelpers:
     @pytest.mark.parametrize("tv,expected", [(0.0, 0.5), (1.0, 1.0), (0.3, 0.65)])
-    def test_optimal_advantage(self, tv, expected):
-        assert optimal_advantage(tv) == pytest.approx(expected, abs=1e-15)
+    def test_single_batch_ceiling(self, tv, expected):
+        # one batch: the best guess between equiprobable laws, (1 + TV) / 2
+        assert advantage_ceiling(tv, 1) == pytest.approx(expected, abs=1e-15)
 
-    def test_optimal_advantage_domain(self):
-        with pytest.raises(ValueError):
-            optimal_advantage(-0.1)
+    def test_ceiling_domain(self):
+        with pytest.raises(ValueError, match="total variation must lie in"):
+            advantage_ceiling(-0.1, 1)
 
     def test_group_ceiling(self):
-        assert advantage_ceiling(0.1, 1) == optimal_advantage(0.1)
+        assert advantage_ceiling(0.1, 1) == (1.0 + 0.1) / 2.0
         assert advantage_ceiling(0.1, 20) == 1.0
 
     def test_wilson_brackets_proportion(self):
@@ -961,6 +960,21 @@ class TestRunProtocol:
                 group_size=1,
             )
 
+    @pytest.mark.parametrize(
+        "field,value", [("n_pairs", "4"), ("repetitions", 64.5), ("group_size", 32.0),
+                        ("n_pairs", 0), ("repetitions", -64), ("group_size", None)],
+    )
+    def test_counts_must_be_positive_integers(self, field, value):
+        counts = {"n_pairs": 4, "repetitions": 64, "group_size": 32, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a positive integer, got "):
+            ProtocolConfig(noise=NOISELESS, **counts)
+
+    def test_numpy_counts_are_stored_as_ints(self):
+        cfg = ProtocolConfig(n_pairs=np.int64(4), repetitions=np.uint16(64), noise=NOISELESS,
+                             group_size=np.int32(8))
+        assert (cfg.n_pairs, cfg.repetitions, cfg.group_size) == (4, 64, 8)
+        assert all(type(n) is int for n in (cfg.n_pairs, cfg.repetitions, cfg.group_size))
+
 
 def reference_csv_fields(row: SweepRow) -> list[str]:
     """Sweep CSV fields formatted one at a time."""
@@ -1098,6 +1112,17 @@ class TestResourceSweep:
         for row in rows:
             se = math.sqrt(0.25 / row.report.n_trials)
             assert row.report.advantage <= advantage_ceiling(tv, 32) + 3 * se
+
+    @pytest.mark.parametrize(
+        "n_list,r_list", [([1024, 2.5], [4096]), ([1024], [4096, 64.5]), ([4, "8"], [64])]
+    )
+    def test_bad_count_rejected_before_any_draw(self, monkeypatch, n_list, r_list):
+        def spy(*args, **kwargs):
+            raise AssertionError("sample_batches ran before the sweep's configs were checked")
+
+        monkeypatch.setattr(nsbox.signalling, "sample_batches", spy)
+        with pytest.raises(ValueError, match="must be a positive integer, got (2.5|64.5|'8')"):
+            resource_sweep(CorrelationTable(1, 1, 1, -1), n_list, r_list, [0.1], seed=1)
 
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
