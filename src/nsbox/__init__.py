@@ -26,8 +26,7 @@ _MODULES = {
         "make_scalar_extremal_couplings", "validate_coupling",
     ),
     "macro": (
-        "BatchArrays", "NoiseModel", "Strategy", "batch_lattice", "sample_batches",
-        "write_batches_csv",
+        "BatchArrays", "NoiseModel", "batch_lattice", "sample_batches", "write_batches_csv",
     ),
     "records": ("Detector", "SignallingReport", "SweepRow", "Verdict", "write_sweep_csv"),
     "signalling": (

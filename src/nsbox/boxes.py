@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 NORM_TOL = 1e-12
@@ -25,6 +26,18 @@ class AliceSetting(enum.Enum):
 
 A = AliceSetting.A
 A_PRIME = AliceSetting.A_PRIME
+
+
+def _checked_int(value, name: str, what: str, low: int, high: float = math.inf) -> int:
+    """`value` as a Python int in [low, high), numpy integers included; a
+    ValueError asking for `what` if it is no integer or out of range."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or not low <= number < high:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return number
 
 
 class Locality(enum.Enum):

@@ -263,46 +263,37 @@ def cmd_simulate_signalling(args) -> int:
 
     v = _resolve(args)
     fmt = v.choice("format", {"json", "csv"}, default="json")
-    c = v.number("C", default=1.0, minimum=0.0, maximum=1.0)
-    n_pairs = v.number("N", default=16, minimum=1, integer=True)
-    reps = v.number("reps", default=20_000, minimum=1, integer=True)
-    sigma = v.number("sigma", default=0.1, minimum=0.0)
-    detector_name = v.choice("detector", {d.value for d in Detector}, default="cov")
-    threshold = v.number("threshold", default=1.0, exclusive_min=0.0, maximum=1.0)
-    group_size = v.number("group_size", default=32, minimum=1, integer=True)
-    seed = v.number("seed", default=0, minimum=0, maximum=2**64 - 1, integer=True)
+    # the resolved fields, in the order the report's config records them
+    config = {
+        "C": v.number("C", default=1.0, minimum=0.0, maximum=1.0),
+        "N": v.number("N", default=16, minimum=1, integer=True),
+        "reps": v.number("reps", default=20_000, minimum=1, integer=True),
+        "sigma": v.number("sigma", default=0.1, minimum=0.0),
+        "detector": v.choice("detector", {d.value for d in Detector}, default="cov"),
+        "threshold": v.number("threshold", default=1.0, exclusive_min=0.0, maximum=1.0),
+        "group_size": v.number("group_size", default=32, minimum=1, integer=True),
+        "seed": v.number("seed", default=0, minimum=0, maximum=2**64 - 1, integer=True),
+    }
     v.raise_if_any()
     try:
         cfg = ProtocolConfig(
-            n_pairs=n_pairs,
-            repetitions=reps,
-            noise=NoiseModel(sigma),
-            detector=Detector(detector_name),
-            postselect_threshold=threshold,
-            group_size=group_size,
+            n_pairs=config["N"],
+            repetitions=config["reps"],
+            noise=NoiseModel(config["sigma"]),
+            detector=Detector(config["detector"]),
+            postselect_threshold=config["threshold"],
+            group_size=config["group_size"],
         )
     except ValueError as exc:
         raise ConfigErrors([str(exc)]) from exc
 
+    c, n_pairs, seed = config["C"], cfg.n_pairs, config["seed"]
     print(f"seed: {seed}")
     k_a, k_ap = make_scalar_extremal_couplings(c)
     # one draw serves both the report and the batch dump
     arms = draw_arms(k_a, k_ap, n_pairs, protocol_batches(cfg), cfg.noise, seed)
     report = score_arms(k_a, k_ap, arms, cfg)
-    payload = _envelope(
-        args,
-        config={
-            "C": c,
-            "N": n_pairs,
-            "reps": reps,
-            "sigma": sigma,
-            "detector": detector_name,
-            "threshold": threshold,
-            "group_size": group_size,
-            "seed": seed,
-        },
-        report=report_to_json(report),
-    )
+    payload = _envelope(args, config=config, report=report_to_json(report))
     out = v.values.get("out")
     dump = v.values.get("dump_batches")
     if dump:
@@ -313,7 +304,7 @@ def cmd_simulate_signalling(args) -> int:
         payload["batches_csv"] = str(dump_ref)
         with _atomic_file(dump) as handle:
             write_batches_csv(handle, zip(ARMS, arms), n_pairs, seed)
-    row = SweepRow(c, n_pairs, reps, sigma, cfg.detector, report)
+    row = SweepRow(c, n_pairs, cfg.repetitions, cfg.noise.sigma, cfg.detector, report)
     _write_out(v, fmt, payload, lambda handle: write_sweep_csv(handle, [row]))
     print(f"advantage: {report.advantage:.6f}  ci: [{report.ci_low:.6f}, {report.ci_high:.6f}]")
     print(f"verdict: {report.verdict.value}  trials: {report.n_trials}  n_used: {report.n_used}")

@@ -13,6 +13,7 @@ cells are Python floats: building and checking a coupling loads no numpy.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -36,13 +37,12 @@ class CouplingObjective(enum.Enum):
 
 class TripleCoupling:
     """Joint pmf over (i, j, j'): `cells` holds 8 Python floats in flat cell
-    order, `pmf` a read-only (2, 2, 2) array (index 0 is outcome +1) built at
-    first use.  Construction takes any (2, 2, 2) nesting of numbers, ndarrays
-    included, and only fixes shape and finiteness so that defective couplings
-    can be built and fed to `validate_coupling`.
+    order.  `pmf`, a read-only (2, 2, 2) array (index 0 is outcome +1), and
+    `validation` are computed at first use and kept: the cells cannot change.
+    Construction takes any (2, 2, 2) nesting of numbers, ndarrays included,
+    and only fixes shape and finiteness so that defective couplings can be
+    built and fed to `validate_coupling`.
     """
-
-    __slots__ = ("alice_setting", "cells", "_pmf", "_validation")
 
     def __init__(self, alice_setting: AliceSetting, pmf) -> None:
         alice_setting = AliceSetting(alice_setting)
@@ -58,28 +58,21 @@ class TripleCoupling:
             raise ValueError("pmf entries must be finite")
         object.__setattr__(self, "alice_setting", alice_setting)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_pmf", None)
-        object.__setattr__(self, "_validation", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TripleCoupling is immutable")
 
-    @property
+    @functools.cached_property
     def pmf(self):
-        if self._pmf is None:
-            import numpy as np
+        import numpy as np
 
-            flat = np.array(self.cells)
-            flat.flags.writeable = False
-            object.__setattr__(self, "_pmf", flat.reshape(2, 2, 2))
-        return self._pmf
+        flat = np.array(self.cells)
+        flat.flags.writeable = False
+        return flat.reshape(2, 2, 2)
 
-    @property
+    @functools.cached_property
     def validation(self) -> CouplingValidation:
-        """`validate_coupling(self)`, run at first use: the cells cannot change."""
-        if self._validation is None:
-            object.__setattr__(self, "_validation", validate_coupling(self))
-        return self._validation
+        return validate_coupling(self)
 
     @property
     def flat(self):

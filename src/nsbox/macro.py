@@ -17,15 +17,14 @@ scipy runs, bit for bit, so no draw imports scipy.
 
 from __future__ import annotations
 
-import enum
 import math
-import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
+from .boxes import A, A_PRIME, AliceSetting, _checked_int
 from .coupling import CORR_TOL, I_VALUES, J_VALUES, JP_VALUES, TripleCoupling
 from .records import csv_rows
 
@@ -39,15 +38,6 @@ _PARALLEL_UNIFORMS = 2**20
 #: All N pairs add nothing, as cell 7 is (-, -, -).
 _PLUS_ONE_STEPS = -np.diff((np.stack([I_VALUES, J_VALUES, JP_VALUES]) > 0).astype(np.int64))
 _MAX_SEED = 2**64
-
-
-class Strategy(enum.Enum):
-    ALWAYS_A = "always_a"
-    ALWAYS_APRIME = "always_aprime"
-
-
-#: Stream identifiers keep the two strategies on disjoint Philox keys.
-STRATEGY_STREAM = {Strategy.ALWAYS_A: 0, Strategy.ALWAYS_APRIME: 1}
 
 
 @dataclass(frozen=True)
@@ -194,18 +184,6 @@ def _fill_unit(out, noise_u, bounds, slot, n_pairs, seed, stream, unit) -> None:
         noise_u[rows] = u[:, n_pairs:]
 
 
-def _checked_int(value, name: str, what: str, low: int, high: float = math.inf) -> int:
-    """`value` as a Python int in [low, high), numpy integers included; a
-    ValueError asking for `what` if it is no integer or out of range."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or not low <= number < high:
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return number
-
-
 def sample_batches(
     coupling: TripleCoupling,
     n_pairs: int,
@@ -285,6 +263,8 @@ def batch_lattice(n_pairs: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 BATCH_CSV_HEADER = "batch_index,strategy,N,A,B,Bprime,noisyB,noisyBprime,seed"
+#: The `strategy` field of an arm: Alice's setting on every pair of it.
+BATCH_CSV_LABEL = {A: "always_a", A_PRIME: "always_aprime"}
 #: Rows of the batch dump formatted per write: about 0.5 MB of text.
 _CSV_SLICE = 4096
 
@@ -299,20 +279,22 @@ def _formatted(column: np.ndarray) -> np.ndarray:
 
 def write_batches_csv(
     stream: TextIO,
-    arms: Iterable[tuple[Strategy, BatchArrays]],
+    arms: Iterable[tuple[AliceSetting, BatchArrays]],
     n_pairs: int,
     seed: int,
 ) -> None:
-    """Batch dump of every (strategy, arrays) arm in order under one header,
-    floating-point fields at 17 significant digits.  The noiseless means sit
-    on the lattice, so each of their distinct bit patterns is formatted once
-    (-0.0 stays "-0").  Rows are formatted `_CSV_SLICE` at a time, so the
-    text never sits in memory whole."""
+    """Batch dump of every (Alice's setting, arrays) arm in order under one
+    header.  The `strategy` field labels each row by its arm's setting
+    (`BATCH_CSV_LABEL`: always_a, always_aprime), and floating-point fields
+    take 17 significant digits.  The noiseless means sit on the lattice, so
+    each of their distinct bit patterns is formatted once (-0.0 stays "-0").
+    Rows are formatted `_CSV_SLICE` at a time, so the text never sits in
+    memory whole."""
     stream.write(BATCH_CSV_HEADER + "\n")
-    for strategy, arrays in arms:
+    for setting, arrays in arms:
         index = np.arange(len(arrays))
         means = [_formatted(column) for column in (arrays.a_mean, arrays.b_mean, arrays.bp_mean)]
         columns = (index, *means, arrays.noisy_b, arrays.noisy_bp)
-        template = f"%d,{strategy.value},{n_pairs},%s,%s,%s,%.17g,%.17g,{seed}\n"
+        template = f"%d,{BATCH_CSV_LABEL[setting]},{n_pairs},%s,%s,%s,%.17g,%.17g,{seed}\n"
         for lo in range(0, len(arrays), _CSV_SLICE):
             stream.write(csv_rows(template, [c[lo:lo + _CSV_SLICE].tolist() for c in columns]))

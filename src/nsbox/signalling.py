@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .boxes import A, A_PRIME, CorrelationTable
+from .boxes import A, A_PRIME, CorrelationTable, _checked_int
 from .coupling import TripleCoupling, couplings_for_table
-from .macro import (
-    BatchArrays, NoiseModel, STRATEGY_STREAM, Strategy, _checked_int, _parallel_map,
-    batch_lattice, sample_batches,
-)
+from .macro import BatchArrays, NoiseModel, _parallel_map, batch_lattice, sample_batches
 from .records import Detector, SignallingReport, SweepRow, Verdict
 
 MAX_EXACT_PAIRS = 12
@@ -52,10 +50,13 @@ class ProtocolConfig:
         for name in ("n_pairs", "repetitions", "group_size"):
             count = _checked_int(getattr(self, name), name, "a positive integer", 1)
             object.__setattr__(self, name, count)
-        if not 0.0 < self.postselect_threshold <= 1.0:
-            raise ValueError(
-                f"postselect_threshold must lie in (0, 1], got {self.postselect_threshold}"
-            )
+        for name, kind in (("noise", NoiseModel), ("detector", Detector)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+        threshold = self.postselect_threshold
+        if not (isinstance(threshold, numbers.Real) and 0.0 < threshold <= 1.0):
+            raise ValueError(f"postselect_threshold must lie in (0, 1], got {threshold!r}")
         if self.detector is Detector.COVARIANCE_SIGN and self.group_size < 2:
             raise ValueError("the covariance detector needs groups of at least 2 batches")
         if self.repetitions < self.group_size:
@@ -126,14 +127,6 @@ def advantage_ceiling(tv_single: float, group_size: int) -> float:
 # ---------------------------------------------------------------------------
 # Exact observation laws and total variation
 # ---------------------------------------------------------------------------
-
-def exact_laws(
-    k_a: TripleCoupling, k_ap: TripleCoupling, n_pairs: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lattice, law under a, law under a') from `batch_law`."""
-    lattice, law_a = batch_law(k_a, n_pairs)
-    return lattice, law_a, batch_law(k_ap, n_pairs)[1]
-
 
 def _require_valid(coupling: TripleCoupling) -> None:
     """ValueError unless the coupling is a pmf with uniform marginals within `CORR_TOL`."""
@@ -215,8 +208,8 @@ def exact_tv_distance(
     thread.  Block sums are added in block order, grid by grid, so the
     result has the same bits on any core count and any BLAS thread count.
     """
-    lattice, law_a, law_ap = exact_laws(k_a, k_ap, n_pairs)
-    diff = law_a - law_ap
+    lattice, law_a = batch_law(k_a, n_pairs)
+    diff = law_a - batch_law(k_ap, n_pairs)[1]
     if n_pairs * noise.sigma <= TV_SEPARATED or not diff.any():
         return 0.5 * float(np.abs(diff).sum())
 
@@ -347,7 +340,8 @@ def likelihood_guess_a(
     u: np.ndarray, v: np.ndarray, laws: tuple[np.ndarray, ...], sigma: float
 ) -> np.ndarray:
     """Per row: guess a when the log-likelihood under a is at least that
-    under a', from the exact batch laws (`exact_laws`)."""
+    under a', from the exact batch laws: (lattice, law under a, law under
+    a'), as `batch_law` gives them."""
     lattice, *by_strategy = laws
     ll = []
     if sigma == 0.0:
@@ -375,7 +369,8 @@ def make_likelihood_detector(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The `likelihood_guess_a` kernel bound to the exact batch laws, which
     are enumerated once, here."""
-    laws = exact_laws(k_a, k_ap, n_pairs)
+    lattice, law_a = batch_law(k_a, n_pairs)
+    laws = (lattice, law_a, batch_law(k_ap, n_pairs)[1])
     return lambda u, v: likelihood_guess_a(u, v, laws, noise.sigma)
 
 
@@ -383,8 +378,9 @@ def make_likelihood_detector(
 # Protocol
 # ---------------------------------------------------------------------------
 
-#: Alice's strategy in each arm, in the order `draw_arms` returns the arms.
-ARMS = (Strategy.ALWAYS_A, Strategy.ALWAYS_APRIME)
+#: Alice's setting on every pair of each arm, in the order `draw_arms`
+#: returns the arms; arm k is drawn from Philox stream k.
+ARMS = (A, A_PRIME)
 
 
 def run_protocol(
@@ -415,12 +411,13 @@ def draw_arms(
     noise: NoiseModel,
     seed: int,
 ) -> tuple[BatchArrays, BatchArrays]:
-    """Batches 0..n_batches-1 of both strategy arms, in `ARMS` order.
+    """Batches 0..n_batches-1 of both arms, in `ARMS` order: arm k draws
+    from `k_a` or `k_ap` on Philox stream k.
 
     The couplings must be under a and a', in that order, and each must be a
     pmf with uniform marginals within `CORR_TOL`; otherwise ValueError.
     """
-    for setting, coupling in zip((A, A_PRIME), (k_a, k_ap)):
+    for setting, coupling in zip(ARMS, (k_a, k_ap)):
         if coupling.alice_setting != setting:
             raise ValueError(
                 "arm couplings must be under a then a', got "
@@ -428,8 +425,8 @@ def draw_arms(
             )
         _require_valid(coupling)
     return tuple(
-        sample_batches(coupling, n_pairs, n_batches, noise, seed, stream=STRATEGY_STREAM[strategy])
-        for strategy, coupling in zip(ARMS, (k_a, k_ap))
+        sample_batches(coupling, n_pairs, n_batches, noise, seed, stream=stream)
+        for stream, coupling in enumerate((k_a, k_ap))
     )
 
 

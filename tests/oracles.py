@@ -13,7 +13,9 @@ Independent checks:
 - `reference_histogram` counts export's B + B' histogram one row at a time,
   against its per-text parse;
 - `reference_frontier_scan` scans the general frontier in numpy arrays and
-  scalars, against `frontier_scan`'s float arithmetic.
+  scalars, against `frontier_scan`'s float arithmetic;
+- `RELABELLINGS`, the six generators of the relabelling group, under which
+  the causality condition and a nonlocal table's signal must not change.
 
 The analytic half, which no command runs:
 - `parallelogram_residuals`, the pointwise identity behind the 4/N budget;
@@ -223,6 +225,18 @@ def reference_frontier_scan(resolution: int, rhs: float) -> tuple[float, tuple[f
     x = (a + b) / 2.0
     y = float(best_y(x))
     return float(f(x)), (x / 2.0, x / 2.0, y / 2.0, -y / 2.0)
+
+
+#: The relabelling group acts on (C(a,b), C(a,b'), C(a',b), C(a',b')); these
+#: six moves, each keeping Alice as the party who chooses, generate it.
+RELABELLINGS = (
+    lambda t: (t[2], t[3], t[0], t[1]),  # a <-> a'
+    lambda t: (t[1], t[0], t[3], t[2]),  # b <-> b'
+    lambda t: (-t[0], -t[1], t[2], t[3]),  # a's outcomes negated
+    lambda t: (t[0], t[1], -t[2], -t[3]),  # a''s outcomes negated
+    lambda t: (-t[0], t[1], -t[2], t[3]),  # b's outcomes negated
+    lambda t: (t[0], -t[1], t[2], -t[3]),  # b''s outcomes negated
+)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from nsbox.causality import (
 from nsbox.coupling import coupling_bounds, make_scalar_extremal_couplings
 from nsbox.macro import NoiseModel, sample_batches
 from oracles import (
+    RELABELLINGS,
     Combination,
     VarianceBudget,
     budget_from_table,
@@ -54,17 +55,6 @@ def frontier_tables():
     return st.one_of(tables(), tables().map(onto_frontier))
 
 
-# the relabelling group acts on (C(a,b), C(a,b'), C(a',b), C(a',b'))
-RELABELLINGS = (
-    lambda t: (t[2], t[3], t[0], t[1]),  # a <-> a'
-    lambda t: (t[1], t[0], t[3], t[2]),  # b <-> b'
-    lambda t: (-t[0], -t[1], t[2], t[3]),  # a's outcomes negated
-    lambda t: (t[0], t[1], -t[2], -t[3]),  # a''s outcomes negated
-    lambda t: (-t[0], t[1], -t[2], t[3]),  # b's outcomes negated
-    lambda t: (t[0], -t[1], t[2], -t[3]),  # b''s outcomes negated
-)
-
-
 def relabelled(table):
     """Every table the relabelling group reaches from `table`."""
     orbit = {table.as_tuple()}
@@ -87,6 +77,17 @@ class TestLowerBounds:
     def test_zero_table(self):
         assert variance_lower_bound_a(ZERO_TABLE, 7) == 0.0
         assert variance_lower_bound_ap(ZERO_TABLE, 7) == 0.0
+
+    @pytest.mark.parametrize("bound", [variance_lower_bound_a, variance_lower_bound_ap])
+    @pytest.mark.parametrize("n_pairs", [1.5, "4", 0, None])
+    def test_n_pairs_must_be_a_positive_integer(self, bound, n_pairs):
+        # 1.5 once gave 0.816 for (1/2, 1/2, 1/2, -1/2), and "4" a bare TypeError
+        with pytest.raises(ValueError, match="^n_pairs must be a positive integer, got "):
+            bound(CorrelationTable(0.5, 0.5, 0.5, -0.5), n_pairs)
+
+    def test_numpy_n_pairs_accepted(self):
+        for bound in (variance_lower_bound_a, variance_lower_bound_ap):
+            assert bound(PR_TABLE, np.int64(4)) == bound(PR_TABLE, 4) == 1.0
 
     def test_quantum_table(self):
         assert variance_lower_bound_a(QUANTUM_TABLE, 1) == pytest.approx(math.sqrt(2), abs=1e-12)
@@ -303,6 +304,18 @@ class TestFrontier:
             frontier_scan(5)
         with pytest.raises(ValueError):
             frontier_grid(5)
+
+    @pytest.mark.parametrize("call", [frontier_scan, frontier_grid])
+    @pytest.mark.parametrize("resolution", [10.5, "20", 9, None])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_resolution_must_be_an_integer(self, call, resolution, symmetric):
+        # 10.5 and "20" once raised bare TypeErrors from the grid and the range check
+        with pytest.raises(ValueError, match="^resolution must be an integer of at least 10, "):
+            call(resolution, symmetric=symmetric)
+
+    def test_numpy_resolution_accepted(self):
+        assert frontier_scan(np.int64(101)) == frontier_scan(101)
+        assert type(frontier_scan(np.int64(101)).resolution) is int
 
 
 def reference_critical_c(resolution, rhs):

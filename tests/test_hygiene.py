@@ -71,7 +71,7 @@ PACKAGE_EXPORTS = {
     "coupling": ("CouplingBounds", "CouplingObjective", "CouplingValidation", "TripleCoupling",
                  "coupling_bounds", "coupling_to_json", "couplings_for_table",
                  "extremal_coupling", "make_scalar_extremal_couplings", "validate_coupling"),
-    "macro": ("BatchArrays", "NoiseModel", "Strategy", "batch_lattice", "sample_batches",
+    "macro": ("BatchArrays", "NoiseModel", "batch_lattice", "sample_batches",
               "write_batches_csv"),
     "records": ("Detector", "SignallingReport", "SweepRow", "Verdict", "write_sweep_csv"),
     "signalling": ("ProtocolConfig", "advantage_ceiling", "batch_law", "exact_tv_distance",

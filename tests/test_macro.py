@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import nsbox.macro
-from nsbox.boxes import A
+from nsbox.boxes import A, A_PRIME, AliceSetting
 from nsbox.coupling import (
     I_VALUES,
     J_VALUES,
@@ -28,16 +28,15 @@ from nsbox.coupling import (
 from nsbox.macro import (
     BATCH_CSV_HEADER,
     CHUNK,
-    STRATEGY_STREAM,
     BatchArrays,
     NoiseModel,
-    Strategy,
     batch_lattice,
     sample_batches,
     write_batches_csv,
     _chunk_uniforms,
     _ndtri,
 )
+from nsbox.signalling import ARMS
 from oracles import mean_square_check, parallelogram_residuals, pr_limit_couplings
 
 I_VALUES, J_VALUES, JP_VALUES = map(np.array, (I_VALUES, J_VALUES, JP_VALUES))  # tuples in nsbox
@@ -53,23 +52,23 @@ def first_row(arrays: BatchArrays) -> tuple:
     return tuple(float(getattr(arrays, name)[0]) for name in COLUMNS)
 
 
-def first_batch(coupling, n_pairs, strategy, seed, noise=NOISELESS):
-    """Batch 0 of the strategy's stream."""
+def first_batch(coupling, n_pairs, setting, seed, noise=NOISELESS):
+    """Batch 0 of the stream of the arm under Alice's setting."""
     return first_row(
-        sample_batches(coupling, n_pairs, 1, noise, seed, stream=STRATEGY_STREAM[strategy])
+        sample_batches(coupling, n_pairs, 1, noise, seed, stream=ARMS.index(setting))
     )
 
 
 class TestSampling:
     def test_deterministic(self):
         noise = NoiseModel(0.3)
-        first = first_batch(PR_A, 12, Strategy.ALWAYS_A, 2024, noise)
-        second = first_batch(PR_A, 12, Strategy.ALWAYS_A, 2024, noise)
+        first = first_batch(PR_A, 12, A, 2024, noise)
+        second = first_batch(PR_A, 12, A, 2024, noise)
         assert first == second
 
     def test_single_batch_matches_bulk(self):
         noise = NoiseModel(0.2)
-        single = first_batch(PR_AP, 9, Strategy.ALWAYS_APRIME, 55, noise)
+        single = first_batch(PR_AP, 9, A_PRIME, 55, noise)
         bulk = sample_batches(PR_AP, 9, 3, noise, 55, stream=1)
         assert single == first_row(bulk)
 
@@ -86,18 +85,18 @@ class TestSampling:
         assert not np.array_equal(a.a_mean, ap.a_mean)
 
     def test_pr_always_a_locks_all_three_means(self):
-        a, b, bp, noisy_b, _ = first_batch(PR_A, 20, Strategy.ALWAYS_A, 7)
+        a, b, bp, noisy_b, _ = first_batch(PR_A, 20, A, 7)
         assert b == a
         assert bp == a
         assert noisy_b == b
 
     def test_pr_always_aprime_anticorrelates(self):
-        _, b, bp, _, _ = first_batch(PR_AP, 20, Strategy.ALWAYS_APRIME, 7)
+        _, b, bp, _, _ = first_batch(PR_AP, 20, A_PRIME, 7)
         assert b == -bp
 
     def test_single_pair_means_are_signs(self):
         for seed in range(10):
-            a, b, _, _, _ = first_batch(UNIFORM, 1, Strategy.ALWAYS_A, seed)
+            a, b, _, _, _ = first_batch(UNIFORM, 1, A, seed)
             assert a in (-1.0, 1.0)
             assert b in (-1.0, 1.0)
 
@@ -579,10 +578,11 @@ def reference_write_batches_csv(stream, arms, n_pairs, seed):
     """The batch dump through csv.writer, one formatted row at a time."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(BATCH_CSV_HEADER.split(","))
-    for strategy, arrays in arms:
+    for setting, arrays in arms:
+        label = {A: "always_a", A_PRIME: "always_aprime"}[setting]
         columns = (arrays.a_mean, arrays.b_mean, arrays.bp_mean, arrays.noisy_b, arrays.noisy_bp)
         for index, means in enumerate(zip(*(column.tolist() for column in columns))):
-            writer.writerow([index, strategy.value, n_pairs, *(f"{m:.17g}" for m in means), seed])
+            writer.writerow([index, label, n_pairs, *(f"{m:.17g}" for m in means), seed])
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1 - 2**-53, -1.0, 1.0]
@@ -602,15 +602,15 @@ class TestCsvDump:
                 max_size=5,
             )
         ),
-        strategy=st.sampled_from(Strategy),
+        setting=st.sampled_from(AliceSetting),
         n_pairs=st.one_of(st.just(1), st.integers(1, 10**6)),
         seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
     )
-    def test_bytes_match_csv_writer(self, columns, strategy, n_pairs, seed):
+    def test_bytes_match_csv_writer(self, columns, setting, n_pairs, seed):
         arrays = BatchArrays(*(np.array(column, dtype=float) for column in columns))
         got, want = io.StringIO(), io.StringIO()
-        write_batches_csv(got, [(strategy, arrays)], n_pairs, seed)
-        reference_write_batches_csv(want, [(strategy, arrays)], n_pairs, seed)
+        write_batches_csv(got, [(setting, arrays)], n_pairs, seed)
+        reference_write_batches_csv(want, [(setting, arrays)], n_pairs, seed)
         assert got.getvalue() == want.getvalue()
 
     def test_signed_zeros_of_one_column_keep_their_signs(self):
@@ -619,8 +619,8 @@ class TestCsvDump:
         zeros = np.array([0.0, -0.0, -0.0, 0.0, 0.5, -0.0])
         arrays = BatchArrays(zeros, -zeros, zeros[::-1].copy(), zeros, -zeros)
         got, want = io.StringIO(), io.StringIO()
-        write_batches_csv(got, [(Strategy.ALWAYS_A, arrays)], 2, 3)
-        reference_write_batches_csv(want, [(Strategy.ALWAYS_A, arrays)], 2, 3)
+        write_batches_csv(got, [(A, arrays)], 2, 3)
+        reference_write_batches_csv(want, [(A, arrays)], 2, 3)
         assert got.getvalue() == want.getvalue()
         assert [line.split(",")[3] for line in got.getvalue().splitlines()[1:]] == [
             "0", "-0", "-0", "0", "0.5", "-0"
@@ -631,8 +631,8 @@ class TestCsvDump:
         # one header, then each arm in order, its rows written 3 at a time
         monkeypatch.setattr(nsbox.macro, "_CSV_SLICE", 3)
         arms = [
-            (strategy, sample_batches(UNIFORM, 5, n_batches, NoiseModel(0.1), 9, stream=stream))
-            for strategy, stream in STRATEGY_STREAM.items()
+            (setting, sample_batches(UNIFORM, 5, n_batches, NoiseModel(0.1), 9, stream=stream))
+            for stream, setting in enumerate(ARMS)
         ]
         got, want = io.StringIO(), io.StringIO()
         write_batches_csv(got, arms, 5, 9)
@@ -642,7 +642,7 @@ class TestCsvDump:
     def test_layout_and_precision(self):
         arrays = sample_batches(UNIFORM, 3, 4, NoiseModel(0.25), seed=8)
         buffer = io.StringIO()
-        write_batches_csv(buffer, [(Strategy.ALWAYS_A, arrays)], 3, 8)
+        write_batches_csv(buffer, [(A, arrays)], 3, 8)
         lines = buffer.getvalue().strip().split("\n")
         assert lines[0] == "batch_index,strategy,N,A,B,Bprime,noisyB,noisyBprime,seed"
         assert len(lines) == 5

@@ -23,7 +23,7 @@ from scipy.stats import binomtest
 
 import nsbox.coupling
 import nsbox.signalling
-from nsbox.boxes import A, A_PRIME, CorrelationTable
+from nsbox.boxes import A, A_PRIME, CorrelationTable, chsh_variants
 from nsbox.coupling import (
     I_VALUES,
     J_VALUES,
@@ -32,7 +32,7 @@ from nsbox.coupling import (
     make_scalar_extremal_couplings,
     validate_coupling,
 )
-from nsbox.macro import NoiseModel, Strategy, sample_batches
+from nsbox.macro import NoiseModel, sample_batches
 from nsbox.signalling import (
     MAX_EXACT_PAIRS,
     NO_SIGNALLING_WIDTH,
@@ -61,7 +61,7 @@ from nsbox.signalling import (
     wilson_interval,
 )
 from nsbox.records import SWEEP_CSV_HEADER, write_sweep_csv
-from oracles import pr_limit_couplings, reference_batch_law
+from oracles import RELABELLINGS, pr_limit_couplings, reference_batch_law
 
 I_VALUES, J_VALUES, JP_VALUES = map(np.array, (I_VALUES, J_VALUES, JP_VALUES))  # tuples in nsbox
 
@@ -961,6 +961,16 @@ class TestRunProtocol:
             )
 
     @pytest.mark.parametrize(
+        "field,value", [("detector", "cov"), ("noise", 0.1), ("postselect_threshold", "0.5")],
+    )
+    def test_fields_of_the_wrong_type_are_rejected(self, field, value):
+        """Each once passed construction and failed only in `run_protocol`:
+        an UnboundLocalError, an AttributeError and a bare TypeError."""
+        fields = {"n_pairs": 4, "repetitions": 64, "noise": NOISELESS, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must .*, got {value!r}$"):
+            ProtocolConfig(**fields)
+
+    @pytest.mark.parametrize(
         "field,value", [("n_pairs", "4"), ("repetitions", 64.5), ("group_size", 32.0),
                         ("n_pairs", 0), ("repetitions", -64), ("group_size", None)],
     )
@@ -1124,6 +1134,15 @@ class TestResourceSweep:
         with pytest.raises(ValueError, match="must be a positive integer, got (2.5|64.5|'8')"):
             resource_sweep(CorrelationTable(1, 1, 1, -1), n_list, r_list, [0.1], seed=1)
 
+    def test_detector_name_rejected_before_any_draw(self, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("sample_batches ran before the sweep's configs were checked")
+
+        monkeypatch.setattr(nsbox.signalling, "sample_batches", spy)
+        with pytest.raises(ValueError, match="^detector must be a Detector, got 'cov'$"):
+            resource_sweep(CorrelationTable(1, 1, 1, -1), [4], [64], [0.1], seed=1,
+                           detectors=("cov",))
+
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
             resource_sweep(CorrelationTable(1, 1, 1, -1), [], [10], [0.1], seed=1)
@@ -1190,7 +1209,7 @@ def reference_covariance_sign(observations):
     u = np.array([o.noisy_b for o in observations])
     v = np.array([o.noisy_bp for o in observations])
     cov = float(np.cov(u, v, ddof=1)[0, 1])
-    return Strategy.ALWAYS_A if cov >= 0.0 else Strategy.ALWAYS_APRIME
+    return A if cov >= 0.0 else A_PRIME
 
 
 def reference_postselect(observations, threshold):
@@ -1200,7 +1219,7 @@ def reference_postselect(observations, threshold):
     if not survivors:
         return None, 0
     agree = sum(1 for o in survivors if (o.noisy_b >= 0) == (o.noisy_bp >= 0))
-    guess = Strategy.ALWAYS_A if 2 * agree >= len(survivors) else Strategy.ALWAYS_APRIME
+    guess = A if 2 * agree >= len(survivors) else A_PRIME
     return guess, len(survivors)
 
 
@@ -1230,7 +1249,7 @@ def reference_likelihood_detector(k_a, k_ap, n_pairs, noise):
 
     def guess(observations):
         ll_a, ll_ap = log_likelihoods(observations)
-        return Strategy.ALWAYS_A if ll_a >= ll_ap else Strategy.ALWAYS_APRIME
+        return A if ll_a >= ll_ap else A_PRIME
 
     return guess
 
@@ -1267,14 +1286,14 @@ def reference_score_arms(k_a, k_ap, arms, cfg):
         collect = False
     n_batches = (cfg.repetitions // cfg.group_size) * cfg.group_size
     trials = correct = n_used = 0
-    for strategy, arrays in zip((Strategy.ALWAYS_A, Strategy.ALWAYS_APRIME), arms):
+    for setting, arrays in zip((A, A_PRIME), arms):
         guesses, survivors = reference_group_guesses(arrays, cfg, guess_fn, collect)
         n_used += survivors if collect else n_batches
         for guess in guesses:
             if guess is None:
                 continue
             trials += 1
-            correct += guess is strategy
+            correct += guess is setting
     if trials == 0:
         return SignallingReport(0.5, 0.0, 1.0, 0, Verdict.INCONCLUSIVE, 0, None)
     advantage = correct / trials
@@ -1368,6 +1387,26 @@ class TestCouplingsForTable:
         got = exact_tv_distance(*relabelled, n_pairs, NOISELESS)
         assert got == exact_tv_distance(*tilted, n_pairs, NOISELESS)
         assert got == pytest.approx(tv, abs=5e-4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(unit_correlations, unit_correlations, unit_correlations, unit_correlations)
+        .filter(lambda t: max(map(abs, chsh_variants(CorrelationTable(*t)))) > 2.0 + 1e-9)
+    )
+    @example((1.0, 1.0, 1.0, -1.0))  # the PR box
+    @example((1.0, -1.0, 1.0, 1.0))  # the PR box with b' relabelled
+    @example((0.7071, 0.7071, 0.7071, -0.7071))  # near the quantum point
+    def test_nonlocal_signal_is_relabelling_invariant(self, entries):
+        """Relabelling an outcome or a setting, Alice still choosing, leaves a
+        nonlocal table's noise-free TV the same.  (Local tables break this
+        today: their couplings signal where one common E[jj'] would not.)"""
+        def tv(t, n_pairs):
+            return exact_tv_distance(*couplings_for_table(CorrelationTable(*t)), n_pairs, NOISELESS)
+
+        for n_pairs in (1, 4):
+            want = tv(entries, n_pairs)
+            for move in RELABELLINGS:
+                assert abs(tv(move(entries), n_pairs) - want) <= 1e-12, (move(entries), n_pairs)
 
     def test_matches_scalar_construction_for_tilted(self):
         k_a, k_ap = couplings_for_table(CorrelationTable(0.6, 0.6, 0.6, -0.6))
