@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 NORM_TOL = 1e-12
 CHSH_LOCAL_TOL = 1e-12
@@ -30,12 +31,26 @@ A_PRIME = AliceSetting.A_PRIME
 
 def _checked_int(value, name: str, what: str, low: int, high: float = math.inf) -> int:
     """`value` as a Python int in [low, high), numpy integers included; a
-    ValueError asking for `what` if it is no integer or out of range."""
+    ValueError asking for `what` if it is a bool, no integer or out of range."""
     try:
-        number = operator.index(value)
+        number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = None
     if number is None or not low <= number < high:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return number
+
+
+def _checked_real(value, name: str, what: str, low: float, high: float = math.inf,
+                  low_open: bool = False) -> float:
+    """`value` as a finite float in [low, high] ((low, high] if `low_open`), numpy reals
+    included; a ValueError asking for `what` if it is a bool, no real or out of range."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an integer past the largest float
+        number = math.nan
+    if not (math.isfinite(number) and low <= number <= high) or low_open and number == low:
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return number
 
@@ -55,22 +70,14 @@ class CorrelationTable:
     c_apbp: float
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if abs(value) > 1.0 + NORM_TOL:
-                raise ValueError(f"{name} must lie in [-1, 1], got {value}")
+        for name, value in vars(self).items():
+            _checked_real(value, name, "a real in [-1, 1]", -1.0 - NORM_TOL, 1.0 + NORM_TOL)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.c_ab, self.c_abp, self.c_apb, self.c_apbp)
+        return astuple(self)
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "c_ab": self.c_ab,
-            "c_abp": self.c_abp,
-            "c_apb": self.c_apb,
-            "c_apbp": self.c_apbp,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

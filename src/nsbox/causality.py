@@ -26,7 +26,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .boxes import CorrelationTable, _checked_int, chsh, chsh_variants
+from .boxes import CorrelationTable, _checked_int, _checked_real, chsh, chsh_variants
 
 CAUSALITY_TOL = 1e-12
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -127,14 +127,10 @@ def _best_y(x: float, rhs: float) -> float:
     return min(2.0, math.sqrt(max(rhs - x * x, 0.0)))
 
 
-def _check_frontier_args(resolution: int, rhs: float) -> int:
-    """The resolution as a Python int, once both arguments are checked."""
-    resolution = _checked_int(resolution, "resolution", "an integer of at least 10", 10)
-    if not math.isfinite(rhs):
-        raise ValueError(f"rhs must be finite, got {rhs!r}")
-    if rhs <= 0:
-        raise ValueError("rhs must be positive")
-    return resolution
+def _check_frontier_args(resolution: int, rhs: float) -> tuple[int, float]:
+    """The resolution as a Python int and rhs as a float."""
+    return (_checked_int(resolution, "resolution", "an integer of at least 10", 10),
+            _checked_real(rhs, "rhs", "finite and positive", 0.0, low_open=True))
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -171,7 +167,7 @@ def frontier_grid(
     left side 8C^2 and whether it is at most rhs (bools).  The values are
     bit for bit those of the same expressions over `numpy.linspace`.
     """
-    resolution = _check_frontier_args(resolution, rhs)
+    resolution, rhs = _check_frontier_args(resolution, rhs)
     return {name: list(column) for name, column in _grid(resolution, symmetric, rhs)}
 
 
@@ -184,7 +180,7 @@ def frontier_scan(
     y = C(a',b)-C(a',b'), then refines by golden section; symmetric mode
     restricts to tables (C, C, C, -C) and reports the largest feasible C.
     """
-    resolution = _check_frontier_args(resolution, rhs)
+    resolution, rhs = _check_frontier_args(resolution, rhs)
     if symmetric:
         # largest C in [0, 1] with 8 C^2 <= rhs, by the grid's `feasible`
         # predicate: the rounded root, or one ulp below

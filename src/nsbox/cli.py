@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from .boxes import CorrelationTable, chsh
+from .boxes import CorrelationTable, _checked_int, _checked_real, chsh
 from .causality import (
     causality_condition,
     frontier_grid,
@@ -434,10 +434,10 @@ def _sweep_row(data) -> SweepRow:
         raise ValueError("not a simulate-signalling report")
     cfg = data["config"]
     return SweepRow(
-        c=float(cfg["C"]),
-        n_pairs=int(cfg["N"]),
-        repetitions=int(cfg["reps"]),
-        sigma=float(cfg["sigma"]),
+        c=_checked_real(cfg["C"], "C", "a real in [0, 1]", 0.0, 1.0),
+        n_pairs=_checked_int(cfg["N"], "N", "a positive integer", 1),
+        repetitions=_checked_int(cfg["reps"], "reps", "a positive integer", 1),
+        sigma=_checked_real(cfg["sigma"], "sigma", "a nonnegative real", 0.0),
         detector=Detector(cfg["detector"]),
         report=report_from_json(data["report"]),
     )

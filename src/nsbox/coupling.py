@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boxes import A, A_PRIME, AliceSetting, CorrelationTable
+from .boxes import A, A_PRIME, AliceSetting, CorrelationTable, _checked_real
 
 CORR_TOL = 1e-9
 
@@ -59,8 +59,10 @@ class TripleCoupling:
         object.__setattr__(self, "alice_setting", alice_setting)
         object.__setattr__(self, "cells", cells)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("TripleCoupling is immutable")
+
+    __delattr__ = __setattr__
 
     @functools.cached_property
     def pmf(self):
@@ -102,10 +104,9 @@ class CouplingValidation:
     residuals: dict[str, float]
 
 
-def _check_targets(c_xb: float, c_xbp: float) -> None:
-    for name, c in (("c_xb", c_xb), ("c_xbp", c_xbp)):
-        if not math.isfinite(c) or abs(c) > 1.0:
-            raise ValueError(f"target correlation {name} must lie in [-1, 1], got {c!r}")
+def _check_targets(c_xb: float, c_xbp: float) -> tuple[float, float]:
+    return (_checked_real(c_xb, "c_xb", "a target correlation in [-1, 1]", -1.0, 1.0),
+            _checked_real(c_xbp, "c_xbp", "a target correlation in [-1, 1]", -1.0, 1.0))
 
 
 def extremal_coupling(
@@ -122,7 +123,7 @@ def extremal_coupling(
     P(b != b' | i) = p + q - 2r falls strictly in r, each objective takes one
     end, so the optimum is unique.  Cells are exact rationals rounded once.
     """
-    _check_targets(c_xb, c_xbp)
+    c_xb, c_xbp = _check_targets(c_xb, c_xbp)
     planes = []
     for s in (1, -1):
         p, q = (1 + s * Fraction(c_xb)) / 2, (1 + s * Fraction(c_xbp)) / 2
@@ -143,7 +144,7 @@ def coupling_bounds(c_xb: float, c_xbp: float) -> CouplingBounds:
     P(b != b') in [|c1 - c2|/2, 1 - |c1 + c2|/2]; Var(b + b') = 4 P(b = b')
     then maps the same interval.
     """
-    _check_targets(c_xb, c_xbp)
+    c_xb, c_xbp = _check_targets(c_xb, c_xbp)
     min_disagree = abs(c_xb - c_xbp) / 2.0
     max_disagree = 1.0 - abs(c_xb + c_xbp) / 2.0
     return CouplingBounds(
@@ -164,8 +165,7 @@ def make_scalar_extremal_couplings(c: float) -> tuple[TripleCoupling, TripleCoup
     distinguishable.  Below 1/2 the extremes cross and signal although
     couplings that match exist (see `couplings_for_table`).
     """
-    if not math.isfinite(c) or not 0.0 <= c <= 1.0:
-        raise ValueError(f"correlation strength must lie in [0, 1], got {c!r}")
+    c = _checked_real(c, "c", "a correlation strength in [0, 1]", 0.0, 1.0)
     return couplings_for_table(CorrelationTable(c, c, c, -c))
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .boxes import A, A_PRIME, AliceSetting, _checked_int
+from .boxes import A, A_PRIME, AliceSetting, _checked_int, _checked_real
 from .coupling import CORR_TOL, I_VALUES, J_VALUES, JP_VALUES, TripleCoupling
 from .records import csv_rows
 
@@ -47,8 +47,7 @@ class NoiseModel:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.sigma) or self.sigma < 0:
-            raise ValueError(f"sigma must be a nonnegative real, got {self.sigma!r}")
+        _checked_real(self.sigma, "sigma", "a nonnegative real", 0.0)
 
 
 @dataclass(frozen=True)

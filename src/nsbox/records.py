@@ -12,6 +12,8 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
+from .boxes import _checked_int, _checked_real
+
 
 class Detector(enum.Enum):
     COVARIANCE_SIGN = "cov"
@@ -41,18 +43,15 @@ class SignallingReport:
 
 
 def report_from_json(data: dict) -> SignallingReport:
+    suggested = data.get("suggested_repetitions")
     return SignallingReport(
-        advantage=float(data["advantage"]),
-        ci_low=float(data["ci_low"]),
-        ci_high=float(data["ci_high"]),
-        n_used=int(data["n_used"]),
+        *(_checked_real(data[key], key, "a real in [0, 1]", 0.0, 1.0)
+          for key in ("advantage", "ci_low", "ci_high")),
+        n_used=_checked_int(data["n_used"], "n_used", "a nonnegative integer", 0),
         verdict=Verdict(data["verdict"]),
-        n_trials=int(data["n_trials"]),
-        suggested_repetitions=(
-            None
-            if data.get("suggested_repetitions") is None
-            else float(data["suggested_repetitions"])
-        ),
+        n_trials=_checked_int(data["n_trials"], "n_trials", "a nonnegative integer", 0),
+        suggested_repetitions=None if suggested is None else _checked_real(
+            suggested, "suggested_repetitions", "a positive real", 0.0, low_open=True),
     )
 
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .boxes import A, A_PRIME, CorrelationTable, _checked_int
+from .boxes import A, A_PRIME, CorrelationTable, _checked_int, _checked_real
 from .coupling import TripleCoupling, couplings_for_table
 from .macro import BatchArrays, NoiseModel, _parallel_map, batch_lattice, sample_batches
 from .records import Detector, SignallingReport, SweepRow, Verdict
@@ -54,9 +53,9 @@ class ProtocolConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
-        threshold = self.postselect_threshold
-        if not (isinstance(threshold, numbers.Real) and 0.0 < threshold <= 1.0):
-            raise ValueError(f"postselect_threshold must lie in (0, 1], got {threshold!r}")
+        threshold = _checked_real(self.postselect_threshold, "postselect_threshold",
+                                  "a real in (0, 1]", 0.0, 1.0, low_open=True)
+        object.__setattr__(self, "postselect_threshold", threshold)
         if self.detector is Detector.COVARIANCE_SIGN and self.group_size < 2:
             raise ValueError("the covariance detector needs groups of at least 2 batches")
         if self.repetitions < self.group_size:
@@ -118,9 +117,8 @@ def advantage_ceiling(tv_single: float, group_size: int) -> float:
     batches, so a group of g batches carries at most tv = min(1, g*TV), and
     the best guess between two equiprobable laws at that distance is right
     with probability (1 + tv) / 2."""
-    tv = min(1.0, group_size * tv_single)
-    if tv < 0.0:
-        raise ValueError(f"total variation must lie in [0, 1], got {tv}")
+    tv_single = _checked_real(tv_single, "tv_single", "a nonnegative total variation", 0.0)
+    tv = min(1.0, _checked_int(group_size, "group_size", "a positive integer", 1) * tv_single)
     return (1.0 + tv) / 2.0
 
 
@@ -328,8 +326,7 @@ def postselect_guess_a(
     threshold; a sign-agreement majority among survivors (ties included)
     guesses a.  Returns (guess a, survivors); a row without survivors
     makes no guess."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
+    threshold = _checked_real(threshold, "threshold", "a real in (0, 1]", 0.0, 1.0, low_open=True)
     keep = (np.abs(u) >= threshold) & (np.abs(v) >= threshold)
     survivors = keep.sum(axis=1)
     agree = (keep & ((u >= 0) == (v >= 0))).sum(axis=1)

@@ -15,6 +15,17 @@ from nsbox.boxes import (
     chsh_variants,
     classify_locality,
 )
+from nsbox.causality import frontier_grid, frontier_scan
+from nsbox.cli import _sweep_row
+from nsbox.coupling import (
+    CouplingObjective,
+    coupling_bounds,
+    extremal_coupling,
+    make_scalar_extremal_couplings,
+)
+from nsbox.macro import NoiseModel, sample_batches
+from nsbox.records import report_from_json
+from nsbox.signalling import ProtocolConfig, advantage_ceiling, batch_law, postselect_guess_a
 from oracles import deterministic_tables, local_hull_membership
 
 SQRT2 = math.sqrt(2.0)
@@ -50,6 +61,95 @@ class TestCorrelationTable:
             values[field] = bad
             with pytest.raises(ValueError):
                 CorrelationTable(*values)
+
+
+REPORT = {"advantage": 0.5, "ci_low": 0.0, "ci_high": 1.0, "n_used": 64,
+          "verdict": "inconclusive", "n_trials": 2, "suggested_repetitions": None}
+NOISELESS = NoiseModel(0.0)
+
+
+def _sweep_row_with(**config):
+    return _sweep_row({
+        "command": "simulate-signalling",
+        "config": {"C": 0.5, "N": 4, "reps": 64, "sigma": 0.1, "detector": "cov", **config},
+        "report": REPORT,
+    })
+
+
+#: (argument name, call) for every real the library takes or reads back from disk
+REAL_SITES = {
+    **{name: (name, lambda x, k=k: CorrelationTable(*[0.5] * k, x, *[0.5] * (3 - k)))
+       for k, name in enumerate(["c_ab", "c_abp", "c_apb", "c_apbp"])},
+    "extremal_coupling": ("c_xb", lambda x: extremal_coupling(
+        x, 0.0, CouplingObjective.MIN_DISAGREE)),
+    "coupling_bounds": ("c_xbp", lambda x: coupling_bounds(0.0, x)),
+    "make_scalar_extremal_couplings": ("c", make_scalar_extremal_couplings),
+    "NoiseModel": ("sigma", NoiseModel),
+    "frontier_scan": ("rhs", lambda x: frontier_scan(20, rhs=x)),
+    "frontier_grid": ("rhs", lambda x: frontier_grid(11, symmetric=True, rhs=x)),
+    "ProtocolConfig": ("postselect_threshold", lambda x: ProtocolConfig(
+        4, 64, NOISELESS, postselect_threshold=x)),
+    "postselect_guess_a": ("threshold", lambda x: postselect_guess_a(
+        np.ones((1, 2)), np.ones((1, 2)), x)),
+    "advantage_ceiling": ("tv_single", lambda x: advantage_ceiling(x, 1)),
+    "report_from_json": ("advantage", lambda x: report_from_json({**REPORT, "advantage": x})),
+    "_sweep_row": ("C", lambda x: _sweep_row_with(C=x)),
+}
+
+_K = make_scalar_extremal_couplings(0.8)[0]
+
+#: (argument name, call) for counts, beside those `_checked_int` already covered
+COUNT_SITES = {
+    **{f"ProtocolConfig-{name}": (name, lambda x, name=name: ProtocolConfig(
+        **{"n_pairs": 4, "repetitions": 64, "group_size": 4, name: x}, noise=NOISELESS))
+       for name in ["n_pairs", "repetitions", "group_size"]},
+    "batch_law": ("n_pairs", lambda x: batch_law(_K, x)),
+    "sample_batches": ("seed", lambda x: sample_batches(_K, 4, 2, NOISELESS, seed=x)),
+    "advantage_ceiling": ("group_size", lambda x: advantage_ceiling(0.1, x)),
+    "report_from_json": ("n_used", lambda x: report_from_json({**REPORT, "n_used": x})),
+    "_sweep_row": ("N", lambda x: _sweep_row_with(N=x)),
+}
+
+
+class TestNumericInputs:
+    """One rule for every number: a bool, a string, None or NaN is a
+    ValueError that names the argument, and numpy scalars pass."""
+
+    @pytest.mark.parametrize("bad", [True, False, "0.5", None, math.nan, math.inf],
+                             ids=["true", "false", "str", "none", "nan", "inf"])
+    @pytest.mark.parametrize("site", REAL_SITES)
+    def test_real_rejected_with_its_name(self, site, bad):
+        name, call = REAL_SITES[site]
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {bad!r}$"):
+            call(bad)
+
+    @pytest.mark.parametrize("good", [np.float64(0.5), np.float32(0.5), np.int64(1), 1, 0.5],
+                             ids=["float64", "float32", "int64", "int", "float"])
+    @pytest.mark.parametrize("site", REAL_SITES)
+    def test_numpy_scalars_accepted(self, site, good):
+        REAL_SITES[site][1](good)
+
+    @pytest.mark.parametrize("bad", [True, "4", None, math.nan, 2.5],
+                             ids=["true", "str", "none", "nan", "non-integer"])
+    @pytest.mark.parametrize("site", COUNT_SITES)
+    def test_count_rejected_with_its_name(self, site, bad):
+        name, call = COUNT_SITES[site]
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {bad!r}$"):
+            call(bad)
+
+    @pytest.mark.parametrize("site", COUNT_SITES)
+    def test_numpy_integer_count_accepted(self, site):
+        COUNT_SITES[site][1](np.int64(4))
+
+    def test_threshold_stored_as_float(self):
+        for threshold in (np.float32(0.5), np.int64(1)):
+            cfg = ProtocolConfig(4, 64, NOISELESS, postselect_threshold=threshold)
+            assert type(cfg.postselect_threshold) is float
+            assert cfg.postselect_threshold == threshold
+
+    def test_int_past_the_largest_float_rejected(self):
+        with pytest.raises(ValueError, match="^sigma must be a nonnegative real, got 1000"):
+            NoiseModel(10**400)
 
 
 class TestDeterministicTables:

@@ -840,6 +840,34 @@ class TestExport:
             "advantage_curve.csv", "hist_batches_half.csv",
         ]
 
+    @pytest.mark.parametrize(
+        "edits, reason",
+        [
+            ({"N": 8.7}, "N must be a positive integer, got 8.7"),
+            ({"reps": "640"}, "reps must be a positive integer, got '640'"),
+            ({"C": True}, "C must be a real in [0, 1], got True"),
+            ({"n_used": 3.5}, "n_used must be a nonnegative integer, got 3.5"),
+            ({"N": 8.7, "reps": "640", "C": True, "n_used": 3.5},
+             "C must be a real in [0, 1], got True"),
+        ],
+        ids=["fractional-N", "string-reps", "bool-C", "fractional-n_used", "all-four"],
+    )
+    def test_malformed_number_skips_the_report(self, tmp_path, capsys, edits, reason):
+        """A hand-edited report whose stored numbers no longer read back as
+        they were written is skipped with a warning, not truncated."""
+        run_dir = self._make_run(tmp_path)
+        bad = run_dir / "pr.json"
+        data = json.loads(bad.read_text())
+        for key, value in edits.items():
+            (data["report"] if key == "n_used" else data["config"])[key] = value
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        out_dir = tmp_path / "export"
+        assert run(["export", "--run-dir", str(run_dir), "--out-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().err.splitlines() == [f"warning: skipped {bad}: {reason}"]
+        with open(out_dir / "advantage_curve.csv") as handle:
+            assert [float(r["C"]) for r in csv.DictReader(handle)] == [0.5]
+
     def test_lone_report_with_a_non_string_batch_path_is_config_error(
         self, tmp_path, capsys, stored_report
     ):

@@ -275,7 +275,7 @@ class TestCouplingsForTable:
             assert got.pmf.tobytes() == want.pmf[:, :, ::-1].tobytes()
 
     def test_extremal_coupling_stays_strict(self):
-        with pytest.raises(ValueError, match="must lie in"):
+        with pytest.raises(ValueError, match="must be a target correlation in"):
             extremal_coupling(1 + 1e-13, 1, MAX_D)
 
 
@@ -446,6 +446,19 @@ class TestTripleCoupling:
         with pytest.raises(AttributeError, match="immutable"):
             k.cells = (0.125,) * 8
         assert k.pmf is k.pmf
+
+    @pytest.mark.parametrize("name", ["cells", "pmf", "validation"])
+    @pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
+    def test_attributes_cannot_be_deleted(self, name, used):
+        k = make_scalar_extremal_couplings(0.8)[0]
+        cells = k.cells
+        if used:
+            k.pmf, k.validation
+        with pytest.raises(AttributeError, match="^TripleCoupling is immutable$"):
+            delattr(k, name)
+        assert k.cells == cells
+        assert k.validation.ok
+        assert k.pmf.tobytes() == np.array(cells).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(

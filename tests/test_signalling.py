@@ -694,8 +694,19 @@ class TestAdvantageHelpers:
         assert advantage_ceiling(tv, 1) == pytest.approx(expected, abs=1e-15)
 
     def test_ceiling_domain(self):
-        with pytest.raises(ValueError, match="total variation must lie in"):
+        with pytest.raises(ValueError, match="tv_single must be a nonnegative total variation"):
             advantage_ceiling(-0.1, 1)
+
+    @pytest.mark.parametrize("tv,group_size", [(math.nan, 1), (0.1, 0), (0.1, 2.5)],
+                             ids=["nan-tv", "empty-group", "fractional-group"])
+    def test_ceiling_rejects_what_it_once_answered(self, tv, group_size):
+        # these once read 1.0, 0.5 and 0.625
+        with pytest.raises(ValueError, match="^(tv_single|group_size) must be "):
+            advantage_ceiling(tv, group_size)
+
+    def test_ceiling_clamps_a_rounded_tv_above_one(self):
+        assert advantage_ceiling(math.nextafter(1.0, 2.0), 1) == 1.0
+        assert advantage_ceiling(0.3, 4) == 1.0
 
     def test_group_ceiling(self):
         assert advantage_ceiling(0.1, 1) == (1.0 + 0.1) / 2.0
