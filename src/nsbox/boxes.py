@@ -55,6 +55,13 @@ def _checked_real(value, name: str, what: str, low: float, high: float = math.in
     return number
 
 
+def _checked_instance(value, name: str, kind: type):
+    """`value` if it is a `kind`; otherwise a ValueError that names the argument."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 class Locality(enum.Enum):
     LOCAL = "local"
     NONLOCAL = "nonlocal"
@@ -71,7 +78,9 @@ class CorrelationTable:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            _checked_real(value, name, "a real in [-1, 1]", -1.0 - NORM_TOL, 1.0 + NORM_TOL)
+            value = _checked_real(value, name, "a real in [-1, 1]",
+                                  -1.0 - NORM_TOL, 1.0 + NORM_TOL)
+            object.__setattr__(self, name, value)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return astuple(self)

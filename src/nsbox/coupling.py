@@ -16,6 +16,7 @@ import enum
 import functools
 import math
 import operator
+from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,8 +41,10 @@ class TripleCoupling:
     order.  `pmf`, a read-only (2, 2, 2) array (index 0 is outcome +1), and
     `validation` are computed at first use and kept: the cells cannot change.
     Construction takes any (2, 2, 2) nesting of numbers, ndarrays included,
-    and only fixes shape and finiteness so that defective couplings can be
-    built and fed to `validate_coupling`.
+    and only fixes the shape and takes each entry through `_checked_real`
+    (any finite real, numpy scalars included, stored as a float; bools and
+    strings are rejected), so that defective couplings can be built and fed
+    to `validate_coupling`.
     """
 
     def __init__(self, alice_setting: AliceSetting, pmf) -> None:
@@ -49,13 +52,13 @@ class TripleCoupling:
         nested = pmf.tolist() if hasattr(pmf, "tolist") else pmf
         try:
             shaped = [[len(row) for row in plane] for plane in nested] == [[2, 2], [2, 2]]
-            cells = tuple(float(x) for plane in nested for row in plane for x in row)
+            entries = [x for plane in nested for row in plane for x in row]
         except TypeError:
             shaped = False
-        if not shaped:
+        # an entry with a length (a list, tuple or array) is one level too deep
+        if not shaped or any(isinstance(x, Sized) and not isinstance(x, str) for x in entries):
             raise ValueError("pmf must be a (2, 2, 2) nesting of numbers")
-        if not all(map(math.isfinite, cells)):
-            raise ValueError("pmf entries must be finite")
+        cells = tuple(_checked_real(x, "pmf entry", "a finite real", -math.inf) for x in entries)
         object.__setattr__(self, "alice_setting", alice_setting)
         object.__setattr__(self, "cells", cells)
 

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .boxes import A, A_PRIME, AliceSetting, _checked_int, _checked_real
+from .boxes import A, A_PRIME, AliceSetting, _checked_instance, _checked_int, _checked_real
 from .coupling import CORR_TOL, I_VALUES, J_VALUES, JP_VALUES, TripleCoupling
 from .records import csv_rows
 
@@ -47,7 +47,8 @@ class NoiseModel:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        _checked_real(self.sigma, "sigma", "a nonnegative real", 0.0)
+        sigma = _checked_real(self.sigma, "sigma", "a nonnegative real", 0.0)
+        object.__setattr__(self, "sigma", sigma)
 
 
 @dataclass(frozen=True)
@@ -214,6 +215,7 @@ def sample_batches(
     # the key word packs (stream << 32) | chunk: other values alias another stream
     stream = _checked_int(stream, "stream", "a 32-bit unsigned integer", 0, 2**32)
     start = _checked_int(start, "start", "a nonnegative integer", 0)
+    _checked_instance(noise, "noise", NoiseModel)
     pmf = coupling.flat
     if not (np.all(np.isfinite(pmf)) and np.all(pmf >= 0)):
         raise ValueError(f"coupling pmf must be finite and nonnegative, got {pmf.tolist()}")

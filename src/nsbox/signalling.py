@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .boxes import A, A_PRIME, CorrelationTable, _checked_int, _checked_real
+from .boxes import (A, A_PRIME, CorrelationTable, _checked_instance, _checked_int,
+                    _checked_real)
 from .coupling import TripleCoupling, couplings_for_table
 from .macro import BatchArrays, NoiseModel, _parallel_map, batch_lattice, sample_batches
 from .records import Detector, SignallingReport, SweepRow, Verdict
@@ -49,10 +50,8 @@ class ProtocolConfig:
         for name in ("n_pairs", "repetitions", "group_size"):
             count = _checked_int(getattr(self, name), name, "a positive integer", 1)
             object.__setattr__(self, name, count)
-        for name, kind in (("noise", NoiseModel), ("detector", Detector)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+        _checked_instance(self.noise, "noise", NoiseModel)
+        _checked_instance(self.detector, "detector", Detector)
         threshold = _checked_real(self.postselect_threshold, "postselect_threshold",
                                   "a real in (0, 1]", 0.0, 1.0, low_open=True)
         object.__setattr__(self, "postselect_threshold", threshold)
@@ -134,6 +133,17 @@ def _require_valid(coupling: TripleCoupling) -> None:
         raise ValueError(f"coupling under {label} is defective: {check.residuals}")
 
 
+def _checked_pairs(n_pairs) -> int:
+    """N as an int in [1, `MAX_EXACT_PAIRS`], the range of the exact laws."""
+    return _checked_int(n_pairs, "n_pairs", f"an integer in [1, {MAX_EXACT_PAIRS}]", 1,
+                        MAX_EXACT_PAIRS + 1)
+
+
+def _pair_cells(coupling: TripleCoupling) -> list[float]:
+    """The (j, j') probabilities q, (+,+) .. (-,-): a law reads its coupling only through q."""
+    return [a + b for a, b in zip(coupling.cells[:4], coupling.cells[4:])]
+
+
 @functools.lru_cache(maxsize=MAX_EXACT_PAIRS)
 def _law_terms(n: int) -> tuple[np.ndarray, ...]:
     """The coupling-free terms of N's batch law, read-only: for every triple
@@ -169,12 +179,10 @@ def batch_law(coupling: TripleCoupling, n_pairs: int) -> tuple[np.ndarray, np.nd
     N must be an integer in [1, `MAX_EXACT_PAIRS`], and a defective
     coupling (`_require_valid`) is rejected.
     """
-    n = _checked_int(n_pairs, "n_pairs", f"an integer in [1, {MAX_EXACT_PAIRS}]", 1,
-                     MAX_EXACT_PAIRS + 1)
+    n = _checked_pairs(n_pairs)
     _require_valid(coupling)
     multinomial, power_index, cell, lattice = _law_terms(n)
-    q = [a + b for a, b in zip(coupling.cells[:4], coupling.cells[4:])]  # (+,+) .. (-,-)
-    factors = np.array([p**e for p in q for e in range(n + 1)])[power_index]
+    factors = np.array([p**e for p in _pair_cells(coupling) for e in range(n + 1)])[power_index]
     weight = multinomial * factors[0]
     for factor in factors[1:]:
         weight *= factor
@@ -197,8 +205,12 @@ def exact_tv_distance(
     laws are convolved with the Gaussian read-out kernel and the distance is
     integrated on Richardson-extrapolated Simpson grids (steps sigma/20 and
     sigma/40), accurate to about 1e-6.  Every sigma >= 0 is accepted.
-    Identical laws return 0 without integrating.  Each grid is summed in
-    512-row blocks, each in 512 x 256 tiles with one tile of scratch memory.
+    N, both couplings and the noise are checked first, with `batch_law`'s
+    checks, which it repeats on purpose when it builds the laws.  Couplings
+    whose pair marginals (`_pair_cells`) are equal as floats return 0.0 with
+    no law built: a law reads its coupling only through them, so every
+    difference would be 0.  Each grid is summed in 512-row blocks, each in
+    512 x 256 tiles with one tile of scratch memory.
     The grids are built in turn, each freed before the next, so one grid's
     kernel and tiles are alive at a time.  When numpy's BLAS runs one thread
     and the two grids hold at least 12 blocks together, each grid's blocks
@@ -206,9 +218,15 @@ def exact_tv_distance(
     thread.  Block sums are added in block order, grid by grid, so the
     result has the same bits on any core count and any BLAS thread count.
     """
+    n_pairs = _checked_pairs(n_pairs)
+    _require_valid(k_a)
+    _require_valid(k_ap)
+    _checked_instance(noise, "noise", NoiseModel)
+    if _pair_cells(k_a) == _pair_cells(k_ap):
+        return 0.0
     lattice, law_a = batch_law(k_a, n_pairs)
     diff = law_a - batch_law(k_ap, n_pairs)[1]
-    if n_pairs * noise.sigma <= TV_SEPARATED or not diff.any():
+    if n_pairs * noise.sigma <= TV_SEPARATED:
         return 0.5 * float(np.abs(diff).sum())
 
     # the |.| kinks reduce Simpson to O(h^2); one Richardson step restores

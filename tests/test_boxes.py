@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from nsbox.causality import frontier_grid, frontier_scan
 from nsbox.cli import _sweep_row
 from nsbox.coupling import (
     CouplingObjective,
+    TripleCoupling,
     coupling_bounds,
     extremal_coupling,
     make_scalar_extremal_couplings,
@@ -94,6 +96,8 @@ REAL_SITES = {
     "advantage_ceiling": ("tv_single", lambda x: advantage_ceiling(x, 1)),
     "report_from_json": ("advantage", lambda x: report_from_json({**REPORT, "advantage": x})),
     "_sweep_row": ("C", lambda x: _sweep_row_with(C=x)),
+    "TripleCoupling": ("pmf entry", lambda x: TripleCoupling(
+        A, [[[0.125, 0.125], [0.125, x]], [[0.125, 0.125], [0.125, 0.125]]])),
 }
 
 _K = make_scalar_extremal_couplings(0.8)[0]
@@ -146,6 +150,22 @@ class TestNumericInputs:
             cfg = ProtocolConfig(4, 64, NOISELESS, postselect_threshold=threshold)
             assert type(cfg.postselect_threshold) is float
             assert cfg.postselect_threshold == threshold
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(1), 1], ids=repr)
+    def test_reals_stored_as_floats(self, value):
+        stored = [
+            NoiseModel(value).sigma,
+            *CorrelationTable(value, value, value, -value).as_tuple(),
+            *TripleCoupling(A, [[[value] * 2] * 2] * 2).cells,
+        ]
+        assert [type(x) for x in stored] == [float] * len(stored)
+        assert stored == [float(value)] * 4 + [-float(value)] + [float(value)] * 8
+
+    def test_table_serializes_as_floats(self):
+        table = CorrelationTable(1, 1, 1, -1)
+        assert type(chsh(table)) is float
+        assert json.dumps(table.as_dict()) == (
+            '{"c_ab": 1.0, "c_abp": 1.0, "c_apb": 1.0, "c_apbp": -1.0}')
 
     def test_int_past_the_largest_float_rejected(self):
         with pytest.raises(ValueError, match="^sigma must be a nonnegative real, got 1000"):

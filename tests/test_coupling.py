@@ -421,11 +421,13 @@ class TestTripleCoupling:
         [[[0.125, 0.125], [0.125, 0.125]], [[0.125, 0.125]]],
         [[[0.125, 0.125, 0.0], [0.125, 0.125]], [[0.125, 0.125], [0.125, 0.125]]],
         [[[0.125, [0.125]], [0.125, 0.125]], [[0.125, 0.125], [0.125, 0.125]]],
+        [[[np.full(2, 0.0625)] * 2] * 2] * 2,
+        [[[np.full(1, 0.125)] * 2] * 2] * 2,
         [[0.25, 0.25], [0.25, 0.25]],
         0.125,
         None,
     ], ids=["flat", "4-d", "2x4", "4x2x1", "short-row", "short-plane", "long-row",
-            "deep-cell", "2x2", "scalar", "none"])
+            "deep-cell", "array-cells", "size-1-array-cells", "2x2", "scalar", "none"])
     def test_wrong_shape_rejected(self, pmf):
         with pytest.raises(ValueError, match=r"\(2, 2, 2\)"):
             TripleCoupling(A, pmf)

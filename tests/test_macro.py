@@ -154,6 +154,13 @@ class TestSampling:
         with pytest.raises(ValueError, match=f"{field} must be a"):
             sample_batches(UNIFORM, noise=NOISELESS, **keys)
 
+    @pytest.mark.parametrize("noise", [0.1, 0.0, None, "0.1"], ids=repr)
+    def test_noise_must_be_a_noise_model(self, noise, monkeypatch):
+        # checked before any uniform is drawn
+        monkeypatch.setattr("nsbox.macro._chunk_uniforms", None)
+        with pytest.raises(ValueError, match=f"^noise must be a NoiseModel, got {noise!r}$"):
+            sample_batches(UNIFORM, 4, 3, noise, 1)
+
 
 # ---------------------------------------------------------------------------
 # Determinism contract: golden values and the reference kernel

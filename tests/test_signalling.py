@@ -407,6 +407,59 @@ class TestExactTv:
         monkeypatch.setattr("nsbox.signalling._simpson_grid", None)
         assert exact_tv_distance(k_a, k_ap, 12, NoiseModel(0.003)) == 0.0
 
+    @pytest.mark.parametrize("n_pairs", [1, 8, 12])
+    @pytest.mark.parametrize("sigma", [0.0, 0.01, 0.1])
+    @pytest.mark.parametrize("pair", ["critical", "PR_A twice", "PR_AP twice"])
+    def test_equal_pair_marginals_build_no_law(self, monkeypatch, pair, sigma, n_pairs):
+        """C = 1/2 and a coupling with itself share the (j, j') marginal bit
+        for bit, so the TV is 0.0 with no law and no Simpson grid built."""
+        k_a, k_ap = {"critical": make_scalar_extremal_couplings(0.5),
+                     "PR_A twice": (PR_A, PR_A), "PR_AP twice": (PR_AP, PR_AP)}[pair]
+        called = []
+        build = nsbox.signalling._simpson_grid
+        monkeypatch.setattr("nsbox.signalling.batch_law",
+                            lambda *a: called.append("law") or batch_law(*a))
+        monkeypatch.setattr("nsbox.signalling._simpson_grid",
+                            lambda *a: called.append("grid") or build(*a))
+        tv = exact_tv_distance(k_a, k_ap, n_pairs, NoiseModel(sigma))
+        assert (tv, math.copysign(1.0, tv), called) == (0.0, 1.0, [])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), st.sampled_from([0, 1]),
+           st.sampled_from([1, 5, 12]), st.sampled_from([0.0, 0.1]))
+    def test_i_mirror_matches_the_reference_laws(self, entries, index, n_pairs, sigma):
+        """A coupling and its i-mirror (planes swapped, under a') add the same
+        two cells into each pair cell, so the shortcut's 0.0 is the TV of
+        their reference laws."""
+        k = couplings_for_table(CorrelationTable(*entries))[index]
+        mirror = TripleCoupling(A_PRIME, k.pmf[::-1])
+        assert mirror.cells == k.cells[4:] + k.cells[:4]
+        laws = [reference_batch_law(c, n_pairs)[1] for c in (k, mirror)]
+        tv = exact_tv_distance(k, mirror, n_pairs, NoiseModel(sigma))
+        assert tv == 0.5 * float(np.abs(laws[0] - laws[1]).sum()) == 0.0
+
+    @pytest.mark.parametrize("n_pairs", [0, 13, 2.5, True], ids=repr)
+    def test_equal_pair_marginals_still_check_the_pair_count(self, n_pairs):
+        k_a, k_ap = make_scalar_extremal_couplings(0.5)
+        for sigma in (0.0, 0.1):
+            with pytest.raises(ValueError, match=r"^n_pairs must be an integer in \[1, 12\]"):
+                exact_tv_distance(k_a, k_ap, n_pairs, NoiseModel(sigma))
+
+    def test_equal_pair_marginals_still_check_the_couplings_and_noise(self):
+        bad = TripleCoupling(A, np.full((2, 2, 2), 0.25))
+        k_a, k_ap = make_scalar_extremal_couplings(0.5)
+        for sigma in (0.0, 0.1):
+            with pytest.raises(ValueError, match="^coupling under a is defective"):
+                exact_tv_distance(bad, bad, 4, NoiseModel(sigma))
+        for noise in (0.1, 0.0, None, "0.1"):
+            with pytest.raises(ValueError, match=f"^noise must be a NoiseModel, got {noise!r}$"):
+                exact_tv_distance(k_a, k_ap, 4, noise)
+        # in the full path's order: N, the coupling under a, then the one under a'
+        with pytest.raises(ValueError, match="^n_pairs"):
+            exact_tv_distance(bad, bad, 13, 0.1)
+        with pytest.raises(ValueError, match="^coupling under a is defective"):
+            exact_tv_distance(bad, TripleCoupling(A_PRIME, bad.pmf), 4, 0.1)
+
     def test_kernel_matches_reference_bit_for_bit(self):
         """The tiled kernel against the untiled one at one BLAS thread, as the
         benchmark runs; the grids cover m below, between and past the tiles."""
@@ -948,6 +1001,11 @@ class TestRunProtocol:
         cfg = ProtocolConfig(n_pairs=4, repetitions=64, noise=NOISELESS, group_size=8)
         with pytest.raises(ValueError, match="under a then a'"):
             run_protocol(*pair, cfg, seed=1)
+
+    def test_draw_arms_noise_must_be_a_noise_model(self, monkeypatch):
+        monkeypatch.setattr("nsbox.macro._chunk_uniforms", None)
+        with pytest.raises(ValueError, match="^noise must be a NoiseModel, got 0.1$"):
+            draw_arms(PR_A, PR_AP, 4, 64, 0.1, seed=1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
