@@ -3,11 +3,13 @@
 Five commands: simulate-signalling, verify-bounds, scan-frontier, couplings,
 export.  Parameters come from an optional JSON config file (one section per
 command) with flags overriding file values; a field's name is its flag's
-argparse dest.  All randomized commands print the resolved seed.  Path
-fields must be strings, an output path must name a file in an existing
-directory, and no two output paths may name one file; all are checked
-before any compute, and output files are written atomically (temp file +
-rename), so failures never leave partial artifacts.
+argparse dest.  Each number is checked by the library's `_checked_int` or
+`_checked_real`, so a count written as 16.0 is a config error.  All
+randomized commands print the resolved seed.  Path fields must be strings,
+an output path must name a file in an existing directory, and no two
+output paths may name one file; all are checked before any compute, and
+output files are written atomically (temp file + rename), so failures
+never leave partial artifacts.
 
 Each command imports only the modules it runs: verify-bounds, export,
 couplings and scan-frontier (its grid in Python floats) load no numpy, and
@@ -27,7 +29,6 @@ import csv
 import dataclasses
 import errno
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -90,36 +91,15 @@ class Validator:
             for key in sorted(set(values) - allowed)
         ]
 
-    def number(self, name, default=None, minimum=None, maximum=None, integer=False,
-               exclusive_min=None):
-        raw = self.values.get(name, default)
-        if raw is None:
-            self.errors.append(f"missing required field {name!r}")
-            return None
+    def number(self, name, default, check, what, *limits, **options):
+        """The field through `check` (`_checked_int` or `_checked_real`), or
+        None with the helper's message listed."""
         try:
-            value = int(raw) if integer else float(raw)
-            # a JSON boolean or string is no number, however it would convert
-            if isinstance(raw, (bool, str)) or (
-                integer and isinstance(raw, float) and raw != int(raw)
-            ):
-                raise ValueError
-        except (TypeError, ValueError, OverflowError):
-            kind = "an integer" if integer else "a number"
-            self.errors.append(f"field {name!r} must be {kind}, got {raw!r}")
+            return check(self.values.get(name, default), f"field {name!r}", what, *limits,
+                         **options)
+        except ValueError as exc:
+            self.errors.append(str(exc))
             return None
-        if not integer and not math.isfinite(value):
-            self.errors.append(f"field {name!r} must be finite, got {raw!r}")
-            return None
-        if minimum is not None and value < minimum:
-            self.errors.append(f"field {name!r} must be >= {minimum}, got {value}")
-            return None
-        if exclusive_min is not None and value <= exclusive_min:
-            self.errors.append(f"field {name!r} must be > {exclusive_min}, got {value}")
-            return None
-        if maximum is not None and value > maximum:
-            self.errors.append(f"field {name!r} must be <= {maximum}, got {value}")
-            return None
-        return value
 
     def choice(self, name, options, default=None):
         raw = self.values.get(name, default)
@@ -144,17 +124,12 @@ class Validator:
             self.errors.append(f"field {name!r} must hold {count} correlations, got {raw!r}")
             return None
         entries = []
-        for k, v in enumerate(raw):
+        for k, value in enumerate(raw):
             try:
-                # a JSON boolean or string is no number, as in `number`
-                value = float(None if isinstance(v, (bool, str)) else v)
-            except (TypeError, ValueError):
-                self.errors.append(f"field {name!r}[{k}] must be a number, got {v!r}")
-                continue
-            if not math.isfinite(value) or abs(value) > 1.0:
-                self.errors.append(f"field {name!r}[{k}] must lie in [-1, 1], got {value}")
-                continue
-            entries.append(value)
+                entries.append(_checked_real(value, f"field {name!r}[{k}]", "a real in [-1, 1]",
+                                             -1.0, 1.0))
+            except ValueError as exc:
+                self.errors.append(str(exc))
         return entries if len(entries) == count else None
 
     def raise_if_any(self):
@@ -256,7 +231,7 @@ def _envelope(args, **fields) -> dict:
 
 def cmd_simulate_signalling(args) -> int:
     from .coupling import make_scalar_extremal_couplings
-    from .macro import NoiseModel, write_batches_csv
+    from .macro import _MAX_SEED, NoiseModel, write_batches_csv
     from .signalling import (
         ARMS, ProtocolConfig, draw_arms, protocol_batches, report_to_json, score_arms,
     )
@@ -265,14 +240,15 @@ def cmd_simulate_signalling(args) -> int:
     fmt = v.choice("format", {"json", "csv"}, default="json")
     # the resolved fields, in the order the report's config records them
     config = {
-        "C": v.number("C", default=1.0, minimum=0.0, maximum=1.0),
-        "N": v.number("N", default=16, minimum=1, integer=True),
-        "reps": v.number("reps", default=20_000, minimum=1, integer=True),
-        "sigma": v.number("sigma", default=0.1, minimum=0.0),
+        "C": v.number("C", 1.0, _checked_real, "a real in [0, 1]", 0.0, 1.0),
+        "N": v.number("N", 16, _checked_int, "a positive integer", 1),
+        "reps": v.number("reps", 20_000, _checked_int, "a positive integer", 1),
+        "sigma": v.number("sigma", 0.1, _checked_real, "a nonnegative real", 0.0),
         "detector": v.choice("detector", {d.value for d in Detector}, default="cov"),
-        "threshold": v.number("threshold", default=1.0, exclusive_min=0.0, maximum=1.0),
-        "group_size": v.number("group_size", default=32, minimum=1, integer=True),
-        "seed": v.number("seed", default=0, minimum=0, maximum=2**64 - 1, integer=True),
+        "threshold": v.number("threshold", 1.0, _checked_real, "a real in (0, 1]", 0.0, 1.0,
+                              low_open=True),
+        "group_size": v.number("group_size", 32, _checked_int, "a positive integer", 1),
+        "seed": v.number("seed", 0, _checked_int, "a 64-bit unsigned integer", 0, _MAX_SEED),
     }
     v.raise_if_any()
     try:
@@ -317,7 +293,7 @@ def cmd_verify_bounds(args) -> int:
     v = _resolve(args)
     fmt = v.choice("format", {"json", "csv"}, default="json")
     entries = v.correlations("table", 4)
-    n_pairs = v.number("N", default=1, minimum=1, integer=True)
+    n_pairs = v.number("N", 1, _checked_int, "a positive integer", 1)
     v.raise_if_any()
     table = CorrelationTable(*entries)
 
@@ -359,8 +335,8 @@ def cmd_verify_bounds(args) -> int:
 def cmd_scan_frontier(args) -> int:
     v = _resolve(args)
     fmt = v.choice("format", {"json", "csv"}, default="csv")
-    resolution = v.number("resolution", default=10_001, minimum=10, integer=True)
-    rhs = v.number("rhs", default=4.0, exclusive_min=0.0)
+    resolution = v.number("resolution", 10_001, _checked_int, "an integer of at least 10", 10)
+    rhs = v.number("rhs", 4.0, _checked_real, "finite and positive", 0.0, low_open=True)
     symmetric = v.flag("symmetric", default=False)
     v.raise_if_any()
 
@@ -401,7 +377,7 @@ def cmd_couplings(args) -> int:
         }
         bounds = vars(coupling_bounds(*pair)).copy()
     else:
-        c = v.number("C", default=1.0, minimum=0.0, maximum=1.0)
+        c = v.number("C", 1.0, _checked_real, "a real in [0, 1]", 0.0, 1.0)
         v.raise_if_any()
         payload.update(mode="scalar_pair", C=c)
         k_a, k_ap = make_scalar_extremal_couplings(c)

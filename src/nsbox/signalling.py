@@ -384,6 +384,7 @@ def make_likelihood_detector(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The `likelihood_guess_a` kernel bound to the exact batch laws, which
     are enumerated once, here."""
+    _checked_instance(noise, "noise", NoiseModel)
     lattice, law_a = batch_law(k_a, n_pairs)
     laws = (lattice, law_a, batch_law(k_ap, n_pairs)[1])
     return lambda u, v: likelihood_guess_a(u, v, laws, noise.sigma)

@@ -257,18 +257,21 @@ class TestSimulateSignalling:
         "command, section, fields, expected",
         [
             ("simulate-signalling", "simulate_signalling", {"N": True, "sigma": False},
-             ["field 'N' must be an integer, got True", "field 'sigma' must be a number, got False"]),
+             ["field 'N' must be a positive integer, got True",
+              "field 'sigma' must be a nonnegative real, got False"]),
             # a JSON string is no number either, even one that would convert
             ("simulate-signalling", "simulate_signalling", {"N": "16", "sigma": "0.1", "reps": "640"},
-             ["field 'N' must be an integer, got '16'", "field 'sigma' must be a number, got '0.1'",
-              "field 'reps' must be an integer, got '640'"]),
+             ["field 'N' must be a positive integer, got '16'",
+              "field 'sigma' must be a nonnegative real, got '0.1'",
+              "field 'reps' must be a positive integer, got '640'"]),
             ("verify-bounds", "verify_bounds", {"table": [0.5, 0.5, 0.5, -0.5], "N": "2"},
-             ["field 'N' must be an integer, got '2'"]),
-            # JSON Infinity (and 1e400, which parses to it) overflows int()
+             ["field 'N' must be a positive integer, got '2'"]),
+            # JSON Infinity (and 1e400, which parses to it) is no integer and no finite real
             ("simulate-signalling", "simulate_signalling",
              {"N": math.inf, "reps": math.inf, "sigma": math.inf},
-             ["field 'N' must be an integer, got inf", "field 'reps' must be an integer, got inf",
-              "field 'sigma' must be finite, got inf"]),
+             ["field 'N' must be a positive integer, got inf",
+              "field 'reps' must be a positive integer, got inf",
+              "field 'sigma' must be a nonnegative real, got inf"]),
             # a path field of another type is a config error, not a crash after the draw
             ("simulate-signalling", "simulate_signalling", {"out": 5, "dump_batches": ["x"]},
              ["field 'out' must be a string, got 5",
@@ -434,7 +437,7 @@ class TestSimulateSignalling:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert "error: fields 'out' and 'dump_batches' name one file" in err
-        assert "error: field 'reps' must be >= 1" in err
+        assert "error: field 'reps' must be a positive integer, got 0" in err
         assert sorted(os.listdir()) == before
 
     def test_csv_format(self, tmp_path):
@@ -471,6 +474,10 @@ class TestVerifyBounds:
         assert abs(data["causality_lhs"] - 4.0) < 1e-12
         assert abs(data["lower_bound_a"] - math.sqrt(2)) < 1e-12
         assert data["budget_total"] == 4.0
+
+    def test_missing_table(self, capsys):
+        assert run(["verify-bounds", "--N", "1"]) == 2
+        assert "error: missing required field 'table'" in capsys.readouterr().err
 
     def test_pr_table_not_causal(self, capsys):
         code = run(["verify-bounds", "--table", "1", "1", "1", "-1"])
@@ -663,8 +670,8 @@ class TestCouplings:
         cfg.write_text(json.dumps({"couplings": {"targets": ["x", 1.5]}}))
         assert run(["couplings", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "field 'targets'[0] must be a number, got 'x'" in err
-        assert "field 'targets'[1] must lie in [-1, 1], got 1.5" in err
+        assert "field 'targets'[0] must be a real in [-1, 1], got 'x'" in err
+        assert "field 'targets'[1] must be a real in [-1, 1], got 1.5" in err
 
     @pytest.mark.parametrize(
         "command, section, field, values",
@@ -682,7 +689,7 @@ class TestCouplings:
         assert run([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         for k, value in enumerate(values):
-            flagged = f"field {field!r}[{k}] must be a number, got {value!r}" in err
+            flagged = f"field {field!r}[{k}] must be a real in [-1, 1], got {value!r}" in err
             assert flagged is isinstance(value, (bool, str)), (k, value)
 
     def test_wrong_target_count(self, tmp_path, capsys):
@@ -708,6 +715,64 @@ class TestCouplings:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 16  # 8 cells per arm
         assert set(rows[0]) == {"arm", "i", "j", "jp", "probability"}
+
+
+#: A valid list for each correlation field, and a valid config section for
+#: each command that the field under test joins.
+VALID_LISTS = {"table": [0.5, 0.5, 0.5, -0.5], "targets": [0.1, -0.2]}
+VALID_SECTIONS = {
+    "simulate-signalling": {"N": 4, "reps": 64},
+    "verify-bounds": {"table": VALID_LISTS["table"]},
+    "scan-frontier": {"resolution": 11},
+    "couplings": {},
+}
+#: Every numeric config field: its command, its name ((name, k) for entry k
+#: of a correlation list), a value out of its range, and whether it is a count.
+NUMERIC_FIELDS = [
+    ("simulate-signalling", "C", 1.5, False),
+    ("simulate-signalling", "N", 0, True),
+    ("simulate-signalling", "reps", 0, True),
+    ("simulate-signalling", "sigma", -0.1, False),
+    ("simulate-signalling", "threshold", 0.0, False),
+    ("simulate-signalling", "group_size", 0, True),
+    ("simulate-signalling", "seed", 2**64, True),
+    ("verify-bounds", "N", 0, True),
+    ("verify-bounds", ("table", 2), 1.5, False),
+    ("scan-frontier", "resolution", 9, True),
+    ("scan-frontier", "rhs", 0.0, False),
+    ("couplings", "C", -0.1, False),
+    ("couplings", ("targets", 1), -1.5, False),
+]
+
+
+def _numeric_field_cases():
+    for command, field, out_of_range, count in NUMERIC_FIELDS:
+        bad = {"true": True, "string": "1", "null": None, "nan": math.nan,
+               "out-of-range": out_of_range}
+        if count:
+            bad["integral-float"] = 16.0
+        name = "{}[{}]".format(*field) if isinstance(field, tuple) else field
+        for label, value in bad.items():
+            yield pytest.param(command, field, value, id=f"{command}-{name}-{label}")
+
+
+@pytest.mark.parametrize("command, field, value", _numeric_field_cases())
+def test_every_numeric_field_checked(tmp_path, capsys, command, field, value):
+    """A bool, a string, null, NaN, a value out of range and, for a count, an
+    integral float are config errors that name the field, and nothing is written."""
+    section = dict(VALID_SECTIONS[command])
+    if isinstance(field, tuple):
+        name, k = field
+        section[name] = [value if j == k else x for j, x in enumerate(VALID_LISTS[name])]
+        shown = f"{name!r}[{k}]"
+    else:
+        section[field] = value
+        shown = repr(field)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({command.replace("-", "_"): section}))
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: field {shown} must be " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 #: Field texts of hand-made batch CSVs: repeats, both zeros, and an infinity

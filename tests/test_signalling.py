@@ -909,6 +909,12 @@ class TestDetectors:
         guess_a = make_likelihood_detector(PR_A, PR_AP, 8, NoiseModel(sigma))
         assert guess_a(np.empty((1, 0)), np.empty((1, 0))).tolist() == [True]
 
+    def test_likelihood_detector_noise_must_be_a_noise_model(self, monkeypatch):
+        # rejected when the detector is made, before any law is built
+        monkeypatch.setattr("nsbox.signalling.batch_law", None)
+        with pytest.raises(ValueError, match="^noise must be a NoiseModel, got 0.1$"):
+            make_likelihood_detector(PR_A, PR_AP, 4, 0.1)
+
 
 class TestRunProtocol:
     def test_reproducible_bit_for_bit(self):
