@@ -101,9 +101,9 @@ class Validator:
             self.errors.append(str(exc))
             return None
 
-    def choice(self, name, options, default=None):
+    def choice(self, name, options: tuple, default=None):
         raw = self.values.get(name, default)
-        if raw not in options:
+        if raw not in options:  # compared, never hashed: a list is a config error too
             self.errors.append(f"field {name!r} must be one of {sorted(options)}, got {raw!r}")
             return None
         return raw
@@ -231,20 +231,21 @@ def _envelope(args, **fields) -> dict:
 
 def cmd_simulate_signalling(args) -> int:
     from .coupling import make_scalar_extremal_couplings
-    from .macro import _MAX_SEED, NoiseModel, write_batches_csv
+    from .macro import _MAX_SEED, _MAX_SIGMA, NoiseModel, write_batches_csv
     from .signalling import (
         ARMS, ProtocolConfig, draw_arms, protocol_batches, report_to_json, score_arms,
     )
 
     v = _resolve(args)
-    fmt = v.choice("format", {"json", "csv"}, default="json")
+    fmt = v.choice("format", ("json", "csv"), default="json")
     # the resolved fields, in the order the report's config records them
     config = {
         "C": v.number("C", 1.0, _checked_real, "a real in [0, 1]", 0.0, 1.0),
         "N": v.number("N", 16, _checked_int, "a positive integer", 1),
         "reps": v.number("reps", 20_000, _checked_int, "a positive integer", 1),
-        "sigma": v.number("sigma", 0.1, _checked_real, "a nonnegative real", 0.0),
-        "detector": v.choice("detector", {d.value for d in Detector}, default="cov"),
+        "sigma": v.number("sigma", 0.1, _checked_real, f"a real in [0, {_MAX_SIGMA:g}]", 0.0,
+                          _MAX_SIGMA),
+        "detector": v.choice("detector", tuple(d.value for d in Detector), default="cov"),
         "threshold": v.number("threshold", 1.0, _checked_real, "a real in (0, 1]", 0.0, 1.0,
                               low_open=True),
         "group_size": v.number("group_size", 32, _checked_int, "a positive integer", 1),
@@ -291,7 +292,7 @@ def cmd_simulate_signalling(args) -> int:
 
 def cmd_verify_bounds(args) -> int:
     v = _resolve(args)
-    fmt = v.choice("format", {"json", "csv"}, default="json")
+    fmt = v.choice("format", ("json", "csv"), default="json")
     entries = v.correlations("table", 4)
     n_pairs = v.number("N", 1, _checked_int, "a positive integer", 1)
     v.raise_if_any()
@@ -334,7 +335,7 @@ def cmd_verify_bounds(args) -> int:
 
 def cmd_scan_frontier(args) -> int:
     v = _resolve(args)
-    fmt = v.choice("format", {"json", "csv"}, default="csv")
+    fmt = v.choice("format", ("json", "csv"), default="csv")
     resolution = v.number("resolution", 10_001, _checked_int, "an integer of at least 10", 10)
     rhs = v.number("rhs", 4.0, _checked_real, "finite and positive", 0.0, low_open=True)
     symmetric = v.flag("symmetric", default=False)
@@ -363,7 +364,7 @@ def cmd_couplings(args) -> int:
     )
 
     v = _resolve(args)
-    fmt = v.choice("format", {"json", "csv"}, default="json")
+    fmt = v.choice("format", ("json", "csv"), default="json")
     payload = _envelope(args)
     if v.values.get("targets") is not None:
         pair = v.correlations("targets", 2)

@@ -16,7 +16,6 @@ import enum
 import functools
 import math
 import operator
-from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,59 +35,53 @@ class CouplingObjective(enum.Enum):
     MAX_DISAGREE = "max_disagree"
 
 
+@dataclass(frozen=True)
 class TripleCoupling:
     """Joint pmf over (i, j, j'): `cells` holds 8 Python floats in flat cell
-    order.  `pmf`, a read-only (2, 2, 2) array (index 0 is outcome +1), and
-    `validation` are computed at first use and kept: the cells cannot change.
-    Construction takes any (2, 2, 2) nesting of numbers, ndarrays included,
-    and only fixes the shape and takes each entry through `_checked_real`
-    (any finite real, numpy scalars included, stored as a float; bools and
-    strings are rejected), so that defective couplings can be built and fed
-    to `validate_coupling`.
+    order, the order of `coupling_to_json`'s "pmf" list.  `flat` (a read-only
+    array), `pair_cells` (the (j, j') marginal) and `validation` are computed
+    at first use and kept: the cells cannot change.  Construction takes 8
+    numbers (a list, tuple or 1-D ndarray), each a finite real by
+    `_checked_real` (bools, strings and nestings are rejected), so that
+    defective couplings can be built and fed to `validate_coupling`.
     """
 
-    def __init__(self, alice_setting: AliceSetting, pmf) -> None:
-        alice_setting = AliceSetting(alice_setting)
-        nested = pmf.tolist() if hasattr(pmf, "tolist") else pmf
-        try:
-            shaped = [[len(row) for row in plane] for plane in nested] == [[2, 2], [2, 2]]
-            entries = [x for plane in nested for row in plane for x in row]
-        except TypeError:
-            shaped = False
-        # an entry with a length (a list, tuple or array) is one level too deep
-        if not shaped or any(isinstance(x, Sized) and not isinstance(x, str) for x in entries):
-            raise ValueError("pmf must be a (2, 2, 2) nesting of numbers")
-        cells = tuple(_checked_real(x, "pmf entry", "a finite real", -math.inf) for x in entries)
-        object.__setattr__(self, "alice_setting", alice_setting)
-        object.__setattr__(self, "cells", cells)
+    alice_setting: AliceSetting
+    cells: tuple[float, ...]
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError("TripleCoupling is immutable")
-
-    __delattr__ = __setattr__
+    def __post_init__(self) -> None:
+        cells = self.cells.tolist() if hasattr(self.cells, "tolist") else self.cells
+        if not isinstance(cells, (list, tuple)) or len(cells) != 8:
+            raise ValueError(f"cells must be 8 numbers in flat cell order, got {cells!r}")
+        object.__setattr__(self, "alice_setting", AliceSetting(self.alice_setting))
+        object.__setattr__(self, "cells", tuple(
+            _checked_real(x, "cell", "a finite real", -math.inf) for x in cells))
 
     @functools.cached_property
-    def pmf(self):
+    def flat(self):
         import numpy as np
 
         flat = np.array(self.cells)
         flat.flags.writeable = False
-        return flat.reshape(2, 2, 2)
+        return flat
+
+    @functools.cached_property
+    def pair_cells(self) -> tuple[float, float, float, float]:
+        """The (j, j') probabilities q, (+,+) .. (-,-): a batch law reads only q."""
+        return tuple(map(operator.add, self.cells[:4], self.cells[4:]))
 
     @functools.cached_property
     def validation(self) -> CouplingValidation:
         return validate_coupling(self)
 
-    @property
-    def flat(self):
-        return self.pmf.reshape(8)
-
     def expectation(self, values) -> float:
         return math.fsum(map(operator.mul, self.cells, values))
 
     def pair_marginal(self):
-        """The (j, j') marginal as a (2, 2) array (index 0 is +1)."""
-        return self.pmf.sum(axis=0)
+        """The (j, j') marginal `pair_cells` as a (2, 2) array (index 0 is +1)."""
+        import numpy as np
+
+        return np.array(self.pair_cells).reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -127,16 +120,15 @@ def extremal_coupling(
     end, so the optimum is unique.  Cells are exact rationals rounded once.
     """
     c_xb, c_xbp = _check_targets(c_xb, c_xbp)
-    planes = []
+    cells = []
     for s in (1, -1):
         p, q = (1 + s * Fraction(c_xb)) / 2, (1 + s * Fraction(c_xbp)) / 2
         if objective is CouplingObjective.MIN_DISAGREE:
             r = min(p, q)
         else:
             r = max(Fraction(0), p + q - 1)
-        cells = [float(v / 2) for v in (r, p - r, q - r, 1 - p - q + r)]
-        planes.append((cells[:2], cells[2:]))
-    return TripleCoupling(alice_setting, planes)
+        cells += [float(v / 2) for v in (r, p - r, q - r, 1 - p - q + r)]
+    return TripleCoupling(alice_setting, cells)
 
 
 def coupling_bounds(c_xb: float, c_xbp: float) -> CouplingBounds:

@@ -38,16 +38,20 @@ _PARALLEL_UNIFORMS = 2**20
 #: All N pairs add nothing, as cell 7 is (-, -, -).
 _PLUS_ONE_STEPS = -np.diff((np.stack([I_VALUES, J_VALUES, JP_VALUES]) > 0).astype(np.int64))
 _MAX_SEED = 2**64
+#: The largest noise level: from about 1e6 on the noisy TV is below the exact
+#: oracle's 1e-6 accuracy, and near 1e153 squared noise overflows a float.
+_MAX_SIGMA = 1e100
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Standard deviation of the additive Gaussian read-out noise on B and B'."""
+    """Standard deviation, at most `_MAX_SIGMA`, of the Gaussian read-out noise on B and B'."""
 
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        sigma = _checked_real(self.sigma, "sigma", "a nonnegative real", 0.0)
+        sigma = _checked_real(self.sigma, "sigma", f"a real in [0, {_MAX_SIGMA:g}]", 0.0,
+                              _MAX_SIGMA)
         object.__setattr__(self, "sigma", sigma)
 
 

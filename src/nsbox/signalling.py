@@ -139,11 +139,6 @@ def _checked_pairs(n_pairs) -> int:
                         MAX_EXACT_PAIRS + 1)
 
 
-def _pair_cells(coupling: TripleCoupling) -> list[float]:
-    """The (j, j') probabilities q, (+,+) .. (-,-): a law reads its coupling only through q."""
-    return [a + b for a, b in zip(coupling.cells[:4], coupling.cells[4:])]
-
-
 @functools.lru_cache(maxsize=MAX_EXACT_PAIRS)
 def _law_terms(n: int) -> tuple[np.ndarray, ...]:
     """The coupling-free terms of N's batch law, read-only: for every triple
@@ -182,7 +177,7 @@ def batch_law(coupling: TripleCoupling, n_pairs: int) -> tuple[np.ndarray, np.nd
     n = _checked_pairs(n_pairs)
     _require_valid(coupling)
     multinomial, power_index, cell, lattice = _law_terms(n)
-    factors = np.array([p**e for p in _pair_cells(coupling) for e in range(n + 1)])[power_index]
+    factors = np.array([p**e for p in coupling.pair_cells for e in range(n + 1)])[power_index]
     weight = multinomial * factors[0]
     for factor in factors[1:]:
         weight *= factor
@@ -204,10 +199,10 @@ def exact_tv_distance(
     precision, so the noise-free lattice sum is returned.  Above that, both
     laws are convolved with the Gaussian read-out kernel and the distance is
     integrated on Richardson-extrapolated Simpson grids (steps sigma/20 and
-    sigma/40), accurate to about 1e-6.  Every sigma >= 0 is accepted.
+    sigma/40), accurate to about 1e-6.  Any NoiseModel is taken.
     N, both couplings and the noise are checked first, with `batch_law`'s
     checks, which it repeats on purpose when it builds the laws.  Couplings
-    whose pair marginals (`_pair_cells`) are equal as floats return 0.0 with
+    whose pair marginals (`pair_cells`) are equal as floats return 0.0 with
     no law built: a law reads its coupling only through them, so every
     difference would be 0.  Each grid is summed in 512-row blocks, each in
     512 x 256 tiles with one tile of scratch memory.
@@ -222,7 +217,7 @@ def exact_tv_distance(
     _require_valid(k_a)
     _require_valid(k_ap)
     _checked_instance(noise, "noise", NoiseModel)
-    if _pair_cells(k_a) == _pair_cells(k_ap):
+    if k_a.pair_cells == k_ap.pair_cells:
         return 0.0
     lattice, law_a = batch_law(k_a, n_pairs)
     diff = law_a - batch_law(k_ap, n_pairs)[1]

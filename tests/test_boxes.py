@@ -96,8 +96,7 @@ REAL_SITES = {
     "advantage_ceiling": ("tv_single", lambda x: advantage_ceiling(x, 1)),
     "report_from_json": ("advantage", lambda x: report_from_json({**REPORT, "advantage": x})),
     "_sweep_row": ("C", lambda x: _sweep_row_with(C=x)),
-    "TripleCoupling": ("pmf entry", lambda x: TripleCoupling(
-        A, [[[0.125, 0.125], [0.125, x]], [[0.125, 0.125], [0.125, 0.125]]])),
+    "TripleCoupling": ("cell", lambda x: TripleCoupling(A, [0.125] * 3 + [x] + [0.125] * 4)),
 }
 
 _K = make_scalar_extremal_couplings(0.8)[0]
@@ -156,7 +155,7 @@ class TestNumericInputs:
         stored = [
             NoiseModel(value).sigma,
             *CorrelationTable(value, value, value, -value).as_tuple(),
-            *TripleCoupling(A, [[[value] * 2] * 2] * 2).cells,
+            *TripleCoupling(A, [value] * 8).cells,
         ]
         assert [type(x) for x in stored] == [float] * len(stored)
         assert stored == [float(value)] * 4 + [-float(value)] + [float(value)] * 8
@@ -168,7 +167,7 @@ class TestNumericInputs:
             '{"c_ab": 1.0, "c_abp": 1.0, "c_apb": 1.0, "c_apbp": -1.0}')
 
     def test_int_past_the_largest_float_rejected(self):
-        with pytest.raises(ValueError, match="^sigma must be a nonnegative real, got 1000"):
+        with pytest.raises(ValueError, match=r"^sigma must be a real in \[0, 1e\+100\], got 1000"):
             NoiseModel(10**400)
 
 

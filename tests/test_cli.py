@@ -258,11 +258,11 @@ class TestSimulateSignalling:
         [
             ("simulate-signalling", "simulate_signalling", {"N": True, "sigma": False},
              ["field 'N' must be a positive integer, got True",
-              "field 'sigma' must be a nonnegative real, got False"]),
+              "field 'sigma' must be a real in [0, 1e+100], got False"]),
             # a JSON string is no number either, even one that would convert
             ("simulate-signalling", "simulate_signalling", {"N": "16", "sigma": "0.1", "reps": "640"},
              ["field 'N' must be a positive integer, got '16'",
-              "field 'sigma' must be a nonnegative real, got '0.1'",
+              "field 'sigma' must be a real in [0, 1e+100], got '0.1'",
               "field 'reps' must be a positive integer, got '640'"]),
             ("verify-bounds", "verify_bounds", {"table": [0.5, 0.5, 0.5, -0.5], "N": "2"},
              ["field 'N' must be a positive integer, got '2'"]),
@@ -271,7 +271,7 @@ class TestSimulateSignalling:
              {"N": math.inf, "reps": math.inf, "sigma": math.inf},
              ["field 'N' must be a positive integer, got inf",
               "field 'reps' must be a positive integer, got inf",
-              "field 'sigma' must be a nonnegative real, got inf"]),
+              "field 'sigma' must be a real in [0, 1e+100], got inf"]),
             # a path field of another type is a config error, not a crash after the draw
             ("simulate-signalling", "simulate_signalling", {"out": 5, "dump_batches": ["x"]},
              ["field 'out' must be a string, got 5",
@@ -295,6 +295,16 @@ class TestSimulateSignalling:
         err = capsys.readouterr().err
         for line in expected:
             assert line in err
+
+    @pytest.mark.parametrize("sigma, code", [("1e100", 0), ("1e300", 2)])
+    def test_huge_sigma_bounded(self, capsys, sigma, code):
+        """Up to 1e100 the draw runs without an overflow (a warning fails the
+        suite); above it sigma is a config error."""
+        argv = ["--C", "1", "--N", "4", "--reps", "64", "--group-size", "8", "--sigma", sigma]
+        assert run(["simulate-signalling", *argv]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert f"error: field 'sigma' must be a real in [0, 1e+100], got {float(sigma)!r}" in err
 
     def test_missing_config_file(self, capsys):
         code = run(["simulate-signalling", "--config", "/nonexistent/path.json"])
@@ -496,6 +506,14 @@ class TestVerifyBounds:
         assert data["tsirelson_ok"] is False
         assert data["identities_ok"] is True
         assert data["lower_bound_a"] == data["lower_bound_ap"] == 2.0
+
+    @pytest.mark.parametrize("n_pairs, bound_a", [(1, 1.0), (4, 0.5)])
+    def test_tie_binds_the_first_labelling(self, capsys, n_pairs, bound_a):
+        """Both labellings give x^2 + y^2 = 1 here; the first, (x, y) = (1, 0), binds."""
+        code = run(["verify-bounds", "--table", "0.5", "0.5", "0.5", "0.5", "--N", str(n_pairs)])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["lower_bound_a"], data["lower_bound_ap"]) == (bound_a, 0.0)
 
     def test_causal_table_over_tsirelson_exits_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(nsbox.cli, "tsirelson_check", lambda table: False)
@@ -789,6 +807,47 @@ def stored_report(tmp_path_factory):
          "--out", str(run_dir / "r.json"), "--dump-batches", str(run_dir / "b.csv")])
     report = json.loads((run_dir / "r.json").read_text())
     return json.dumps({**report, "batches_csv": "b.csv"})
+
+
+#: JSON texts of every kind of value: a config field given any of them is
+#: taken or listed as a config error, never a crash.
+JSON_VALUES = ["null", "true", "false", "0", "-1", "1.5", '"x"', "[]", "[1]", "{}", '{"a": 1}',
+               "1e400"]
+#: Small valid sections that the field under test joins; export's run_dir
+#: holds one stored report.
+SMALL_SECTIONS = {
+    "simulate-signalling": {"N": 4, "reps": 16, "group_size": 8},
+    "verify-bounds": {"table": [0.5, 0.5, 0.5, -0.5]},
+    "scan-frontier": {"resolution": 11},
+    "couplings": {},
+    "export": {"run_dir": "run", "out_dir": "csv"},
+}
+
+
+def _config_field_cases():
+    for command in SMALL_SECTIONS:
+        namespace = vars(nsbox.cli.build_parser().parse_args([command]))
+        for field in sorted(set(namespace) - {"command", "func", "config"}):
+            for value in JSON_VALUES:
+                yield pytest.param(command, field, value, id=f"{command}-{field}-{value}")
+
+
+@pytest.mark.parametrize("command, field, value", _config_field_cases())
+def test_every_config_field_takes_any_json_value(tmp_path, monkeypatch, capsys, stored_report,
+                                                 command, field, value):
+    """Each JSON value in each field of each command ends in success, a
+    config error or an i/o error: never exit 1, which means verify-bounds
+    found a broken implication, and never a traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "r.json").write_text(stored_report)
+    section = {k: v for k, v in SMALL_SECTIONS[command].items() if k != field}
+    text = json.dumps({command.replace("-", "_"): {**section, field: "@"}})
+    (tmp_path / "cfg.json").write_text(text.replace('"@"', value))
+    code = run([command, "--config", "cfg.json"])
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3), captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 class TestExport:

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsbox.boxes import A, A_PRIME, CorrelationTable
+from nsbox.boxes import A, A_PRIME, AliceSetting, CorrelationTable
+from nsbox.cli import main
 from nsbox.coupling import (
     CORR_TOL,
     CouplingObjective,
@@ -147,8 +149,7 @@ def reference_extremal_coupling(c_xb, c_xbp, objective, alice_setting=A) -> Trip
     """The LP's optimal coupling, with each exact cell rounded once."""
     best_min, best_max = _enumerate_optima(c_xb, c_xbp)
     chosen = best_min if objective is CouplingObjective.MIN_DISAGREE else best_max
-    pmf = np.array([float(v) for v in chosen[1]]).reshape(2, 2, 2)
-    return TripleCoupling(alice_setting, pmf)
+    return TripleCoupling(alice_setting, [float(v) for v in chosen[1]])
 
 
 #: Targets where rounding or a degenerate Frechet segment could go wrong.
@@ -178,14 +179,14 @@ class TestClosedFormMatchesLP:
     @pytest.mark.parametrize("objective", [MIN_D, MAX_D])
     def test_edge_targets(self, targets, objective):
         reference = reference_extremal_coupling(*targets, objective)
-        assert extremal_coupling(*targets, objective).pmf.tobytes() == reference.pmf.tobytes()
+        assert extremal_coupling(*targets, objective).flat.tobytes() == reference.flat.tobytes()
 
     @given(unit_floats, unit_floats, st.sampled_from([MIN_D, MAX_D]))
     @example(0.5, 0.5 + 2**-53, MIN_D)
     @example(1e-20, -1e-20, MAX_D)
     def test_bytes_equal_anywhere(self, c1, c2, objective):
         reference = reference_extremal_coupling(c1, c2, objective)
-        assert extremal_coupling(c1, c2, objective).pmf.tobytes() == reference.pmf.tobytes()
+        assert extremal_coupling(c1, c2, objective).flat.tobytes() == reference.flat.tobytes()
 
 
 class TestExtremalCoupling:
@@ -262,7 +263,7 @@ class TestCouplingsForTable:
         for got, want in zip(couplings_for_table(CorrelationTable(*past)),
                              couplings_for_table(CorrelationTable(*clamped))):
             assert got.alice_setting == want.alice_setting
-            assert got.pmf.tobytes() == want.pmf.tobytes()
+            assert got.flat.tobytes() == want.flat.tobytes()
 
     @pytest.mark.parametrize("c", [0.5, 0.55, 0.8, 1.0])
     def test_relabelling_b_prime_flips_the_jp_axis(self, c):
@@ -272,7 +273,7 @@ class TestCouplingsForTable:
         relabelled = couplings_for_table(CorrelationTable(c, -c, c, c))
         for got, want in zip(relabelled, tilted):
             assert got.alice_setting == want.alice_setting
-            assert got.pmf.tobytes() == want.pmf[:, :, ::-1].tobytes()
+            assert got.flat.tobytes() == want.flat.reshape(2, 2, 2)[:, :, ::-1].tobytes()
 
     def test_extremal_coupling_stays_strict(self):
         with pytest.raises(ValueError, match="must be a target correlation in"):
@@ -314,13 +315,14 @@ class TestCouplingBounds:
 class TestScalarExtremalCouplings:
     def test_pr_limit(self):
         under_a, under_ap = pr_limit_couplings()
+        pmf_a, pmf_ap = (k.flat.reshape(2, 2, 2) for k in (under_a, under_ap))
         # b = b' = a: only the all-equal cells carry mass
-        assert under_a.pmf[0, 0, 0] == 0.5
-        assert under_a.pmf[1, 1, 1] == 0.5
+        assert pmf_a[0, 0, 0] == 0.5
+        assert pmf_a[1, 1, 1] == 0.5
         assert under_a.flat.sum() == 1.0
         # b = a', b' = -a'
-        assert under_ap.pmf[0, 0, 1] == 0.5
-        assert under_ap.pmf[1, 1, 0] == 0.5
+        assert pmf_ap[0, 0, 1] == 0.5
+        assert pmf_ap[1, 1, 0] == 0.5
 
     def test_half(self):
         under_a, under_ap = make_scalar_extremal_couplings(0.5)
@@ -348,7 +350,7 @@ class TestValidateCoupling:
         assert validate_coupling(k, (0.4, 0.1)).ok
 
     def test_unnormalized_fails_with_residual(self):
-        pmf = np.full(8, 0.99 / 8).reshape(2, 2, 2)
+        pmf = np.full(8, 0.99 / 8)
         report = validate_coupling(TripleCoupling(A, pmf), (0.0, 0.0))
         assert not report.ok
         assert report.residuals["normalization"] == pytest.approx(0.01, abs=1e-15)
@@ -357,19 +359,19 @@ class TestValidateCoupling:
         # shift 0.05 between agreeing cells that differ in j: correlations with i
         # survive only partially but the j marginal must break
         k = extremal_coupling(0.0, 0.0, MIN_D)
-        pmf = k.pmf.copy()
+        pmf = k.flat.reshape(2, 2, 2).copy()
         pmf[0, 0, 0] += 0.05
         pmf[0, 1, 1] -= 0.05
-        report = validate_coupling(TripleCoupling(A, pmf), (0.0, 0.0))
+        report = validate_coupling(TripleCoupling(A, pmf.ravel()), (0.0, 0.0))
         assert not report.ok
         assert report.residuals["marginal_j"] > 1e-3
 
     def test_wrong_party_rejected(self):
         with pytest.raises(ValueError):
-            TripleCoupling("b", np.full((2, 2, 2), 0.125))
+            TripleCoupling("b", np.full(8, 0.125))
 
     def test_label_gives_the_member(self):
-        assert TripleCoupling("a'", np.full((2, 2, 2), 0.125)).alice_setting is A_PRIME
+        assert TripleCoupling("a'", np.full(8, 0.125)).alice_setting is A_PRIME
 
 
 def numpy_validation_ok(k: TripleCoupling, targets=None) -> bool:
@@ -393,27 +395,30 @@ DEFECTIVE_PMFS = {
 
 
 class TestTripleCoupling:
-    """The cells are eight Python floats; the arrays are views built on demand."""
+    """The cells are eight Python floats in flat cell order; `flat` and
+    `pair_cells` are views built on demand."""
 
-    PMF = extremal_coupling(0.3, -0.7, MAX_D).pmf
+    PMF = extremal_coupling(0.3, -0.7, MAX_D).flat
 
     def test_arrays_lists_and_tuples_give_the_same_cells(self):
-        nested = self.PMF.tolist()
-        tuples = tuple(tuple(tuple(row) for row in plane) for plane in nested)
-        for form in (self.PMF, self.PMF.copy(), nested, tuples):
+        for form in (self.PMF, self.PMF.copy(), self.PMF.tolist(), tuple(self.PMF.tolist()),
+                     np.full(8, 0.125)):
             k = TripleCoupling(A, form)
-            assert k.pmf.tobytes() == self.PMF.tobytes()
-            assert k.cells == tuple(self.PMF.reshape(8).tolist())
+            assert k.flat.tobytes() == np.asarray(form, dtype=float).tobytes()
+            assert k.cells == tuple(np.asarray(form).tolist())
             assert all(type(p) is float for p in k.cells)
 
     def test_input_array_is_copied(self):
-        source = np.full((2, 2, 2), 0.125)
+        source = np.full(8, 0.125)
         k = TripleCoupling(A, source)
-        source[0, 0, 0] = 0.5
+        source[0] = 0.5
         assert k.cells == (0.125,) * 8
 
     @pytest.mark.parametrize("pmf", [
-        np.full(8, 0.125),
+        np.full((2, 2, 2), 0.125),
+        np.full((2, 2, 2), 0.125).tolist(),
+        np.full(7, 0.125),
+        [0.125] * 9,
         np.full((2, 2, 2, 1), 0.125),
         np.full((2, 4), 0.25),
         np.full((4, 2, 1), 0.125),
@@ -426,41 +431,81 @@ class TestTripleCoupling:
         [[0.25, 0.25], [0.25, 0.25]],
         0.125,
         None,
-    ], ids=["flat", "4-d", "2x4", "4x2x1", "short-row", "short-plane", "long-row",
-            "deep-cell", "array-cells", "size-1-array-cells", "2x2", "scalar", "none"])
+    ], ids=["2x2x2", "2x2x2-list", "7-cells", "9-cells", "4-d", "2x4", "4x2x1", "short-row",
+            "short-plane", "long-row", "deep-cell", "array-cells", "size-1-array-cells", "2x2",
+            "scalar", "none"])
     def test_wrong_shape_rejected(self, pmf):
-        with pytest.raises(ValueError, match=r"\(2, 2, 2\)"):
+        with pytest.raises(ValueError, match="^cells must be 8 numbers in flat cell order, got "):
             TripleCoupling(A, pmf)
+
+    @pytest.mark.parametrize("cell", [[0.125], (0.125,), np.full(1, 0.125), np.full(2, 0.0625)],
+                             ids=["list", "tuple", "size-1-array", "array"])
+    def test_nested_cell_rejected(self, cell):
+        with pytest.raises(ValueError, match="^cell must be a finite real, got "):
+            TripleCoupling(A, [0.125] * 7 + [cell])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
-        pmf = np.full((2, 2, 2), 0.125)
-        pmf[1, 0, 1] = bad
+        pmf = np.full(8, 0.125)
+        pmf[5] = bad
         for form in (pmf, pmf.tolist()):
             with pytest.raises(ValueError, match="finite"):
                 TripleCoupling(A, form)
 
     def test_arrays_are_read_only(self):
         k = TripleCoupling(A, self.PMF)
-        for array in (k.pmf, k.flat, k.pmf.base):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1.0
-        with pytest.raises(AttributeError, match="immutable"):
+        with pytest.raises(ValueError, match="read-only"):
+            k.flat[0] = 1.0
+        with pytest.raises(AttributeError, match="^cannot assign to field 'cells'$"):
             k.cells = (0.125,) * 8
-        assert k.pmf is k.pmf
+        assert k.flat is k.flat
 
-    @pytest.mark.parametrize("name", ["cells", "pmf", "validation"])
+    @pytest.mark.parametrize("name", ["cells", "flat", "pair_cells", "validation"])
     @pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
     def test_attributes_cannot_be_deleted(self, name, used):
         k = make_scalar_extremal_couplings(0.8)[0]
         cells = k.cells
         if used:
-            k.pmf, k.validation
-        with pytest.raises(AttributeError, match="^TripleCoupling is immutable$"):
+            k.flat, k.pair_cells, k.validation
+        with pytest.raises(AttributeError, match=f"^cannot delete field {name!r}$"):
             delattr(k, name)
         assert k.cells == cells
         assert k.validation.ok
-        assert k.pmf.tobytes() == np.array(cells).tobytes()
+        assert k.flat.tobytes() == np.array(cells).tobytes()
+
+    def test_repr_shows_the_setting_and_cells(self):
+        k = TripleCoupling(A_PRIME, [0.5, 0, 0, 0, 0, 0, 0, 0.5])
+        assert repr(k) == ("TripleCoupling(alice_setting=<AliceSetting.A_PRIME: \"a'\">, "
+                           "cells=(0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5))")
+
+    @pytest.mark.parametrize("argv", [["--C", "0.8"], ["--targets", "-0.2", "0.6"]],
+                             ids=["scalar-pair", "targets"])
+    def test_json_rebuilds_the_coupling(self, tmp_path, capsys, argv):
+        """The constructor takes what `coupling_to_json` writes: the setting
+        label and the "pmf" list of cells."""
+        out = tmp_path / "couplings.json"
+        assert main(["couplings", *argv, "--out", str(out)]) == 0
+        written = json.loads(out.read_text())["couplings"]
+        if argv[0] == "--C":
+            built = dict(zip(["under_a", "under_aprime"], make_scalar_extremal_couplings(0.8)))
+        else:
+            built = {o.value: extremal_coupling(-0.2, 0.6, o) for o in (MIN_D, MAX_D)}
+        assert sorted(written) == sorted(built)
+        for arm, k in built.items():
+            d = coupling_to_json(k)
+            assert d == written[arm]
+            rebuilt = TripleCoupling(AliceSetting(d["alice_setting"]), d["pmf"])
+            assert rebuilt.cells == k.cells
+            assert rebuilt == k
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(unit_floats, min_size=4, max_size=4))
+    def test_pair_marginal_is_the_planes_summed(self, entries):
+        """`pair_marginal` holds `pair_cells` with the bits numpy's sum of the two i planes gives."""
+        for k in couplings_for_table(CorrelationTable(*entries)):
+            summed = k.flat.reshape(2, 2, 2).sum(axis=0)
+            assert k.pair_marginal().tobytes() == summed.tobytes()
+            assert k.pair_marginal().ravel().tolist() == list(k.pair_cells)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -475,14 +520,14 @@ class TestTripleCoupling:
         for k, t in zip(couplings_for_table(table), targets):
             cells = list(k.cells)
             cells[cell] += shift
-            shifted = TripleCoupling(k.alice_setting, np.array(cells).reshape(2, 2, 2))
+            shifted = TripleCoupling(k.alice_setting, np.array(cells))
             for coupling in (k, shifted):
                 assert validate_coupling(coupling).ok == numpy_validation_ok(coupling)
                 assert validate_coupling(coupling, t).ok == numpy_validation_ok(coupling, t)
 
     @pytest.mark.parametrize("defect", sorted(DEFECTIVE_PMFS))
     def test_validation_agrees_with_numpy_on_defects(self, defect):
-        k = TripleCoupling(A, DEFECTIVE_PMFS[defect].reshape(2, 2, 2))
+        k = TripleCoupling(A, DEFECTIVE_PMFS[defect])
         assert not numpy_validation_ok(k)
         assert not validate_coupling(k).ok
 

@@ -167,9 +167,7 @@ class TestSampling:
 # ---------------------------------------------------------------------------
 
 #: All eight cells carry distinct, non-dyadic mass.
-GOLDEN_COUPLING = TripleCoupling(
-    A, np.array([0.05, 0.2, 0.1, 0.15, 0.125, 0.075, 0.17, 0.13]).reshape(2, 2, 2)
-)
+GOLDEN_COUPLING = TripleCoupling(A, [0.05, 0.2, 0.1, 0.15, 0.125, 0.075, 0.17, 0.13])
 
 #: Batches on both sides of the first chunk boundary, recorded with the
 #: searchsorted kernel that `reference_sample_batches` keeps.
@@ -263,7 +261,7 @@ class TestDeterminismContract:
         seed=st.integers(0, 2**64 - 1),
     )
     def test_matches_reference_kernel(self, weights, n_pairs, start, n_batches, sigma, seed):
-        pmf = np.array(weights, dtype=float).reshape(2, 2, 2) / sum(weights)
+        pmf = np.array(weights, dtype=float) / sum(weights)
         coupling = TripleCoupling(A, pmf)
         args = (coupling, n_pairs, n_batches, NoiseModel(sigma), seed)
         assert_bit_identical(
@@ -292,7 +290,7 @@ class TestDeterminismContract:
     @pytest.mark.parametrize("n_pairs", [1, 16, 300])
     def test_edge_bounds_match_reference_kernel(self, pmf, cdf_property, n_pairs):
         assert cdf_property(np.cumsum(pmf)[:7])
-        coupling = TripleCoupling(A, np.array(pmf).reshape(2, 2, 2))
+        coupling = TripleCoupling(A, pmf)
         for sigma in (0.0, 0.1):
             args = (coupling, n_pairs, 300, NoiseModel(sigma), 2**63 + 3)
             assert_bit_identical(
@@ -336,7 +334,7 @@ class TestDeterminismContract:
             "from nsbox.coupling import TripleCoupling",
             "from nsbox.macro import NoiseModel, sample_batches",
             "assert not any(m.startswith('scipy') for m in sys.modules)",
-            f"pmf = np.array({GOLDEN_COUPLING.flat.tolist()}).reshape(2, 2, 2)",
+            f"pmf = np.array({GOLDEN_COUPLING.flat.tolist()})",
             f"arrays = sample_batches(TripleCoupling(A, pmf), {n_pairs}, 1, NoiseModel({sigma}),"
             f" {seed}, stream={stream}, start={index})",
             "assert not any(m.startswith('scipy') for m in sys.modules)",
@@ -378,19 +376,19 @@ class TestDeterminismContract:
     )
     def test_rejects_mass_deficit(self, pmf):
         # a real deficit (or excess) would pile the missing mass onto cell 7
-        coupling = TripleCoupling(A, np.array(pmf).reshape(2, 2, 2))
+        coupling = TripleCoupling(A, pmf)
         with pytest.raises(ValueError, match="must sum to 1") as error:
             sample_batches(coupling, 16, 300, NOISELESS, seed=4)
         assert repr(float(coupling.flat.sum())) in str(error.value)
 
     def test_rejects_negative_mass(self):
-        pmf = np.array([0.3, -0.05, 0.25, 0.0, 0.0, 0.25, 0.0, 0.25]).reshape(2, 2, 2)
+        pmf = np.array([0.3, -0.05, 0.25, 0.0, 0.0, 0.25, 0.0, 0.25])
         with pytest.raises(ValueError, match="nonnegative"):
             sample_batches(TripleCoupling(A, pmf), 4, 10, NOISELESS, seed=1)
 
     def test_rejects_non_finite_mass(self):
         # TripleCoupling refuses NaN, so plant one behind its back
-        coupling = TripleCoupling(A, np.full((2, 2, 2), 0.125))
+        coupling = TripleCoupling(A, np.full(8, 0.125))
         object.__setattr__(coupling, "cells", (math.nan,) * 8)
         with pytest.raises(ValueError, match="finite"):
             sample_batches(coupling, 4, 10, NOISELESS, seed=1)

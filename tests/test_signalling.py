@@ -131,7 +131,7 @@ class TestBatchLaw:
         assert laws == [batch_law(make_scalar_extremal_couplings(0.75)[0], 6)[1].tobytes()] * 3
 
     def test_defective_coupling_raises_on_every_call(self):
-        bad = TripleCoupling(A, np.full((2, 2, 2), 0.25))
+        bad = TripleCoupling(A, np.full(8, 0.25))
         messages = []
         for _ in range(2):
             with pytest.raises(ValueError, match="coupling under a is defective") as error:
@@ -327,7 +327,7 @@ class TestExactTv:
     )
     def test_defective_coupling_rejected(self, pmf, sigma):
         """Summed as laws, these couplings give a 'TV' of 7.5 and of 1.1257."""
-        bad = TripleCoupling(A, pmf.reshape(2, 2, 2))
+        bad = TripleCoupling(A, pmf)
         k_ap = make_scalar_extremal_couplings(1.0)[1]
         with pytest.raises(ValueError, match="coupling under a is defective"):
             exact_tv_distance(bad, k_ap, 4, NoiseModel(sigma))
@@ -432,7 +432,7 @@ class TestExactTv:
         two cells into each pair cell, so the shortcut's 0.0 is the TV of
         their reference laws."""
         k = couplings_for_table(CorrelationTable(*entries))[index]
-        mirror = TripleCoupling(A_PRIME, k.pmf[::-1])
+        mirror = TripleCoupling(A_PRIME, k.flat.reshape(2, 2, 2)[::-1].ravel())
         assert mirror.cells == k.cells[4:] + k.cells[:4]
         laws = [reference_batch_law(c, n_pairs)[1] for c in (k, mirror)]
         tv = exact_tv_distance(k, mirror, n_pairs, NoiseModel(sigma))
@@ -446,7 +446,7 @@ class TestExactTv:
                 exact_tv_distance(k_a, k_ap, n_pairs, NoiseModel(sigma))
 
     def test_equal_pair_marginals_still_check_the_couplings_and_noise(self):
-        bad = TripleCoupling(A, np.full((2, 2, 2), 0.25))
+        bad = TripleCoupling(A, np.full(8, 0.25))
         k_a, k_ap = make_scalar_extremal_couplings(0.5)
         for sigma in (0.0, 0.1):
             with pytest.raises(ValueError, match="^coupling under a is defective"):
@@ -458,7 +458,15 @@ class TestExactTv:
         with pytest.raises(ValueError, match="^n_pairs"):
             exact_tv_distance(bad, bad, 13, 0.1)
         with pytest.raises(ValueError, match="^coupling under a is defective"):
-            exact_tv_distance(bad, TripleCoupling(A_PRIME, bad.pmf), 4, 0.1)
+            exact_tv_distance(bad, TripleCoupling(A_PRIME, bad.flat), 4, 0.1)
+
+    def test_huge_sigma_bounded(self):
+        """Past `_MAX_SIGMA` the noise is refused before 1 + 7 sigma overflows
+        the grid count; at it the distance is 0.0, far below the accuracy."""
+        pair = make_scalar_extremal_couplings(1.0)
+        with pytest.raises(ValueError, match=r"^sigma must be a real in \[0, 1e\+100\], got 3e\+307$"):
+            exact_tv_distance(*pair, 4, NoiseModel(3e307))
+        assert exact_tv_distance(*pair, 4, NoiseModel(1e100)) == 0.0
 
     def test_kernel_matches_reference_bit_for_bit(self):
         """The tiled kernel against the untiled one at one BLAS thread, as the
@@ -998,7 +1006,7 @@ class TestRunProtocol:
     )
     def test_defective_coupling_rejected(self, defect, pmf):
         cfg = ProtocolConfig(n_pairs=4, repetitions=64, noise=NOISELESS, group_size=8)
-        bad = TripleCoupling(A_PRIME, pmf.reshape(2, 2, 2))
+        bad = TripleCoupling(A_PRIME, pmf)
         with pytest.raises(ValueError, match="coupling under a' is defective"):
             run_protocol(PR_A, bad, cfg, seed=1)
 
@@ -1486,5 +1494,5 @@ class TestCouplingsForTable:
     def test_matches_scalar_construction_for_tilted(self):
         k_a, k_ap = couplings_for_table(CorrelationTable(0.6, 0.6, 0.6, -0.6))
         s_a, s_ap = make_scalar_extremal_couplings(0.6)
-        assert np.allclose(k_a.pmf, s_a.pmf, atol=1e-12)
-        assert np.allclose(k_ap.pmf, s_ap.pmf, atol=1e-12)
+        assert np.allclose(k_a.flat, s_a.flat, atol=1e-12)
+        assert np.allclose(k_ap.flat, s_ap.flat, atol=1e-12)
