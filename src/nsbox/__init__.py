@@ -13,8 +13,7 @@ import importlib
 #: Each module and the names the package exports from it.
 _MODULES = {
     "boxes": (
-        "A", "A_PRIME", "AliceSetting", "CorrelationTable", "Locality", "chsh",
-        "chsh_variants", "classify_locality",
+        "A", "A_PRIME", "AliceSetting", "CorrelationTable", "Locality", "chsh", "classify_locality",
     ),
     "causality": (
         "TSIRELSON_BOUND", "CausalityCheck", "FrontierReport", "causality_condition",

@@ -15,7 +15,8 @@ import operator
 from dataclasses import asdict, astuple, dataclass
 
 NORM_TOL = 1e-12
-CHSH_LOCAL_TOL = 1e-12
+#: Slack on a bound of the term sums: locality's 2, Tsirelson's 2 sqrt(2), causality's 4.
+BOUND_TOL = 1e-12
 
 
 class AliceSetting(enum.Enum):
@@ -27,6 +28,11 @@ class AliceSetting(enum.Enum):
 
 A = AliceSetting.A
 A_PRIME = AliceSetting.A_PRIME
+
+_MAX_SEED = 2**64
+#: The largest noise level: from about 1e6 on the noisy TV is below the exact
+#: oracle's 1e-6 accuracy, and near 1e153 squared noise overflows a float.
+_MAX_SIGMA = 1e100
 
 
 def _checked_int(value, name: str, what: str, low: int, high: float = math.inf) -> int:
@@ -98,20 +104,16 @@ def chsh(table: CorrelationTable) -> float:
     return table.c_ab + table.c_abp + table.c_apb - table.c_apbp
 
 
-def chsh_variants(table: CorrelationTable) -> tuple[float, float, float, float]:
-    """The four CHSH combinations (one minus sign each); their ±abs give all eight."""
-    t = table.as_tuple()
-    signs = (
-        (1, 1, 1, -1),
-        (1, 1, -1, 1),
-        (1, -1, 1, 1),
-        (-1, 1, 1, 1),
-    )
-    return tuple(sum(s * v for s, v in zip(sg, t)) for sg in signs)
+def _term_pairs(c_ab: float, c_abp: float, c_apb: float, c_apbp: float):
+    """((|x|, |y|), (|u|, |v|)): x, y = C(a,b)+C(a,b'), C(a',b)-C(a',b') and u, v the pair
+    with b' negated.  The eight signed CHSH values are +/-(x +/- y) and +/-(u +/- v), and
+    max(|p + q|, |p - q|) is |p| + |q| to the last bit: the larger sum is the largest |CHSH|."""
+    return ((abs(c_ab + c_abp), abs(c_apb - c_apbp)),
+            (abs(c_ab - c_abp), abs(c_apb + c_apbp)))
 
 
 def classify_locality(table: CorrelationTable) -> Locality:
-    """LOCAL iff all eight signed CHSH combinations stay within 2.
+    """LOCAL iff all eight signed CHSH combinations, read as `_term_pairs` sums, stay within 2.
 
     For two settings and two uniform-marginal outcomes per party this
     inequality family (with |C| <= 1) is the complete facet description of
@@ -119,5 +121,5 @@ def classify_locality(table: CorrelationTable) -> Locality:
     membership among the 16 deterministic boxes.  The tests check it against
     a linear program over those vertices.
     """
-    bound = max(abs(v) for v in chsh_variants(table))
-    return Locality.LOCAL if bound <= 2.0 + CHSH_LOCAL_TOL else Locality.NONLOCAL
+    bound = max(p + q for p, q in _term_pairs(*table.as_tuple()))
+    return Locality.LOCAL if bound <= 2.0 + BOUND_TOL else Locality.NONLOCAL

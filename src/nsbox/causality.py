@@ -26,9 +26,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .boxes import CorrelationTable, _checked_int, _checked_real, chsh, chsh_variants
+from .boxes import BOUND_TOL, CorrelationTable, _checked_int, _checked_real, _term_pairs, chsh
 
-CAUSALITY_TOL = 1e-12
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 
@@ -54,18 +53,10 @@ class FrontierReport:
 # ---------------------------------------------------------------------------
 
 def _binding_terms(table: CorrelationTable) -> tuple[float, float]:
-    """(|x|, |y|) of the causality terms under the binding labelling.
-
-    Relabelling outcomes or settings only swaps or negates the terms of
-    x, y = C(a,b)+C(a,b'), C(a',b)-C(a',b') or of the pair with b' negated,
-    C(a,b)-C(a,b'), C(a',b)+C(a',b'); the larger x^2 + y^2 binds (the first
-    on a tie).
-    """
-    x, y = table.c_ab + table.c_abp, table.c_apb - table.c_apbp
-    u, v = table.c_ab - table.c_abp, table.c_apb + table.c_apbp
-    if u * u + v * v > x * x + y * y:
-        x, y = u, v
-    return abs(x), abs(y)
+    """(|x|, |y|) of the causality terms under the binding labelling: relabelling
+    outcomes or settings only swaps or negates the terms of either `_term_pairs`
+    pair, and the larger x^2 + y^2 binds (the first on a tie)."""
+    return max(_term_pairs(*table.as_tuple()), key=lambda t: t[0] * t[0] + t[1] * t[1])
 
 
 def variance_lower_bound_a(table: CorrelationTable, n_pairs: int) -> float:
@@ -88,12 +79,12 @@ def causality_lhs(table: CorrelationTable) -> float:
 def causality_condition(table: CorrelationTable) -> CausalityCheck:
     """The quadratic no-signalling constraint on the correlations."""
     lhs = causality_lhs(table)
-    return CausalityCheck(ok=lhs <= 4.0 + CAUSALITY_TOL, lhs=lhs, margin=4.0 - lhs)
+    return CausalityCheck(ok=lhs <= 4.0 + BOUND_TOL, lhs=lhs, margin=4.0 - lhs)
 
 
 def tsirelson_check(table: CorrelationTable) -> bool:
     """Every |CHSH| within 2 sqrt(2); implied whenever the causality condition holds."""
-    return max(map(abs, chsh_variants(table))) <= TSIRELSON_BOUND + CAUSALITY_TOL
+    return max(p + q for p, q in _term_pairs(*table.as_tuple())) <= TSIRELSON_BOUND + BOUND_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import sys
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from .boxes import CorrelationTable, _checked_int, _checked_real, chsh
+from .boxes import _MAX_SEED, _MAX_SIGMA, CorrelationTable, _checked_int, _checked_real, chsh
 from .causality import (
     causality_condition,
     frontier_grid,
@@ -231,7 +231,7 @@ def _envelope(args, **fields) -> dict:
 
 def cmd_simulate_signalling(args) -> int:
     from .coupling import make_scalar_extremal_couplings
-    from .macro import _MAX_SEED, _MAX_SIGMA, NoiseModel, write_batches_csv
+    from .macro import NoiseModel, write_batches_csv
     from .signalling import (
         ARMS, ProtocolConfig, draw_arms, protocol_batches, report_to_json, score_arms,
     )
@@ -414,7 +414,8 @@ def _sweep_row(data) -> SweepRow:
         c=_checked_real(cfg["C"], "C", "a real in [0, 1]", 0.0, 1.0),
         n_pairs=_checked_int(cfg["N"], "N", "a positive integer", 1),
         repetitions=_checked_int(cfg["reps"], "reps", "a positive integer", 1),
-        sigma=_checked_real(cfg["sigma"], "sigma", "a nonnegative real", 0.0),
+        sigma=_checked_real(cfg["sigma"], "sigma", f"a real in [0, {_MAX_SIGMA:g}]", 0.0,
+                            _MAX_SIGMA),
         detector=Detector(cfg["detector"]),
         report=report_from_json(data["report"]),
     )

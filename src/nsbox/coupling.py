@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boxes import A, A_PRIME, AliceSetting, CorrelationTable, _checked_real
+from .boxes import A, A_PRIME, AliceSetting, CorrelationTable, _checked_real, _term_pairs
 
 CORR_TOL = 1e-9
 
@@ -176,12 +176,13 @@ def couplings_for_table(table: CorrelationTable) -> tuple[TripleCoupling, Triple
     top, and the pair signals more than it must: one common E[jj'] would not
     signal at all (the least-signalling couplings item of ROADMAP.md).
     Entries the table allows up to `NORM_TOL` past +/-1 count as +/-1."""
-    c_ab, c_abp, c_apb, c_apbp = (min(1.0, max(-1.0, c)) for c in table.as_tuple())
+    entries = [min(1.0, max(-1.0, c)) for c in table.as_tuple()]
     objectives = [CouplingObjective.MAX_DISAGREE, CouplingObjective.MIN_DISAGREE]
-    if abs(c_ab - c_abp) + abs(c_apb + c_apbp) >= 2.0:
+    u, v = _term_pairs(*entries)[1]
+    if u + v >= 2.0:
         objectives.reverse()
-    return (extremal_coupling(c_ab, c_abp, objectives[0], alice_setting=A),
-            extremal_coupling(c_apb, c_apbp, objectives[1], alice_setting=A_PRIME))
+    return (extremal_coupling(*entries[:2], objectives[0], alice_setting=A),
+            extremal_coupling(*entries[2:], objectives[1], alice_setting=A_PRIME))
 
 
 def validate_coupling(

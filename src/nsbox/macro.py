@@ -24,7 +24,9 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .boxes import A, A_PRIME, AliceSetting, _checked_instance, _checked_int, _checked_real
+from .boxes import (
+    _MAX_SEED, _MAX_SIGMA, A, A_PRIME, AliceSetting, _checked_instance, _checked_int, _checked_real,
+)
 from .coupling import CORR_TOL, I_VALUES, J_VALUES, JP_VALUES, TripleCoupling
 from .records import csv_rows
 
@@ -37,10 +39,6 @@ _PARALLEL_UNIFORMS = 2**20
 #: +1 outcomes of i, j, j' (r = 0, 1, 2): cell k's +1 marks minus cell k+1's.
 #: All N pairs add nothing, as cell 7 is (-, -, -).
 _PLUS_ONE_STEPS = -np.diff((np.stack([I_VALUES, J_VALUES, JP_VALUES]) > 0).astype(np.int64))
-_MAX_SEED = 2**64
-#: The largest noise level: from about 1e6 on the noisy TV is below the exact
-#: oracle's 1e-6 accuracy, and near 1e153 squared noise overflows a float.
-_MAX_SIGMA = 1e100
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ Independent checks:
 - `local_hull_membership` decides locality by a linear program over the 16
   `deterministic_tables`, against `classify_locality`'s eight CHSH
   inequalities;
+- `chsh_variants` sums the four CHSH combinations term by term, against the
+  two term sums that `classify_locality` and `tsirelson_check` read;
 - `mean_square_check` tests the sampler's batch means against the 1/N law
   of <B^2>;
 - `reference_batch_law` sums the exact batch law one cell-count triple at a
@@ -92,6 +94,18 @@ def local_hull_membership(table: CorrelationTable) -> HullMembership:
         raise RuntimeError(f"hull membership LP failed: {res.message}")
     dist = float(res.fun)
     return HullMembership(inside=dist <= 1e-9, distance=dist)
+
+
+def chsh_variants(table: CorrelationTable) -> tuple[float, float, float, float]:
+    """The four CHSH combinations (one minus sign each); their ±abs give all eight."""
+    t = table.as_tuple()
+    signs = (
+        (1, 1, 1, -1),
+        (1, 1, -1, 1),
+        (1, -1, 1, 1),
+        (-1, 1, 1, 1),
+    )
+    return tuple(sum(s * v for s, v in zip(sg, t)) for sg in signs)
 
 
 @dataclass(frozen=True)

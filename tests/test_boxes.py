@@ -13,7 +13,6 @@ from nsbox.boxes import (
     CorrelationTable,
     Locality,
     chsh,
-    chsh_variants,
     classify_locality,
 )
 from nsbox.causality import frontier_grid, frontier_scan
@@ -28,7 +27,7 @@ from nsbox.coupling import (
 from nsbox.macro import NoiseModel, sample_batches
 from nsbox.records import report_from_json
 from nsbox.signalling import ProtocolConfig, advantage_ceiling, batch_law, postselect_guess_a
-from oracles import deterministic_tables, local_hull_membership
+from oracles import chsh_variants, deterministic_tables, local_hull_membership
 
 SQRT2 = math.sqrt(2.0)
 

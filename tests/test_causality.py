@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nsbox.causality
-from nsbox.boxes import CorrelationTable, chsh, chsh_variants
+from nsbox.boxes import CorrelationTable, chsh
 from nsbox.causality import (
     TSIRELSON_BOUND,
     causality_condition,
@@ -23,6 +23,7 @@ from oracles import (
     Combination,
     VarianceBudget,
     budget_from_table,
+    chsh_variants,
     critical_c_scalar,
     per_pair_variance,
     reference_frontier_scan,

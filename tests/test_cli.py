@@ -311,6 +311,32 @@ class TestSimulateSignalling:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("{bad", "config file unreadable: Expecting property name"),
+        ("[1]", "config file must hold a JSON object"),
+        ('{"verify_bounds": 3}', "config section 'verify_bounds' must be an object"),
+    ], ids=["not-json", "list", "section-not-object"])
+    def test_malformed_config_file(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        argv = ["verify-bounds", "--config", str(cfg), "--table", "0.5", "0.5", "0.5", "-0.5"]
+        assert run(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--detector", "cov", "--group-size", "1"],
+         "the covariance detector needs groups of at least 2 batches"),
+        (["--reps", "16", "--group-size", "32"], "repetitions must cover at least one group"),
+        (["--detector", "lr", "--N", "16"],
+         "likelihood detector enumerates exact laws, needs n_pairs <= 12"),
+    ], ids=["cov-single-batch-groups", "no-whole-group", "lr-too-many-pairs"])
+    def test_protocol_config_error_writes_nothing(self, tmp_path, capsys, argv, message):
+        """Fields each valid alone but not together: `ProtocolConfig`'s message, exit 2."""
+        outputs = ["--out", str(tmp_path / "r.json"), "--dump-batches", str(tmp_path / "b.csv")]
+        assert run(["simulate-signalling", *argv, *outputs]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"simulate_signalling": {"repse": 100, "seed": 1}}))
@@ -973,8 +999,12 @@ class TestExport:
             ({"n_used": 3.5}, "n_used must be a nonnegative integer, got 3.5"),
             ({"N": 8.7, "reps": "640", "C": True, "n_used": 3.5},
              "C must be a real in [0, 1], got True"),
+            # simulate-signalling refuses sigma above 1e100, and so does export
+            ({"sigma": 1e300}, "sigma must be a real in [0, 1e+100], got 1e+300"),
+            ({"advantage": 0.0}, "confidence interval must contain the advantage"),
         ],
-        ids=["fractional-N", "string-reps", "bool-C", "fractional-n_used", "all-four"],
+        ids=["fractional-N", "string-reps", "bool-C", "fractional-n_used", "all-four",
+             "huge-sigma", "advantage-outside-interval"],
     )
     def test_malformed_number_skips_the_report(self, tmp_path, capsys, edits, reason):
         """A hand-edited report whose stored numbers no longer read back as
@@ -983,7 +1013,7 @@ class TestExport:
         bad = run_dir / "pr.json"
         data = json.loads(bad.read_text())
         for key, value in edits.items():
-            (data["report"] if key == "n_used" else data["config"])[key] = value
+            (data["report"] if key in data["report"] else data["config"])[key] = value
         bad.write_text(json.dumps(data))
         capsys.readouterr()
         out_dir = tmp_path / "export"

@@ -64,7 +64,7 @@ def test_library_imports_no_scipy(path):
 #: Every name the package namespace exports, by the module that defines it.
 PACKAGE_EXPORTS = {
     "boxes": ("A", "A_PRIME", "AliceSetting", "CorrelationTable", "Locality", "chsh",
-              "chsh_variants", "classify_locality"),
+              "classify_locality"),
     "causality": ("TSIRELSON_BOUND", "CausalityCheck", "FrontierReport", "causality_condition",
                   "frontier_scan", "tsirelson_check", "variance_lower_bound_a",
                   "variance_lower_bound_ap"),

@@ -129,6 +129,8 @@ class TestSampling:
         (-1, 0, "stream must be a 32-bit unsigned integer"),
         (2**32, 0, "stream must be a 32-bit unsigned integer"),
         (1, -1, "start must be a nonnegative integer"),
+        # the chunk index fills the key word's low 32 bits
+        (1, 2**32 * CHUNK, "batch index out of range for the stream layout"),
     ])
     def test_rejects_keys_outside_their_bits(self, stream, start, field):
         # the key word is (stream << 32) | chunk: stream -1 drew stream 2**32 - 1's
@@ -136,6 +138,7 @@ class TestSampling:
         with pytest.raises(ValueError, match=field):
             sample_batches(UNIFORM, 4, 1, NOISELESS, seed=5, stream=stream, start=start)
         assert len(sample_batches(UNIFORM, 4, 1, NOISELESS, seed=5, stream=2**32 - 1)) == 1
+        assert len(sample_batches(UNIFORM, 4, 1, NOISELESS, seed=5, start=2**32 * CHUNK - 1)) == 1
 
     def test_numpy_integers_key_the_int_stream(self):
         noise = NoiseModel(0.1)

@@ -23,7 +23,7 @@ from scipy.stats import binomtest
 
 import nsbox.coupling
 import nsbox.signalling
-from nsbox.boxes import A, A_PRIME, CorrelationTable, chsh_variants
+from nsbox.boxes import A, A_PRIME, CorrelationTable
 from nsbox.coupling import (
     I_VALUES,
     J_VALUES,
@@ -61,7 +61,7 @@ from nsbox.signalling import (
     wilson_interval,
 )
 from nsbox.records import SWEEP_CSV_HEADER, write_sweep_csv
-from oracles import RELABELLINGS, pr_limit_couplings, reference_batch_law
+from oracles import RELABELLINGS, chsh_variants, pr_limit_couplings, reference_batch_law
 
 I_VALUES, J_VALUES, JP_VALUES = map(np.array, (I_VALUES, J_VALUES, JP_VALUES))  # tuples in nsbox
 
@@ -795,6 +795,18 @@ class TestVerdictRule:
         assert report.ci_low > 0.5
         assert chance_tail(4, 4) == 1 / 16
         assert report.verdict is Verdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_narrow_interval_around_half_is_no_signalling(self, seed):
+        """At identical laws 20,000 trials give a Wilson width of 0.0139,
+        below `NO_SIGNALLING_WIDTH`, around an advantage near 1/2."""
+        k_a, k_ap = make_scalar_extremal_couplings(0.5)
+        cfg = ProtocolConfig(n_pairs=4, repetitions=20_000, noise=NoiseModel(0.1), group_size=2)
+        report = run_protocol(k_a, k_ap, cfg, seed=seed)
+        assert report.n_trials == 20_000
+        assert report.ci_low <= 0.5 <= report.ci_high
+        assert report.ci_high - report.ci_low < NO_SIGNALLING_WIDTH
+        assert report.verdict is Verdict.NO_SIGNALLING
 
     def test_false_alarm_rate_at_most_the_level(self):
         """The exact chance, at identical laws, that n trials read SIGNALLING."""
