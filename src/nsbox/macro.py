@@ -5,11 +5,14 @@ them into A, B, B'.  Bob's weak measurement is modeled as independent
 additive Gaussian noise on B and B' (the batch means, not the pairs).
 
 Randomness is counter-based: batch b of stream s under seed k reads its
-uniforms from a fixed window of the Philox stream keyed (k, s, b // 4096),
-so any execution order, serial or parallel, reproduces the same values.
-A draw is cut into cache-sized units of rows; each unit reads its own
-window, counts its cells and writes its own rows, and large draws spread
-the units over the available cores with the same bits on any core count.
+64-bit words from a fixed window of the Philox stream keyed
+(k, s, b // 4096), so any execution order, serial or parallel, reproduces
+the same values.  Word w stands for the uniform (w >> 11) * 2**-53 that
+`Generator.random` makes of it, and a pair's cell is counted on the word
+itself, against one integer limit per cdf bound.  A draw is cut into
+cache-sized units of rows; each unit reads its own window, counts its
+cells and writes its own rows, and large draws spread the units over the
+available cores with the same bits on any core count.
 The read-out noise is the normal quantile of each batch's two noise
 uniforms, taken once per draw by a numpy port of the cephes `ndtri` that
 scipy runs, bit for bit, so no draw imports scipy.
@@ -31,9 +34,9 @@ from .coupling import CORR_TOL, I_VALUES, J_VALUES, JP_VALUES, TripleCoupling
 from .records import csv_rows
 
 CHUNK = 4096
-#: A unit of a draw holds at most this many uniforms: 2 MB, cache-sized.
+#: A unit of a draw holds at most this many 64-bit words: 2 MB, cache-sized.
 _UNIT_UNIFORMS = 2**18
-#: Draws of fewer uniforms than this stay on the calling thread.
+#: Draws of fewer words than this stay on the calling thread.
 _PARALLEL_UNIFORMS = 2**20
 #: Row r turns a batch's pair counts in cells 0..k (k < 7) into its count of
 #: +1 outcomes of i, j, j' (r = 0, 1, 2): cell k's +1 marks minus cell k+1's.
@@ -73,15 +76,25 @@ def _chunk_key(seed: int, stream: int, chunk_index: int) -> list[int]:
     return [seed, (stream << 32) | chunk_index]
 
 
-def _chunk_uniforms(
-    seed: int, stream: int, chunk_index: int, n_cols: int, offset: int = 0, rows: int = CHUNK
+def _chunk_words(
+    seed: int, stream: int, chunk_index: int, n_cols: int, offset: int, rows: int
 ) -> np.ndarray:
-    """Rows offset..offset+rows-1 of the chunk, skipping 4-uniform Philox blocks whole."""
+    """The 64-bit Philox words of rows offset..offset+rows-1 of the chunk,
+    skipping 4-word Philox blocks whole.  `Generator.random` would turn
+    word w into the uniform (w >> 11) * 2**-53."""
     bit_generator = np.random.Philox(key=_chunk_key(seed, stream, chunk_index))
     blocks, rest = divmod(offset * n_cols, 4)
     bit_generator.advance(blocks)
-    u = np.random.Generator(bit_generator).random(rest + rows * n_cols)
-    return u[rest:].reshape(rows, n_cols)
+    return bit_generator.random_raw(rest + rows * n_cols)[rest:].reshape(rows, n_cols)
+
+
+def _word_limit(bound: float) -> np.uint64 | None:
+    """The largest word w whose uniform (w >> 11) * 2**-53 is below `bound`,
+    or None when no uniform is: u < bound holds exactly when w >> 11 is below
+    ceil(bound * 2**53), the top 53 bits being the uniform's integer numerator."""
+    if bound <= 0.0:
+        return None
+    return np.uint64((min(math.ceil(bound * 2**53), 2**53) << 11) - 1)
 
 
 def _units(start: int, n_batches: int, n_cols: int):
@@ -168,22 +181,27 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
 # Batch sampling
 # ---------------------------------------------------------------------------
 
-def _fill_unit(out, noise_u, bounds, slot, n_pairs, seed, stream, unit) -> None:
-    """Draw one unit's uniforms and write its rows of `out`, and its rows of
+def _fill_unit(out, noise_u, limits, slot, n_pairs, seed, stream, unit) -> None:
+    """Draw one unit's words and write its rows of `out`, and its rows of
     noise uniforms to `noise_u` unless that is None."""
     first, chunk_index, offset, take = unit
-    u = _chunk_uniforms(seed, stream, chunk_index, n_pairs + 2, offset, take)
-    pairs = u[:, :n_pairs]
-    below = [np.count_nonzero(pairs < bound, axis=1) for bound in bounds]
+    words = _chunk_words(seed, stream, chunk_index, n_pairs + 2, offset, take)
+    # one hit flag per pair, zero-padded to whole 8-byte words for the popcount
+    hits = np.zeros((take, -(-n_pairs // 8) * 8), dtype=bool)
+    below = np.zeros((len(limits), take), dtype=np.int64)
+    for count, limit in zip(below, limits):
+        if limit is not None:
+            np.less_equal(words[:, :n_pairs], limit, out=hits[:, :n_pairs])
+            np.bitwise_count(hits.view(np.uint64)).sum(axis=1, out=count)
     # pairs per batch in cells 0..k (the cdf is nondecreasing)
-    at_most = np.stack(below)[slot]
+    at_most = below[slot]
     # a +/-1 mean is (2n - N) / N exactly, as the summed mean was
     a, b, bp = (2 * (_PLUS_ONE_STEPS @ at_most) - n_pairs) / n_pairs
     rows = slice(first, first + take)
     out.a_mean[rows], out.b_mean[rows], out.bp_mean[rows] = a, b, bp
     out.noisy_b[rows], out.noisy_bp[rows] = b, bp
     if noise_u is not None:
-        noise_u[rows] = u[:, n_pairs:]
+        noise_u[rows] = (words[:, n_pairs:] >> np.uint64(11)) * 2.0**-53
 
 
 def sample_batches(
@@ -200,9 +218,12 @@ def sample_batches(
     Batches start..start+n_batches-1 of the given stream are returned, each a
     pure function of (seed, stream, index, coupling, n_pairs, sigma).  The
     draw is cut into units of rows within one chunk, at most `_UNIT_UNIFORMS`
-    uniforms each, and a unit's cells are counted while its uniforms are in
-    cache: one comparison pass per distinct cdf bound.  Draws of at least
-    `_PARALLEL_UNIFORMS` uniforms spread their units over the available cores.
+    Philox words each, and a unit's cells are counted while its words are in
+    cache: one pass per distinct cdf bound compares the raw words with the
+    bound's integer limit (`_word_limit`), which decides exactly as comparing
+    their uniforms with the bound would, and popcounts each row's hits.
+    Draws of at least `_PARALLEL_UNIFORMS` words spread their units over the
+    available cores.
     Each unit writes only its own rows, so the outputs are bit for bit those
     of assigning each pair its cell, on any number of cores.  With sigma > 0
     the units keep each batch's two noise uniforms, and their normal
@@ -227,9 +248,10 @@ def sample_batches(
     # cdf[k] bounds cell k; pairs past cdf[6] (a rounding-level deficit) land
     # in cell 7.  Zero-mass cells repeat a bound, which is compared only once.
     bounds, slot = np.unique(np.cumsum(pmf)[:7], return_inverse=True)
+    limits = [_word_limit(bound) for bound in bounds.tolist()]
     out = BatchArrays(*(np.empty(n_batches) for _ in range(5)))
     noise_u = np.empty((n_batches, 2)) if noise.sigma > 0 else None
-    fill = lambda unit: _fill_unit(out, noise_u, bounds, slot, n_pairs, seed, stream, unit)
+    fill = lambda unit: _fill_unit(out, noise_u, limits, slot, n_pairs, seed, stream, unit)
     units = list(_units(start, n_batches, n_pairs + 2))
     _parallel_map(fill, units, parallel=n_batches * (n_pairs + 2) >= _PARALLEL_UNIFORMS)
     if noise_u is not None:

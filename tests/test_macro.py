@@ -33,8 +33,9 @@ from nsbox.macro import (
     batch_lattice,
     sample_batches,
     write_batches_csv,
-    _chunk_uniforms,
+    _chunk_key,
     _ndtri,
+    _word_limit,
 )
 from nsbox.signalling import ARMS
 from oracles import mean_square_check, parallelogram_residuals, pr_limit_couplings
@@ -159,8 +160,8 @@ class TestSampling:
 
     @pytest.mark.parametrize("noise", [0.1, 0.0, None, "0.1"], ids=repr)
     def test_noise_must_be_a_noise_model(self, noise, monkeypatch):
-        # checked before any uniform is drawn
-        monkeypatch.setattr("nsbox.macro._chunk_uniforms", None)
+        # checked before any word is drawn
+        monkeypatch.setattr("nsbox.macro._chunk_words", None)
         with pytest.raises(ValueError, match=f"^noise must be a NoiseModel, got {noise!r}$"):
             sample_batches(UNIFORM, 4, 3, noise, 1)
 
@@ -201,6 +202,13 @@ GOLDEN = {
     (7, 1, 4095, 1024, 0.1): (-0.001953125, -0.1171875, -0.08984375, -0.14996672846268605, -0.20785922959204844),
     (7, 1, 4096, 1024, 0.1): (0.02734375, -0.15234375, -0.146484375, -0.20204127852559489, -0.12957813099343427),
 }
+
+
+def _chunk_uniforms(seed, stream, chunk_index, n_cols) -> np.ndarray:
+    """The chunk's uniforms from `Generator.random`, independently of the
+    sampler's word path."""
+    bit_generator = np.random.Philox(key=_chunk_key(seed, stream, chunk_index))
+    return np.random.Generator(bit_generator).random(CHUNK * n_cols).reshape(CHUNK, n_cols)
 
 
 def reference_sample_batches(
@@ -290,7 +298,8 @@ class TestDeterminismContract:
         ],
         ids=["zero-bounds", "repeated", "cdf6-is-one", "overshoot", "rounding-deficit", "deficit"],
     )
-    @pytest.mark.parametrize("n_pairs", [1, 16, 300])
+    # N = 7, 8 and 9 leave 1, 0 and 7 bytes of padding after each row's pair flags
+    @pytest.mark.parametrize("n_pairs", [1, 7, 8, 9, 16, 300, 1023])
     def test_edge_bounds_match_reference_kernel(self, pmf, cdf_property, n_pairs):
         assert cdf_property(np.cumsum(pmf)[:7])
         coupling = TripleCoupling(A, pmf)
@@ -395,6 +404,50 @@ class TestDeterminismContract:
         object.__setattr__(coupling, "cells", (math.nan,) * 8)
         with pytest.raises(ValueError, match="finite"):
             sample_batches(coupling, 4, 10, NOISELESS, seed=1)
+
+
+WORD_MAX = 2**64 - 1
+
+
+def uniform_of(word: int) -> float:
+    """The uniform `Generator.random` makes of a 64-bit Philox word."""
+    return (word >> 11) * 2.0**-53
+
+
+class TestWordLimit:
+    """`_word_limit(bound)` splits the words: w <= limit exactly when w's
+    uniform is below the bound."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(bound=st.floats(0.0, 1.0 + 1e-9))
+    @example(bound=0.0)
+    @example(bound=5e-324)
+    @example(bound=2.0**-53)
+    @example(bound=math.nextafter(2.0**-53, 1.0))
+    @example(bound=1.0 - 2.0**-53)
+    @example(bound=1.0)
+    @example(bound=math.nextafter(1.0, 2.0))
+    def test_words_at_and_around_the_limit(self, bound):
+        limit = _word_limit(bound)
+        if limit is None:
+            assert not uniform_of(0) < bound
+            return
+        top = int(limit)
+        words = [w for w in (top - 1, top, top + 1) if 0 <= w <= WORD_MAX]
+        assert [uniform_of(w) < bound for w in words] == [w <= top for w in words]
+        # the sampler's comparison, on uint64 words
+        hits = np.less_equal(np.array(words, dtype=np.uint64), limit)
+        assert hits.tolist() == [w <= top for w in words]
+
+    @pytest.mark.parametrize("bound, limit", [
+        (0.0, None),
+        (5e-324, 2**11 - 1),  # a subnormal: only the uniform 0 is below it
+        (1.0 - 2.0**-53, WORD_MAX - 2**11),  # every uniform but the largest
+        (1.0, WORD_MAX),
+        (math.nextafter(1.0, 2.0), WORD_MAX),
+    ], ids=repr)
+    def test_edge_limits(self, bound, limit):
+        assert _word_limit(bound) == limit
 
 
 #: (N, batches, sigma, seed, stream) of draws large enough for the thread pool

@@ -1029,7 +1029,7 @@ class TestRunProtocol:
             run_protocol(*pair, cfg, seed=1)
 
     def test_draw_arms_noise_must_be_a_noise_model(self, monkeypatch):
-        monkeypatch.setattr("nsbox.macro._chunk_uniforms", None)
+        monkeypatch.setattr("nsbox.macro._chunk_words", None)
         with pytest.raises(ValueError, match="^noise must be a NoiseModel, got 0.1$"):
             draw_arms(PR_A, PR_AP, 4, 64, 0.1, seed=1)
 
