@@ -31,6 +31,12 @@ TV_BLOCK, TV_TILE = 512, 256  # Simpson grid rows x columns per product
 #: and the gap 8 Phi_c(40) is 0.0 in double precision.
 TV_SEPARATED = 1.0 / 40.0
 _PARALLEL_BLOCKS = 12  # fewer Simpson row blocks than this stay on the calling thread
+#: Power of two by which `_simpson_grid` scales the kernel and `inner`, so that the
+#: density products stay in the normal range: subnormal operands run several times
+#: slower.  Where the oracle integrates (sigma > 1/480) the kernel is below
+#: 1 / (sigma sqrt(2 pi)) < 192 and sum |diff| <= 2, so a scaled density stays below
+#: 192**2 * 2 * 2**(2 * _TV_SCALE), about 8e305 at 500, under the largest double 1.8e308.
+_TV_SCALE = 500
 WILSON_Z = 1.959963984540054  # two-sided 95%
 SIGNALLING_TAIL = 0.025  # largest chance tail that reads SIGNALLING
 NO_SIGNALLING_WIDTH = 0.02  # CI width needed to call NO_SIGNALLING
@@ -205,7 +211,13 @@ def exact_tv_distance(
     whose pair marginals (`pair_cells`) are equal as floats return 0.0 with
     no law built: a law reads its coupling only through them, so every
     difference would be 0.  Each grid is summed in 512-row blocks, each in
-    512 x 256 tiles with one tile of scratch memory.
+    512 x 256 tiles with one tile of scratch memory.  The kernel and its
+    product with the law difference are scaled in place by the power of two
+    2**`_TV_SCALE`, which each grid's total divides out, so that no density
+    product goes subnormal (several times slower); each block multiplies
+    only its band of kernel columns that are not exactly 0.  Both steps are
+    exact for every normal term, so the result has the bits of the
+    unscaled, unbanded sum.
     The grids are built in turn, each freed before the next, so one grid's
     kernel and tiles are alive at a time.  When numpy's BLAS runs one thread
     and the two grids hold at least 12 blocks together, each grid's blocks
@@ -248,7 +260,7 @@ def _tv_simpsons(
         total = 0.0
         for block_sum in sums:
             total += block_sum
-        totals.append(0.5 * total)
+        totals.append(0.5 * math.ldexp(total, -2 * _TV_SCALE))
     return totals
 
 
@@ -258,9 +270,13 @@ def _grid_points(sigma: float, step_divisor: int) -> int:
 
 
 def _simpson_grid(diff: np.ndarray, lattice: np.ndarray, sigma: float, m: int):
-    """(kernel, weights, column tiles) of the m-point Simpson grid: the
-    m x (N+1) read-out Gaussians, the m Simpson weights and the (N+1) x m
-    product diff @ kernel.T cut into contiguous `TV_TILE`-column tiles."""
+    """(kernel, weights, column tiles, bands) of the m-point Simpson grid:
+    the m x (N+1) read-out Gaussians, the m Simpson weights, the (N+1) x m
+    product diff @ kernel.T cut into contiguous `TV_TILE`-column tiles, and
+    for each `TV_BLOCK`-row block the slice from its first to its last
+    kernel column that is not all 0 (None when there is none).  The product
+    is formed from the unscaled kernel; then it and the kernel are
+    multiplied in place by 2**`_TV_SCALE`, which is exact."""
     span = 1.0 + 7.0 * sigma
     grid = np.linspace(-span, span, m)
     h = grid[1] - grid[0]
@@ -272,22 +288,34 @@ def _simpson_grid(diff: np.ndarray, lattice: np.ndarray, sigma: float, m: int):
         sigma * math.sqrt(2 * math.pi)
     )  # m x (N+1)
     inner = diff @ kernel.T  # (N+1) x m
+    inner *= 2.0**_TV_SCALE
+    kernel *= 2.0**_TV_SCALE
     # contiguous column tiles keep each block's |rows| in cache; every column
     # still sums its block rows in one gemv, so the bits match an untiled pass
     tiles = [(c, np.ascontiguousarray(inner[:, c : c + TV_TILE])) for c in range(0, m, TV_TILE)]
-    return kernel, weights, tiles
+    # kernel entries are >= 0, so a row block's column sums to 0.0 exactly when each is 0
+    sums = np.add.reduceat(kernel, range(0, m, TV_BLOCK))
+    bands = [slice(j[0], j[-1] + 1) if len(j) else None for j in map(np.flatnonzero, sums)]
+    return kernel, weights, tiles, bands
 
 
 def _simpson_block(block) -> float:
     """Weighted sum of |density| over the grid rows lo..lo+TV_BLOCK-1 and
-    every column, with its own one-tile scratch buffer."""
-    (kernel, weights, tiles), lo = block
-    k_rows, w_rows = kernel[lo : lo + TV_BLOCK], weights[lo : lo + TV_BLOCK]
+    every column, times 2**(2 `_TV_SCALE`), with its own one-tile scratch
+    buffer.  Only the block's band of kernel columns that are not exactly 0
+    enters the products, since an exact-zero term leaves each sum as it is;
+    a block with no such column sums to 0.0.  The bands come with the grid,
+    so the pool's workers allocate nothing beyond their buffers."""
+    (kernel, weights, tiles, bands), lo = block
+    band = bands[lo // TV_BLOCK]
+    if band is None:
+        return 0.0
+    k_rows, w_rows = kernel[lo : lo + TV_BLOCK, band], weights[lo : lo + TV_BLOCK]
     buf = np.empty(TV_BLOCK * TV_TILE)
     col = np.empty(len(weights))
     for c, tile in tiles:
         rows = buf[: len(k_rows) * tile.shape[1]].reshape(len(k_rows), -1)
-        np.matmul(k_rows, tile, out=rows)
+        np.matmul(k_rows, tile[band], out=rows)
         np.abs(rows, out=rows)
         np.matmul(w_rows, rows, out=col[c : c + tile.shape[1]])
     return float(col @ weights)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -32,7 +33,7 @@ from nsbox.coupling import (
     make_scalar_extremal_couplings,
     validate_coupling,
 )
-from nsbox.macro import NoiseModel, sample_batches
+from nsbox.macro import NoiseModel, batch_lattice, sample_batches
 from nsbox.signalling import (
     MAX_EXACT_PAIRS,
     NO_SIGNALLING_WIDTH,
@@ -251,25 +252,65 @@ def kernel_cases(seed: int, count: int, sigmas: tuple = (0.01, 0.5)):
         points += [(int(rng.integers(1, 13)), sigma, d) for d in (20, 40)]
     for n, sigma, step_divisor in points:
         diff = rng.dirichlet(np.ones((n + 1) ** 2)) - rng.dirichlet(np.ones((n + 1) ** 2))
-        diff = diff.reshape(n + 1, n + 1)
-        zero = rng.integers(0, 4)
-        if zero == 1:
-            diff[rng.integers(0, n + 1)] = 0.0
-        elif zero == 2:
-            diff[:, rng.integers(0, n + 1)] = 0.0
-        lattice = np.array([(2 * k - n) / n for k in range(n + 1)])
-        yield diff, lattice, sigma, step_divisor
+        yield zero_a_line(rng, diff.reshape(n + 1, n + 1)), batch_lattice(n), sigma, step_divisor
 
 
-def kernel_mismatches(seed: int, count: int) -> list:
+def zero_a_line(rng: np.random.Generator, diff: np.ndarray) -> np.ndarray:
+    """diff with, one draw in four each, a random row or a random column zeroed."""
+    zero = rng.integers(0, 4)
+    if zero == 1:
+        diff[rng.integers(0, len(diff))] = 0.0
+    elif zero == 2:
+        diff[:, rng.integers(0, len(diff))] = 0.0
+    return diff
+
+
+def kernel_mismatches(seed: int, count: int, cases=kernel_cases) -> list:
     """Cases where `_tv_simpsons` and `reference_tv_simpson` differ in any bit."""
     bad = []
-    for diff, lattice, sigma, step_divisor in kernel_cases(seed, count):
+    for diff, lattice, sigma, step_divisor in cases(seed, count):
         got = _tv_simpsons(diff, lattice, sigma, (step_divisor,))[0]
         want = reference_tv_simpson(diff, lattice, sigma, step_divisor)
         if got != want:
             bad.append([len(lattice) - 1, sigma, step_divisor, repr(got), repr(want)])
     return bad
+
+
+#: the smallest sigma the oracle integrates (at N = 12), where the kernel peaks
+#: highest, just under 192
+SMALLEST_SIGMA = math.nextafter(TV_SEPARATED / MAX_EXACT_PAIRS, 1.0)
+
+
+def subnormal_kernel_cases(seed: int, count: int):
+    """Seeded laws for the scaled, banded kernel where the unscaled one meets
+    subnormal terms: N in 3..12, sigma log-uniform from just above
+    N sigma = `TV_SEPARATED` up to 0.01, either step divisor, entries of
+    magnitude 1e-300 to 1 with sum |diff| <= 2, and some laws with a zero
+    row or a zero column."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, MAX_EXACT_PAIRS + 1))
+        # (1 - uniform) lies in (0, 1], so N sigma lies above TV_SEPARATED
+        sigma = TV_SEPARATED / n * (0.01 * n / TV_SEPARATED) ** (1.0 - rng.uniform())
+        size = (n + 1, n + 1)
+        diff = rng.choice((-1.0, 1.0), size) * 10.0 ** rng.uniform(-300.0, 0.0, size)
+        diff /= max(1.0, 0.5 * float(np.abs(diff).sum()))
+        yield zero_a_line(rng, diff), batch_lattice(n), sigma, int(rng.choice((20, 40)))
+
+
+def largest_grid_mismatch() -> list:
+    """`_tv_simpsons` against `reference_tv_simpson` at N = 12 and
+    `SMALLEST_SIGMA`, the step divisor 20 grid, for unit masses at opposite
+    lattice corners: densities up to the kernel peak squared, the most a law
+    difference reaches there.  On the calling thread (numpy's error state
+    does not reach pool threads), where an overflow or an invalid operation
+    raises."""
+    diff = np.zeros((MAX_EXACT_PAIRS + 1,) * 2)
+    diff[0, 0], diff[-1, -1] = 1.0, -1.0
+    with serial_blocks(), np.errstate(over="raise", invalid="raise"):
+        got = _tv_simpsons(diff, batch_lattice(MAX_EXACT_PAIRS), SMALLEST_SIGMA, (20,))[0]
+    want = reference_tv_simpson(diff, batch_lattice(MAX_EXACT_PAIRS), SMALLEST_SIGMA, 20)
+    return [] if got == want else [repr(got), repr(want)]
 
 
 def run_fresh(code: str, blas_threads: int) -> str:
@@ -477,6 +518,14 @@ class TestExactTv:
                         "t.kernel_mismatches(11, 20)))", blas_threads=1)
         assert json.loads(out) == []
 
+    def test_scaled_kernel_matches_reference_bit_for_bit(self):
+        """The scaled, banded kernel against the unscaled, unbanded one at one
+        BLAS thread, on grids where the unscaled products go subnormal, and on
+        the largest grid with overflow and invalid operations raising."""
+        code = ("import json, test_signalling as t; print(json.dumps(["
+                "t.kernel_mismatches(2, 12, t.subnormal_kernel_cases), t.largest_grid_mismatch()]))")
+        assert json.loads(run_fresh(code, blas_threads=1)) == [[], []]
+
     def test_bits_independent_of_blas_threads(self):
         """exact_tv_distance on THREAD_CASES and the kernel on seed-1 laws, one
         of which the untiled kernel sums differently at two BLAS threads."""
@@ -562,14 +611,21 @@ def tv_in_child(connection, point) -> None:
     connection.close()
 
 
-def serial_tvs() -> list:
-    """POOLED_POINTS on the calling thread: the pool threshold is out of reach."""
+@contextlib.contextmanager
+def serial_blocks():
+    """The Simpson row blocks on the calling thread: the pool threshold is out of reach."""
     threshold = nsbox.signalling._PARALLEL_BLOCKS
     nsbox.signalling._PARALLEL_BLOCKS = math.inf
     try:
-        return [pooled_tv(point) for point in POOLED_POINTS]
+        yield
     finally:
         nsbox.signalling._PARALLEL_BLOCKS = threshold
+
+
+def serial_tvs() -> list:
+    """POOLED_POINTS on the calling thread."""
+    with serial_blocks():
+        return [pooled_tv(point) for point in POOLED_POINTS]
 
 
 def user_threads_tvs() -> dict:
