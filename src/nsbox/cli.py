@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import errno
 import json
@@ -43,7 +42,10 @@ from .causality import (
     variance_lower_bound_a,
     variance_lower_bound_ap,
 )
-from .records import Detector, SweepRow, csv_rows, report_from_json, write_sweep_csv
+from .records import (
+    Detector, SweepRow, _sweep_row, read_batch_histogram, write_bounds_csv, write_couplings_csv,
+    write_grid_csv, write_histogram_csv, write_sweep_csv,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -214,12 +216,6 @@ def _write_out(v: Validator, fmt: str, payload: dict, write_csv) -> None:
             write_csv(handle)
 
 
-def _write_csv(handle: TextIO, header, rows) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -321,14 +317,8 @@ def cmd_verify_bounds(args) -> int:
     if failures:
         payload["failures"] = failures
 
-    fields = [
-        "c_ab", "c_abp", "c_apb", "c_apbp", "chsh", "causality_lhs",
-        "causality_ok", "tsirelson_ok", "lower_bound_a", "lower_bound_ap",
-        "budget_total",
-    ]
     flat = {**table.as_dict(), **payload}
-    values = [[flat[k] for k in fields]]
-    _write_out(v, fmt, payload, lambda handle: _write_csv(handle, fields, values))
+    _write_out(v, fmt, payload, lambda handle: write_bounds_csv(handle, flat))
     print(json.dumps(payload, indent=2))
     return EXIT_OK if not failures else EXIT_INVARIANT
 
@@ -343,14 +333,8 @@ def cmd_scan_frontier(args) -> int:
 
     report = frontier_scan(resolution, symmetric=symmetric, rhs=rhs)
     summary = _envelope(args, **dataclasses.asdict(report))
-
-    def grid_csv(handle: TextIO) -> None:
-        grid = frontier_grid(resolution, symmetric, rhs)
-        # floats at 17 significant digits, booleans spelled as in JSON (lower-cased)
-        template = ",".join("%s" if type(c[0]) is bool else "%.17g" for c in grid.values()) + "\n"
-        handle.write(",".join(grid) + "\n" + csv_rows(template, grid.values()).lower())
-
-    _write_out(v, fmt, summary, grid_csv)
+    _write_out(v, fmt, summary, lambda handle: write_grid_csv(
+        handle, frontier_grid(resolution, symmetric, rhs)))
     if v.values.get("summary"):
         _write_json(v.values["summary"], summary)
     print(json.dumps(summary, indent=2))
@@ -359,8 +343,8 @@ def cmd_scan_frontier(args) -> int:
 
 def cmd_couplings(args) -> int:
     from .coupling import (
-        I_VALUES, J_VALUES, JP_VALUES, CouplingObjective, coupling_bounds, coupling_to_json,
-        extremal_coupling, make_scalar_extremal_couplings, validate_coupling,
+        CouplingObjective, coupling_bounds, coupling_to_json, extremal_coupling,
+        make_scalar_extremal_couplings, validate_coupling,
     )
 
     v = _resolve(args)
@@ -389,36 +373,13 @@ def cmd_couplings(args) -> int:
         bounds=bounds,
         validation={arm: validate_coupling(k, t).ok for arm, (k, t) in arms.items()},
     )
-    cells = [[int(x) for x in cell] for cell in zip(I_VALUES, J_VALUES, JP_VALUES)]
-    rows = [
-        [arm, *cell, f"{probability:.17g}"]
-        for arm, data in payload["couplings"].items()
-        for cell, probability in zip(cells, data["pmf"])
-    ]
-    header = ["arm", "i", "j", "jp", "probability"]
-    _write_out(v, fmt, payload, lambda handle: _write_csv(handle, header, rows))
+    _write_out(v, fmt, payload, lambda handle: write_couplings_csv(handle, payload["couplings"]))
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
 def _warn_skipped(path, reason) -> None:
     print(f"warning: skipped {path}: {reason}", file=sys.stderr)
-
-
-def _sweep_row(data) -> SweepRow:
-    """The advantage-curve row of one stored simulate-signalling report."""
-    if not isinstance(data, dict) or data.get("command") != "simulate-signalling":
-        raise ValueError("not a simulate-signalling report")
-    cfg = data["config"]
-    return SweepRow(
-        c=_checked_real(cfg["C"], "C", "a real in [0, 1]", 0.0, 1.0),
-        n_pairs=_checked_int(cfg["N"], "N", "a positive integer", 1),
-        repetitions=_checked_int(cfg["reps"], "reps", "a positive integer", 1),
-        sigma=_checked_real(cfg["sigma"], "sigma", f"a real in [0, {_MAX_SIGMA:g}]", 0.0,
-                            _MAX_SIGMA),
-        detector=Detector(cfg["detector"]),
-        report=report_from_json(data["report"]),
-    )
 
 
 def cmd_export(args) -> int:
@@ -441,7 +402,7 @@ def cmd_export(args) -> int:
             data = json.loads(path.read_text())
             row = _sweep_row(data)
             batches = data.get("batches_csv")
-            if batches is not None and not isinstance(batches, str):
+            if batches is not None and not (isinstance(batches, str) and batches):
                 raise TypeError(f"batches_csv must be a path, got {batches!r}")
             # a relative path is relative to the report; an absolute one stays
             batches = batches and path.parent / batches
@@ -470,37 +431,14 @@ def cmd_export(args) -> int:
         if target in written:
             _warn_skipped(batch_file, f"{target} already written")
             continue
-        counts: dict[tuple[str, float], int] = {}
-        # each (strategy, B, B') text is parsed at its first row, so a bad
-        # field raises there, as a parse of every row would
-        keys: dict[tuple, tuple[str, float]] = {}
         try:
             with open(batch_file) as handle:
-                reader = csv.reader(handle)
-                header = next(reader, [])
-                # fields as csv.DictReader finds them: a repeated name means its last
-                # column, blank lines are skipped, and a short row reads None at its end
-                at = {name: k for k, name in enumerate(header)}
-                for row in filter(None, reader):
-                    row += [None] * (len(header) - len(row))
-                    strategy = row[at["strategy"]]
-                    if strategy is None:
-                        raise ValueError(f"line {reader.line_num} has no field 'strategy'")
-                    text = (strategy, row[at["B"]], row[at["Bprime"]] if "Bprime" in at else None)
-                    key = keys.get(text)
-                    if key is None:  # a bad B is reported before a missing Bprime column
-                        b = float(text[1])
-                        key = keys[text] = (strategy, round(b + float(row[at["Bprime"]]), 12))
-                    counts[key] = counts.get(key, 0) + 1
-        except KeyError as exc:
-            _warn_skipped(batch_file, f"missing column {exc}")
-            continue
-        except (OSError, ValueError, TypeError, csv.Error) as exc:
+                counts = read_batch_histogram(handle)
+        except (OSError, ValueError, TypeError) as exc:
             _warn_skipped(batch_file, exc)
             continue
-        rows = [[strategy, f"{value:.17g}", n] for (strategy, value), n in sorted(counts.items())]
         with _atomic_file(target) as handle:
-            _write_csv(handle, ["strategy", "value", "count"], rows)
+            write_histogram_csv(handle, counts)
         written.append(target)
 
     for path in written:

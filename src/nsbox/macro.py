@@ -28,10 +28,10 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .boxes import (
-    _MAX_SEED, _MAX_SIGMA, A, A_PRIME, AliceSetting, _checked_instance, _checked_int, _checked_real,
+    _MAX_SEED, _MAX_SIGMA, AliceSetting, _checked_instance, _checked_int, _checked_real,
 )
 from .coupling import CORR_TOL, I_VALUES, J_VALUES, JP_VALUES, TripleCoupling
-from .records import csv_rows
+from .records import BATCH_CSV_HEADER, BATCH_CSV_LABEL, csv_rows
 
 CHUNK = 4096
 #: A unit of a draw holds at most this many 64-bit words: 2 MB, cache-sized.
@@ -287,9 +287,6 @@ def batch_lattice(n_pairs: int) -> np.ndarray:
 # CSV export
 # ---------------------------------------------------------------------------
 
-BATCH_CSV_HEADER = "batch_index,strategy,N,A,B,Bprime,noisyB,noisyBprime,seed"
-#: The `strategy` field of an arm: Alice's setting on every pair of it.
-BATCH_CSV_LABEL = {A: "always_a", A_PRIME: "always_aprime"}
 #: Rows of the batch dump formatted per write: about 0.5 MB of text.
 _CSV_SLICE = 4096
 

@@ -16,7 +16,6 @@ from nsbox.boxes import (
     classify_locality,
 )
 from nsbox.causality import frontier_grid, frontier_scan
-from nsbox.cli import _sweep_row
 from nsbox.coupling import (
     CouplingObjective,
     TripleCoupling,
@@ -25,7 +24,7 @@ from nsbox.coupling import (
     make_scalar_extremal_couplings,
 )
 from nsbox.macro import NoiseModel, sample_batches
-from nsbox.records import report_from_json
+from nsbox.records import _sweep_row, report_from_json
 from nsbox.signalling import ProtocolConfig, advantage_ceiling, batch_law, postselect_guess_a
 from oracles import chsh_variants, deterministic_tables, local_hull_membership
 

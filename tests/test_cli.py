@@ -990,6 +990,21 @@ class TestExport:
             "advantage_curve.csv", "hist_batches_half.csv",
         ]
 
+    def test_report_with_an_empty_batch_path_is_skipped_whole(self, tmp_path, capsys):
+        """An empty batches_csv names no file: the report is skipped with a
+        warning, as a non-string one is, and the report beside it exports."""
+        run_dir = self._make_run(tmp_path)
+        bad = run_dir / "pr.json"
+        bad.write_text(json.dumps({**json.loads(bad.read_text()), "batches_csv": ""}))
+        capsys.readouterr()
+        out_dir = tmp_path / "export"
+        assert run(["export", "--run-dir", str(run_dir), "--out-dir", str(out_dir)]) == 0
+        reason = "batches_csv must be a path, got ''"
+        assert capsys.readouterr().err == f"warning: skipped {bad}: {reason}\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "advantage_curve.csv", "hist_batches_half.csv",
+        ]
+
     @pytest.mark.parametrize(
         "edits, reason",
         [
